@@ -23,30 +23,32 @@ she never replays the exact noise she is attacking.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from math import cos, floor, pi, sin
+from math import cos, floor, isfinite, pi
 from pathlib import Path
 
 import numpy as np
 
-from .channel import KljnConfig, PeriodicSource, Situation, divider_ac, wire_noise
-from .errors import ConfigurationError, ShapeMismatchError
-from .noise import (
-    NoiseSpec,
-    SampledTrace,
-    Spectrum,
-    generate_unit_gbwn,
-    johnson_scale,
-    mix_seed,
-    periodogram,
+from .channel import (
+    KljnConfig,
+    PeriodicSource,
+    Situation,
+    divider_ac,
+    draw_end_noise,
+    period_batches,
+    wire_noise,
 )
+from .errors import ConfigurationError, ShapeMismatchError
+from .noise import Spectrum, mix_seed, power_spectrum
+from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
 __all__ = [
     "AttackConfig",
     "AttackMode",
     "HfPreparation",
     "LfDecision",
+    "UNDETERMINED",
     "default_band",
     "hf_ac_power",
     "hf_decide",
@@ -60,6 +62,8 @@ __all__ = [
 
 _STREAM_EAVESDROPPER = 3  # rehearsal noise, disjoint from the victim's streams
 _TIE_SALT = 0x7E5EEDC011  # fixed salt for the exact-tie coin
+
+UNDETERMINED = -1  # lowfreq guess for a period the test cannot call
 
 
 class AttackMode(Enum):
@@ -93,8 +97,8 @@ class AttackConfig:
     eve_knows_source: bool = True
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ConfigurationError(f"kappa must be positive, got {self.kappa}")
+        if not (self.kappa > 0 and isfinite(self.kappa)):
+            raise ConfigurationError(f"kappa must be finite and positive, got {self.kappa}")
         if self.ensemble_size < 100:
             raise ConfigurationError(
                 f"ensemble_size must be at least 100, got {self.ensemble_size}"
@@ -108,16 +112,26 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class LfDecision:
-    """Outcome of the threshold-crossing test for one period.
+    """Outcome of the threshold-crossing test, one entry per period.
 
-    ``guess`` is None when the period is undetermined (zero threshold or
-    crossing fraction exactly one half); those periods are discarded from
-    the accuracy accounting entirely.
+    ``guess`` holds the guessed situation code (LH or HL), or UNDETERMINED
+    where the threshold is exactly zero or the crossing fraction exactly
+    one half; those periods are discarded from the accuracy accounting
+    entirely.
     """
 
-    guess: Situation | None
-    gamma: float
-    threshold: float
+    guess: np.ndarray
+    gamma: np.ndarray
+    threshold: np.ndarray
+
+
+def _band_mask(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    lo, hi = band
+    mask = (freqs >= lo) & (freqs <= hi)
+    mask[0] = False  # DC bin never contributes to band averages
+    if not np.any(mask):
+        raise ConfigurationError(f"band [{lo}, {hi}] contains no spectrum bins")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -131,73 +145,95 @@ class HfPreparation:
             two secure situations.
         band: Spectral window (f_lo, f_hi) used for band averages.
         ensemble_size: Number of rehearsal periods averaged.
+        samples_per_bit: Period length the rehearsal ran at; measured
+            periods must match it.
+        mask: Derived selection of the background bins inside ``band``.
     """
 
     noise_background: Spectrum
     ac_threshold: float
     band: tuple[float, float]
     ensemble_size: int
+    samples_per_bit: int
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.noise_background) != self.samples_per_bit // 2 + 1:
+            raise ShapeMismatchError(
+                f"background has {len(self.noise_background)} bins, a "
+                f"{self.samples_per_bit}-sample period has {self.samples_per_bit // 2 + 1}"
+            )
+        mask = _band_mask(self.noise_background.frequencies(), self.band)
+        object.__setattr__(self, "mask", mask)
 
 
 def lf_threshold(
-    source: PeriodicSource, period_index: int, tau: float, kappa: float
-) -> float:
-    """Decision threshold for one period: kappa times the source's mean.
+    source: PeriodicSource, period_index, tau: float, kappa: float
+) -> np.ndarray:
+    """Decision threshold per period: kappa times the source's mean.
 
     Period ``i`` spans [(i-1)*tau, i*tau] with i counted from 1.  The mean
-    is evaluated in closed form; when the period holds an exactly integer
+    is evaluated in closed form; when a period holds an exactly integer
     number of source cycles the mean is exactly zero, and zero is returned
     as such so downstream discarding triggers reliably.
 
     Args:
         source: The known parasitic source.
-        period_index: 1-based period number.
+        period_index: 1-based period number, or an array of them.
         tau: Period length in seconds.
         kappa: Threshold scale, positive.
 
     Returns:
-        Threshold in volts; sign matters, zero means "cannot decide".
+        Thresholds in volts, shaped like ``period_index``; sign matters,
+        zero means "cannot decide".
     """
-    if period_index < 1:
+    index = np.asarray(period_index)
+    if np.any(index < 1):
         raise ConfigurationError(
-            f"period_index must be at least 1, got {period_index}"
+            f"period_index must be at least 1, got {index.min()}"
         )
     if not tau > 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
     if not kappa > 0:
         raise ConfigurationError(f"kappa must be positive, got {kappa}")
     if source.frequency == 0.0:
-        return kappa * source.amplitude * cos(source.phase)
+        return np.full(index.shape, kappa * source.amplitude * cos(source.phase))
     cycles = source.frequency * tau
     if cycles == floor(cycles):
-        return 0.0
+        return np.zeros(index.shape)
     omega = 2.0 * pi * source.frequency
-    t_end = period_index * tau
+    t_end = index * tau
     t_start = t_end - tau
-    mean = (sin(omega * t_end + source.phase) - sin(omega * t_start + source.phase)) / (
+    mean = (np.sin(omega * t_end + source.phase) - np.sin(omega * t_start + source.phase)) / (
         omega * tau
     )
     return kappa * source.amplitude * mean
 
 
-def lf_gamma(wire: SampledTrace, threshold: float) -> float:
-    """Fraction of wire samples strictly above the threshold."""
-    return float(np.count_nonzero(wire.samples > threshold)) / len(wire)
+def lf_gamma(wire: np.ndarray, threshold) -> np.ndarray:
+    """Fraction of each period's wire samples strictly above its threshold.
+
+    ``wire`` holds one period per row (samples along the last axis) and
+    ``threshold`` one value per row.
+    """
+    wire = np.asarray(wire)
+    above = wire > np.asarray(threshold)[..., None]
+    return np.count_nonzero(above, axis=-1) / wire.shape[-1]
 
 
-def lf_decide(threshold: float, gamma: float) -> LfDecision:
-    """Classify one period from its threshold and crossing fraction.
+def lf_decide(threshold, gamma) -> LfDecision:
+    """Classify periods from their thresholds and crossing fractions.
 
     A positive threshold with a majority of samples above it (or a negative
     threshold with a minority) points to the situation where Bob holds the
     high resistor and the divider passes most of the source.  Exact zero
     threshold or exact half crossing leaves the period undetermined.
     """
-    if threshold == 0.0 or gamma == 0.5:
-        return LfDecision(None, gamma, threshold)
-    if (threshold > 0.0) == (gamma > 0.5):
-        return LfDecision(Situation.LH, gamma, threshold)
-    return LfDecision(Situation.HL, gamma, threshold)
+    threshold = np.asarray(threshold, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    called = np.where((threshold > 0.0) == (gamma > 0.5), Situation.LH, Situation.HL)
+    guess = np.where((threshold == 0.0) | (gamma == 0.5), UNDETERMINED, called)
+    return LfDecision(guess, gamma, threshold)
 
 
 def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float]:
@@ -222,24 +258,17 @@ def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float
     return (lo, hi)
 
 
-def _band_mask(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
-    lo, hi = band
-    mask = (freqs >= lo) & (freqs <= hi)
-    mask[0] = False  # DC bin never contributes to band averages
-    if not np.any(mask):
-        raise ConfigurationError(f"band [{lo}, {hi}] contains no spectrum bins")
-    return mask
-
-
 def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     """Rehearse the spectral attack offline.
 
     Simulates ``attack.ensemble_size`` secure periods (alternating the two
     secure situations; the ideal loop's noise statistics are identical in
-    both) with rehearsal seeds derived from the session seed on a disjoint
-    stream.  Produces the ensemble-averaged noise periodogram and the
-    midpoint threshold between the band-averaged source power with the
-    divider the two situations would apply.
+    both) from one rehearsal stream disjoint from the session's, batch by
+    batch like a session.  Produces the ensemble-averaged noise
+    periodogram and the midpoint threshold between the band-averaged
+    source power with the divider the two situations would apply.  The
+    divider only scales the source, so each member needs one source
+    periodogram, scaled by both squared divider ratios.
 
     Raises:
         ConfigurationError: If the band reaches outside (0, f_b] or holds
@@ -257,106 +286,98 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         band = attack.band
     else:
         band = default_band(config.source.frequency, bin_width, config.f_b)
+    mask = _band_mask(np.arange(spb // 2 + 1) * bin_width, band)
 
-    freqs = np.arange(spb // 2 + 1) * bin_width
-    mask = _band_mask(freqs, band)
-
-    rehearsal_seed = mix_seed(config.seed, _STREAM_EAVESDROPPER)
     r_low, r_high = config.resistors.r_low, config.resistors.r_high
-    sample_offsets = np.arange(spb)
-
-    background_sum = np.zeros(spb // 2 + 1)
-    lh_power_sum = 0.0
-    hl_power_sum = 0.0
-    for m in range(attack.ensemble_size):
-        if m % 2 == 0:
-            r_alice, r_bob = r_low, r_high
-        else:
-            r_alice, r_bob = r_high, r_low
-        alice_noise = johnson_scale(
-            generate_unit_gbwn(NoiseSpec(spb, f_s, config.f_b, mix_seed(rehearsal_seed, m, 0))),
-            r_alice,
-            config.t_eff,
-            config.f_b,
-        )
-        bob_noise = johnson_scale(
-            generate_unit_gbwn(NoiseSpec(spb, f_s, config.f_b, mix_seed(rehearsal_seed, m, 1))),
-            r_bob,
-            config.t_eff,
-            config.f_b,
-        )
-        background_sum += periodogram(wire_noise(r_alice, r_bob, alice_noise, bob_noise)).bins
-
-        times = (m * spb + sample_offsets) / f_s
-        source_trace = SampledTrace(config.source.sample(times), f_s)
-        lh_bins = periodogram(divider_ac(r_low, r_high, source_trace)).bins
-        hl_bins = periodogram(divider_ac(r_high, r_low, source_trace)).bins
-        lh_power_sum += float(np.mean(lh_bins[mask]))
-        hl_power_sum += float(np.mean(hl_bins[mask]))
-
+    # Row 0 rehearses LH (even members), row 1 HL (odd members): (r_alice, r_bob).
+    pairs = np.array([[r_low, r_high], [r_high, r_low]])
+    rng = np.random.Generator(
+        np.random.Philox(key=mix_seed(config.seed, _STREAM_EAVESDROPPER))
+    )
+    offsets = np.arange(spb)
     m_count = attack.ensemble_size
+    background_sum = np.zeros(spb // 2 + 1)
+    source_power = np.empty(m_count)
+    for members in period_batches(m_count):
+        r_alice, r_bob = pairs[members % 2].T[:, :, None]
+        alice_noise, bob_noise = draw_end_noise(
+            rng, r_alice, r_bob, config.t_eff, config.f_b, spb
+        )
+        # Add member by member so the sum does not depend on the batching.
+        for bins in power_spectrum(wire_noise(r_alice, r_bob, alice_noise, bob_noise)):
+            background_sum += bins
+        source = config.source.sample((members[:, None] * spb + offsets) / f_s)
+        source_power[members] = np.mean(power_spectrum(source)[:, mask], axis=1)
+
     background = Spectrum(
         bins=background_sum / m_count,
         bin_width=bin_width,
         band=(0.0, f_s / 2.0),
     )
-    ac_threshold = (lh_power_sum + hl_power_sum) / (2.0 * m_count)
-    return HfPreparation(background, ac_threshold, band, m_count)
+    lh_gain, hl_gain = divider_ac(pairs[:, 0], pairs[:, 1], 1.0)
+    ac_threshold = float(0.5 * (lh_gain**2 + hl_gain**2) * np.mean(source_power))
+    return HfPreparation(background, ac_threshold, band, m_count, spb)
 
 
-def hf_ac_power(wire: SampledTrace, prep: HfPreparation) -> float:
-    """Background-subtracted band power of one measured period.
+def hf_ac_power(wire: np.ndarray, prep: HfPreparation) -> np.ndarray:
+    """Background-subtracted band power of each measured period.
 
-    Subtracts the rehearsed noise spectrum bin by bin and averages over the
-    window without clipping, so the estimator stays unbiased; negative
-    values simply mean the period held less band power than the noise
-    average.
+    ``wire`` holds one period per row.  Subtracts the rehearsed noise
+    spectrum bin by bin and averages over the window without clipping, so
+    the estimator stays unbiased; negative values simply mean the period
+    held less band power than the noise average.
     """
-    spectrum = periodogram(wire)
-    background = prep.noise_background
-    if len(spectrum) != len(background) or spectrum.bin_width != background.bin_width:
+    wire = np.asarray(wire)
+    if wire.shape[-1] != prep.samples_per_bit:
         raise ShapeMismatchError(
-            f"measured spectrum ({len(spectrum)} bins @ {spectrum.bin_width} Hz) does "
-            f"not match background ({len(background)} bins @ {background.bin_width} Hz)"
+            f"measured periods hold {wire.shape[-1]} samples, the rehearsal "
+            f"ran at {prep.samples_per_bit}"
         )
-    mask = _band_mask(spectrum.frequencies(), prep.band)
-    return float(np.mean(spectrum.bins[mask] - background.bins[mask]))
+    bins = power_spectrum(wire)[..., prep.mask]
+    return np.mean(bins - prep.noise_background.bins[prep.mask], axis=-1)
 
 
-def hf_decide(ac_power: float, prep: HfPreparation) -> Situation:
-    """Classify one period by band power against the rehearsed midpoint.
+def hf_decide(ac_power, prep: HfPreparation) -> np.ndarray:
+    """Classify periods by band power against the rehearsed midpoint.
 
     Above the midpoint means the strong divider (Bob high); below means the
-    weak one.  An exact tie is resolved by a deterministic fair coin keyed
-    on the measured value's bit pattern, so accounting never stalls and
-    reruns reproduce byte for byte.
+    weak one.  Returns situation codes shaped like ``ac_power``.  An exact
+    tie is resolved by a deterministic fair coin keyed on the measured
+    value's bit pattern, so accounting never stalls and reruns reproduce
+    byte for byte.
     """
-    if ac_power > prep.ac_threshold:
-        return Situation.LH
-    if ac_power < prep.ac_threshold:
-        return Situation.HL
-    bits = int(np.float64(ac_power).view(np.uint64))
-    return Situation.LH if mix_seed(_TIE_SALT, bits) & 1 else Situation.HL
+    power = np.asarray(ac_power, dtype=np.float64)
+    guess = np.where(power > prep.ac_threshold, Situation.LH, Situation.HL)
+    tied = power == prep.ac_threshold
+    if np.any(tied):
+        heads = [mix_seed(_TIE_SALT, int(bits)) & 1 for bits in power[tied].view(np.uint64)]
+        guess[tied] = np.where(heads, Situation.LH, Situation.HL)
+    return guess
+
+
+_PREP_HEADER = ("ac_threshold_v2", "f_lo_hz", "f_hi_hz", "ensemble_size", "samples_per_bit")
 
 
 def save_hf_preparation(prep: HfPreparation, path: str | Path) -> None:
     """Persist a rehearsal result as CSV.
 
-    Layout: one scalar header row (threshold, window edges, ensemble size)
-    followed by the background spectrum as (frequency_hz, background_v2)
-    rows, all floats with 17 significant digits.
+    Layout: one scalar header row (threshold, window edges, ensemble size,
+    period length) followed by the background spectrum as
+    (frequency_hz, background_v2) rows, all floats with 17 significant
+    digits.
     """
     background = prep.noise_background
     freqs = background.frequencies()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("ac_threshold_v2", "f_lo_hz", "f_hi_hz", "ensemble_size"))
+        writer.writerow(_PREP_HEADER)
         writer.writerow(
             (
                 f"{prep.ac_threshold:.17g}",
                 f"{prep.band[0]:.17g}",
                 f"{prep.band[1]:.17g}",
                 prep.ensemble_size,
+                prep.samples_per_bit,
             )
         )
         writer.writerow(("frequency_hz", "background_v2"))
@@ -368,15 +389,16 @@ def load_hf_preparation(path: str | Path) -> HfPreparation:
     """Reload a rehearsal result written by :func:`save_hf_preparation`."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    if len(rows) < 5 or rows[0] != ["ac_threshold_v2", "f_lo_hz", "f_hi_hz", "ensemble_size"]:
+    if len(rows) < 5 or rows[0] != list(_PREP_HEADER):
         raise ConfigurationError(f"{path} is not a rehearsal file")
     threshold = float(rows[1][0])
     band = (float(rows[1][1]), float(rows[1][2]))
     ensemble_size = int(rows[1][3])
+    samples_per_bit = int(rows[1][4])
     if rows[2] != ["frequency_hz", "background_v2"]:
         raise ConfigurationError(f"{path} is missing the spectrum column header")
     freqs = np.array([float(r[0]) for r in rows[3:]])
     bins = np.array([float(r[1]) for r in rows[3:]])
     bin_width = freqs[1] - freqs[0]
     background = Spectrum(bins=bins, bin_width=bin_width, band=(0.0, float(freqs[-1])))
-    return HfPreparation(background, threshold, band, ensemble_size)
+    return HfPreparation(background, threshold, band, ensemble_size, samples_per_bit)

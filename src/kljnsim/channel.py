@@ -23,71 +23,96 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import NoiseSpec, SampledTrace, generate_unit_gbwn, johnson_scale, mix_seed
+from .noise import johnson_rms, mix_seed
+from .noise import generate_unit_gbwn  # noqa: F401  (bench/child.py traces it here)
 
 __all__ = [
-    "BitPeriodRecord",
+    "CHUNK_PERIODS",
     "KljnConfig",
     "PeriodicSource",
     "ResistorPair",
     "SESSION_CSV_COLUMNS",
+    "Session",
+    "SessionChunk",
     "Situation",
     "divider_ac",
+    "draw_end_noise",
     "dump_session_csv",
+    "period_batches",
+    "secure_mask",
     "simulate_session",
     "wire_current",
     "wire_noise",
 ]
 
+# Periods synthesized per batch.  It bounds memory and never changes a
+# result: coins and noise come from sequential streams, so any batching
+# draws the same numbers in the same order.
+CHUNK_PERIODS = 128
+
 # Disjoint sub-stream labels under one session seed.
 _STREAM_CHOICES = 1  # resistor coin flips
-_STREAM_NOISE = 2  # per-period thermal segments
+_STREAM_NOISE = 2  # thermal noise of both ends, all periods in order
 
 
-class Situation(Enum):
-    """Joint resistor choice for one period; first letter Alice, second Bob."""
+class Situation(IntEnum):
+    """Joint resistor choice for one period; first letter Alice, second Bob.
 
-    LL = "LL"
-    LH = "LH"
-    HL = "HL"
-    HH = "HH"
+    The value is the period's code in session arrays: Alice's choice in the
+    high bit and Bob's in the low bit, 0 for L and 1 for H.
+    """
+
+    LL = 0
+    LH = 1
+    HL = 2
+    HH = 3
 
     @classmethod
     def from_choices(cls, alice: str, bob: str) -> "Situation":
         try:
-            return cls(alice + bob)
-        except ValueError:
+            return cls[alice + bob]
+        except KeyError:
             raise ConfigurationError(
                 f"resistor choices must be 'L' or 'H', got {alice!r}, {bob!r}"
             ) from None
 
     @property
     def alice(self) -> str:
-        return self.value[0]
+        return self.name[0]
 
     @property
     def bob(self) -> str:
-        return self.value[1]
+        return self.name[1]
 
     @property
     def secure(self) -> bool:
         """True for the mixed situations that contribute key bits."""
-        return self.value[0] != self.value[1]
+        return self.alice != self.bob
 
     @property
     def bit(self) -> int:
         """Key bit carried by a secure situation: LH is 0, HL is 1."""
-        if self is Situation.LH:
-            return 0
-        if self is Situation.HL:
-            return 1
-        raise ConfigurationError(f"situation {self.value} carries no key bit")
+        if not self.secure:
+            raise ConfigurationError(f"situation {self.name} carries no key bit")
+        return self.value - 1
+
+
+def period_batches(count: int) -> Iterator[np.ndarray]:
+    """Indices 0 .. count-1 in consecutive runs of ``CHUNK_PERIODS``."""
+    for start in range(0, count, CHUNK_PERIODS):
+        yield np.arange(start, min(start + CHUNK_PERIODS, count))
+
+
+def secure_mask(situations: np.ndarray) -> np.ndarray:
+    """True where an array of situation codes holds LH or HL."""
+    return (situations >> 1) != (situations & 1)
 
 
 @dataclass(frozen=True)
@@ -98,9 +123,9 @@ class ResistorPair:
     r_high: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_low < self.r_high:
+        if not 0 < self.r_low < self.r_high < math.inf:
             raise ConfigurationError(
-                f"need 0 < r_low < r_high, got {self.r_low}, {self.r_high}"
+                f"need finite 0 < r_low < r_high, got {self.r_low}, {self.r_high}"
             )
 
     def resistance(self, choice: str) -> float:
@@ -130,17 +155,19 @@ class PeriodicSource:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
+        if not 0 <= self.amplitude < math.inf:
             raise ConfigurationError(
-                f"amplitude must be non-negative, got {self.amplitude}"
+                f"amplitude must be finite and non-negative, got {self.amplitude}"
             )
-        if self.frequency < 0:
+        if not 0 <= self.frequency < math.inf:
             raise ConfigurationError(
-                f"frequency must be non-negative, got {self.frequency}"
+                f"frequency must be finite and non-negative, got {self.frequency}"
             )
+        if not math.isfinite(self.phase):
+            raise ConfigurationError(f"phase must be finite, got {self.phase}")
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate the source at the given times (seconds)."""
+        """Evaluate the source at the given times (seconds), any shape."""
         return self.amplitude * np.cos(
             2.0 * math.pi * self.frequency * np.asarray(times, dtype=np.float64)
             + self.phase
@@ -166,14 +193,16 @@ class KljnConfig:
     samples_per_bit: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.f_c > 0:
-            raise ConfigurationError(f"f_c must be positive, got {self.f_c}")
-        if not self.f_b > self.f_c:
+        if not 0 < self.f_c < math.inf:
+            raise ConfigurationError(f"f_c must be finite and positive, got {self.f_c}")
+        if not self.f_c < self.f_b < math.inf:
             raise ConfigurationError(
-                f"f_b must exceed f_c, got f_b={self.f_b}, f_c={self.f_c}"
+                f"f_b must be finite and exceed f_c, got f_b={self.f_b}, f_c={self.f_c}"
             )
-        if self.t_eff < 0:
-            raise ConfigurationError(f"t_eff must be non-negative, got {self.t_eff}")
+        if not 0 <= self.t_eff < math.inf:
+            raise ConfigurationError(
+                f"t_eff must be finite and non-negative, got {self.t_eff}"
+            )
         if self.n_secure_bits < 1:
             raise ConfigurationError(
                 f"n_secure_bits must be at least 1, got {self.n_secure_bits}"
@@ -195,150 +224,180 @@ class KljnConfig:
         return self.samples_per_bit / self.sample_rate
 
 
-@dataclass(frozen=True)
-class BitPeriodRecord:
-    """One simulated bit period with its ground-truth decomposition.
-
-    ``wire_voltage`` is what an eavesdropper can tap; ``ac_part`` and
-    ``noise_part`` are the clean summands kept for validation, and
-    ``wire_current`` is only filled in when requested.
-    """
-
-    index: int
-    situation: Situation
-    wire_voltage: SampledTrace
-    ac_part: SampledTrace
-    noise_part: SampledTrace
-    wire_current: SampledTrace | None = None
+# The loop algebra below works on arrays of any shape that broadcast
+# together: scalars for one configuration, or a column of per-period
+# resistances against one row of samples per period.
 
 
-def _check_pair(r_alice: float, r_bob: float) -> None:
-    if not (r_alice > 0 and r_bob > 0):
+def _check_pair(r_alice, r_bob) -> None:
+    if not (np.all(r_alice > 0) and np.all(r_bob > 0)):
         raise ConfigurationError(
             f"resistances must be positive, got {r_alice}, {r_bob}"
         )
 
 
-def _check_same_grid(a: SampledTrace, b: SampledTrace) -> None:
-    if len(a) != len(b) or a.sample_rate != b.sample_rate:
+def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if np.shape(a) != np.shape(b):
         raise ShapeMismatchError(
-            f"traces disagree: {len(a)} @ {a.sample_rate} Hz vs "
-            f"{len(b)} @ {b.sample_rate} Hz"
+            f"sample arrays disagree: {np.shape(a)} vs {np.shape(b)}"
         )
 
 
-def divider_ac(r_alice: float, r_bob: float, source_trace: SampledTrace) -> SampledTrace:
+def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
     """Periodic source as seen on the wire, through the resistive divider."""
     _check_pair(r_alice, r_bob)
-    scale = r_bob / (r_alice + r_bob)
-    return SampledTrace(scale * source_trace.samples, source_trace.sample_rate)
+    return r_bob / (r_alice + r_bob) * source
 
 
-def wire_noise(
-    r_alice: float,
-    r_bob: float,
-    alice_noise: SampledTrace,
-    bob_noise: SampledTrace,
-) -> SampledTrace:
+def wire_noise(r_alice, r_bob, alice_noise: np.ndarray, bob_noise: np.ndarray) -> np.ndarray:
     """Superposed thermal noise on the wire.
 
     Each end's generator reaches the wire through the opposite end's
     resistor ratio, so Alice's noise is weighted by r_bob and vice versa.
     """
     _check_pair(r_alice, r_bob)
-    _check_same_grid(alice_noise, bob_noise)
-    samples = (r_alice * bob_noise.samples + r_bob * alice_noise.samples) / (
-        r_alice + r_bob
-    )
-    return SampledTrace(samples, alice_noise.sample_rate)
+    _check_same_shape(alice_noise, bob_noise)
+    return (r_alice * bob_noise + r_bob * alice_noise) / (r_alice + r_bob)
 
 
 def wire_current(
-    r_alice: float,
-    r_bob: float,
-    source_trace: SampledTrace,
-    alice_noise: SampledTrace,
-    bob_noise: SampledTrace,
-) -> SampledTrace:
+    r_alice,
+    r_bob,
+    source: np.ndarray,
+    alice_noise: np.ndarray,
+    bob_noise: np.ndarray,
+) -> np.ndarray:
     """Loop current, positive when flowing from Alice toward Bob."""
     _check_pair(r_alice, r_bob)
-    _check_same_grid(alice_noise, bob_noise)
-    _check_same_grid(source_trace, alice_noise)
-    samples = (source_trace.samples + alice_noise.samples - bob_noise.samples) / (
-        r_alice + r_bob
-    )
-    return SampledTrace(samples, source_trace.sample_rate)
+    _check_same_shape(alice_noise, bob_noise)
+    _check_same_shape(source, alice_noise)
+    return (source + alice_noise - bob_noise) / (r_alice + r_bob)
 
 
-def simulate_session(
-    config: KljnConfig, include_current: bool = False
-) -> list[BitPeriodRecord]:
-    """Run one session until the requested number of secure bits accumulated.
+def draw_end_noise(
+    rng: np.random.Generator,
+    r_alice: np.ndarray,
+    r_bob: np.ndarray,
+    t_eff: float,
+    f_b: float,
+    n_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal noise of both ends for a batch of periods, one period per row.
 
-    Per period both parties flip independent fair coins for their resistor,
-    fresh noise segments are drawn for each end (independent across periods,
-    emulating generators re-seeded per clock cycle), and the periodic source
-    is evaluated on the global time grid so its phase never resets.
-
-    Args:
-        config: Session description.
-        include_current: Also record the loop current (validation use).
-
-    Returns:
-        All periods in order, secure and non-secure alike.
+    ``r_alice`` and ``r_bob`` are columns of per-period resistances.  The
+    unit Gaussians are drawn in period order, Alice's segment before Bob's,
+    so consecutive batches continue one stream whatever their sizes.
     """
-    spb = config.samples_per_bit
-    f_s = config.sample_rate
+    unit = rng.standard_normal((len(r_alice), 2, n_samples))
+    return (
+        johnson_rms(r_alice, t_eff, f_b) * unit[:, 0],
+        johnson_rms(r_bob, t_eff, f_b) * unit[:, 1],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SessionChunk:
+    """Consecutive bit periods as arrays, one row per period.
+
+    ``wire_voltage`` is what an eavesdropper can tap.  ``ac_part``,
+    ``noise_part`` and ``wire_current`` are the ground-truth decomposition,
+    filled in only when the chunk was asked for its parts.
+    """
+
+    index: np.ndarray  # 0-based period numbers
+    situations: np.ndarray  # Situation codes
+    wire_voltage: np.ndarray
+    ac_part: np.ndarray | None = None
+    noise_part: np.ndarray | None = None
+    wire_current: np.ndarray | None = None
+
+    @property
+    def secure(self) -> np.ndarray:
+        return secure_mask(self.situations)
+
+
+@dataclass(frozen=True, eq=False)
+class Session:
+    """One session: every period's situation, with samples made on demand.
+
+    The resistor coins are drawn up front, so the period count is known
+    before any sample exists.  :meth:`chunks` then synthesizes the wire
+    ``CHUNK_PERIODS`` periods at a time, so memory stays bounded whatever
+    the session length; iterating again replays the same samples.
+    """
+
+    config: KljnConfig
+    situations: np.ndarray  # Situation codes, one per period
+
+    def __len__(self) -> int:
+        return self.situations.size
+
+    @property
+    def secure(self) -> np.ndarray:
+        return secure_mask(self.situations)
+
+    def chunks(self, parts: bool = False) -> Iterator[SessionChunk]:
+        """Yield the session's periods in order, ``CHUNK_PERIODS`` at a time.
+
+        Per period both ends draw fresh noise segments (independent across
+        periods, emulating generators re-seeded per clock cycle), and the
+        source is evaluated on the global time grid so its phase never
+        resets.  ``parts`` also fills in the AC part, the noise part and
+        the loop current.
+        """
+        config = self.config
+        spb = config.samples_per_bit
+        resistors = np.array([config.resistors.r_low, config.resistors.r_high])
+        rng = np.random.Generator(
+            np.random.Philox(key=mix_seed(config.seed, _STREAM_NOISE))
+        )
+        offsets = np.arange(spb)
+        for index in period_batches(len(self)):
+            codes = self.situations[index]
+            r_alice = resistors[codes[:, None] >> 1]
+            r_bob = resistors[codes[:, None] & 1]
+            alice_noise, bob_noise = draw_end_noise(
+                rng, r_alice, r_bob, config.t_eff, config.f_b, spb
+            )
+            source = config.source.sample((index[:, None] * spb + offsets) / config.sample_rate)
+            ac = divider_ac(r_alice, r_bob, source)
+            noise = wire_noise(r_alice, r_bob, alice_noise, bob_noise)
+            wire = ac + noise
+            if not np.all(np.isfinite(wire)):
+                raise ConfigurationError(
+                    "wire voltage overflows float64; lower t_eff or the source amplitude"
+                )
+            if parts:
+                current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
+                yield SessionChunk(index, codes, wire, ac, noise, current)
+            else:
+                yield SessionChunk(index, codes, wire)
+
+
+def simulate_session(config: KljnConfig) -> Session:
+    """Flip both parties' resistor coins until enough secure bits accumulated.
+
+    Per period Alice and Bob flip independent fair coins.  The flips are
+    drawn in blocks from their own stream, which gives the same sequence
+    as flipping period by period, and the session ends at the period that
+    completes ``config.n_secure_bits`` secure bits.
+    """
     chooser = np.random.Generator(
         np.random.Philox(key=mix_seed(config.seed, _STREAM_CHOICES))
     )
-    sample_offsets = np.arange(spb)
-
-    records: list[BitPeriodRecord] = []
-    secure_count = 0
-    index = 0
-    while secure_count < config.n_secure_bits:
-        alice_pick, bob_pick = chooser.integers(0, 2, size=2)
-        alice = "L" if alice_pick == 0 else "H"
-        bob = "L" if bob_pick == 0 else "H"
-        situation = Situation.from_choices(alice, bob)
-        r_alice = config.resistors.resistance(alice)
-        r_bob = config.resistors.resistance(bob)
-
-        alice_noise = johnson_scale(
-            generate_unit_gbwn(
-                NoiseSpec(spb, f_s, config.f_b, mix_seed(config.seed, _STREAM_NOISE, index, 0))
-            ),
-            r_alice,
-            config.t_eff,
-            config.f_b,
-        )
-        bob_noise = johnson_scale(
-            generate_unit_gbwn(
-                NoiseSpec(spb, f_s, config.f_b, mix_seed(config.seed, _STREAM_NOISE, index, 1))
-            ),
-            r_bob,
-            config.t_eff,
-            config.f_b,
-        )
-
-        times = (index * spb + sample_offsets) / f_s
-        source_trace = SampledTrace(config.source.sample(times), f_s)
-
-        ac_part = divider_ac(r_alice, r_bob, source_trace)
-        noise_part = wire_noise(r_alice, r_bob, alice_noise, bob_noise)
-        wire_voltage = SampledTrace(ac_part.samples + noise_part.samples, f_s)
-        current = None
-        if include_current:
-            current = wire_current(r_alice, r_bob, source_trace, alice_noise, bob_noise)
-
-        records.append(
-            BitPeriodRecord(index, situation, wire_voltage, ac_part, noise_part, current)
-        )
-        if situation.secure:
-            secure_count += 1
-        index += 1
-    return records
+    blocks = []
+    needed = config.n_secure_bits
+    while needed > 0:
+        picks = chooser.integers(0, 2, size=(CHUNK_PERIODS, 2))
+        codes = (2 * picks[:, 0] + picks[:, 1]).astype(np.uint8)
+        secure = np.flatnonzero(secure_mask(codes))
+        if secure.size >= needed:
+            codes = codes[: secure[needed - 1] + 1]
+        blocks.append(codes)
+        needed -= secure.size
+    situations = np.concatenate(blocks)
+    situations.flags.writeable = False
+    return Session(config, situations)
 
 
 SESSION_CSV_COLUMNS = (
@@ -351,7 +410,7 @@ SESSION_CSV_COLUMNS = (
 )
 
 
-def dump_session_csv(records: list[BitPeriodRecord], destination) -> None:
+def dump_session_csv(session: Session, destination) -> None:
     """Write one row per sample with the wire voltage and its decomposition.
 
     Voltages are printed with 17 significant digits, enough to reconstruct
@@ -361,21 +420,16 @@ def dump_session_csv(records: list[BitPeriodRecord], destination) -> None:
     def emit(handle) -> None:
         writer = csv.writer(handle)
         writer.writerow(SESSION_CSV_COLUMNS)
-        for record in records:
-            wire = record.wire_voltage.samples
-            ac = record.ac_part.samples
-            noi = record.noise_part.samples
-            for k in range(wire.size):
-                writer.writerow(
-                    (
-                        record.index,
-                        record.situation.value,
-                        k,
-                        f"{wire[k]:.17g}",
-                        f"{ac[k]:.17g}",
-                        f"{noi[k]:.17g}",
-                    )
+        for chunk in session.chunks(parts=True):
+            for row, (index, code) in enumerate(zip(chunk.index.tolist(), chunk.situations)):
+                name = Situation(code).name
+                samples = zip(
+                    chunk.wire_voltage[row].tolist(),
+                    chunk.ac_part[row].tolist(),
+                    chunk.noise_part[row].tolist(),
                 )
+                for k, (wire, ac, noise) in enumerate(samples):
+                    writer.writerow((index, name, k, f"{wire:.17g}", f"{ac:.17g}", f"{noise:.17g}"))
 
     if isinstance(destination, (str, Path)):
         with open(destination, "w", newline="") as handle:

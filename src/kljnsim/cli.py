@@ -387,10 +387,25 @@ def parse_config(
     return _build_setup(_merge_layers(manifest), command)
 
 
+# Sections each command reads; the echo leaves out the rest.
+_ECHO_SECTIONS = {
+    "simulate": ("channel",),
+    "attack": ("attack", "channel"),
+    "sweep": ("attack", "channel", "grid"),
+    "defend": ("attack", "channel", "defense", "grid"),
+}
+# Channel keys a sweep grid overrides cell by cell.
+_GRID_KEYS = ("t_eff_k", "u_eff_v", "f_a_hz")
+
+
 def _echo_setup(setup: ResolvedSetup, manifest: RunManifest, stream: TextIO) -> None:
+    """Echo the values the command uses, as ``# section.key = value`` lines."""
+    sweeping = manifest.command in ("sweep", "defend")
     print(f"# command: {manifest.command}", file=stream)
-    for section in sorted(setup.sections):
+    for section in _ECHO_SECTIONS[manifest.command]:
         for key in sorted(setup.sections[section]):
+            if sweeping and section == "channel" and key in _GRID_KEYS:
+                continue
             value = setup.sections[section][key]
             if isinstance(value, list):
                 value = ",".join(f"{v:g}" for v in value)
@@ -398,11 +413,12 @@ def _echo_setup(setup: ResolvedSetup, manifest: RunManifest, stream: TextIO) -> 
     config = setup.config
     print(f"# derived.samples_per_bit = {config.samples_per_bit}", file=stream)
     print(f"# derived.sample_rate_hz = {config.sample_rate:g}", file=stream)
-    u_eff = u_eff_of_teff(config.t_eff, config.resistors, config.f_b)
-    print(f"# derived.u_eff_vrms = {u_eff:.6g}", file=stream)
-    if manifest.command in ("sweep", "defend"):
+    if sweeping:
         cells = len(setup.u_eff_grid) * len(setup.f_a_list)
         print(f"# derived.sweep_cells = {cells}", file=stream)
+    else:
+        u_eff = u_eff_of_teff(config.t_eff, config.resistors, config.f_b)
+        print(f"# derived.u_eff_vrms = {u_eff:.6g}", file=stream)
 
 
 def _open_output(manifest: RunManifest) -> TextIO:
@@ -420,6 +436,8 @@ def dispatch(manifest: RunManifest) -> int:
     """Resolve, run, and write one invocation.  Returns the exit code."""
     if manifest.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, got {manifest.threads}")
+    if manifest.command not in _ECHO_SECTIONS:
+        raise ConfigurationError(f"unknown command {manifest.command!r}")
     start = time.perf_counter()
     setup = _build_setup(_merge_layers(manifest), manifest.command)
     _echo_setup(setup, manifest, sys.stderr)
@@ -428,9 +446,9 @@ def dispatch(manifest: RunManifest) -> int:
     owns_handle = handle is not sys.stdout
     try:
         if manifest.command == "simulate":
-            records = simulate_session(setup.config)
-            dump_session_csv(records, handle)
-            secure_bits = sum(1 for r in records if r.situation.secure)
+            session = simulate_session(setup.config)
+            dump_session_csv(session, handle)
+            secure_bits = int(session.secure.sum())
         elif manifest.command == "attack":
             outcome = run_point(setup.config, setup.attack)
             point = SweepPoint(
@@ -442,7 +460,7 @@ def dispatch(manifest: RunManifest) -> int:
             )
             write_sweep_csv([point], setup.config, handle)
             secure_bits = outcome.n_secure
-        elif manifest.command in ("sweep", "defend"):
+        else:
             defense = setup.defense if manifest.command == "defend" else None
             points = sweep(
                 setup.config,
@@ -454,8 +472,6 @@ def dispatch(manifest: RunManifest) -> int:
             )
             write_sweep_csv(points, setup.config, handle)
             secure_bits = sum(pt.outcome.n_secure for pt in points)
-        else:
-            raise ConfigurationError(f"unknown command {manifest.command!r}")
     finally:
         if owns_handle:
             handle.close()

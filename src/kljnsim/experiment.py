@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .attacks import (
+    UNDETERMINED,
     AttackConfig,
     AttackMode,
     hf_ac_power,
@@ -33,7 +34,7 @@ from .attacks import (
 )
 from .channel import KljnConfig, ResistorPair, simulate_session
 from .errors import ConfigurationError
-from .noise import BOLTZMANN, SampledTrace, mix_seed
+from .noise import BOLTZMANN, mix_seed
 
 __all__ = [
     "AttackOutcome",
@@ -65,7 +66,8 @@ class DefenseSpec:
     she taps is filtered before her statistics run.  ``notch_center`` of
     None tracks the source frequency of whatever cell is being evaluated,
     which is what a sweep over source frequencies needs.  Raising the
-    temperature reruns the session at ``target_t_eff`` instead.
+    temperature runs the session at ``target_t_eff`` wherever that is
+    hotter than the operating point; see :meth:`applied_t_eff`.
     """
 
     kind: DefenseKind = DefenseKind.NONE
@@ -108,6 +110,16 @@ class DefenseSpec:
                 raise ConfigurationError(
                     f"defense kind 'none' takes no parameters, got {', '.join(leftovers)}"
                 )
+
+    def applied_t_eff(self, t_eff: float) -> float:
+        """Temperature a session at ``t_eff`` actually runs at under this defense.
+
+        Raising the temperature never cools the loop: an operating point
+        already hotter than the target keeps its own temperature.
+        """
+        if self.kind is DefenseKind.RAISE_TEMPERATURE:
+            return max(t_eff, self.target_t_eff)
+        return t_eff
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,8 @@ def u_eff_of_teff(t_eff: float, resistors: ResistorPair, f_b: float) -> float:
     Uses the parallel resistor combination, the loop's Thevenin source
     resistance in either secure situation.
     """
-    if t_eff < 0:
-        raise ConfigurationError(f"t_eff must be non-negative, got {t_eff}")
+    if not 0 <= t_eff < math.inf:
+        raise ConfigurationError(f"t_eff must be finite and non-negative, got {t_eff}")
     if not f_b > 0:
         raise ConfigurationError(f"f_b must be positive, got {f_b}")
     return math.sqrt(4.0 * BOLTZMANN * t_eff * resistors.parallel * f_b)
@@ -164,31 +176,34 @@ def u_eff_of_teff(t_eff: float, resistors: ResistorPair, f_b: float) -> float:
 
 def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
     """Exact algebraic inverse of :func:`u_eff_of_teff`."""
-    if u_eff < 0:
-        raise ConfigurationError(f"u_eff must be non-negative, got {u_eff}")
+    if not 0 <= u_eff < math.inf:
+        raise ConfigurationError(f"u_eff must be finite and non-negative, got {u_eff}")
     if not f_b > 0:
         raise ConfigurationError(f"f_b must be positive, got {f_b}")
     return u_eff * u_eff / (4.0 * BOLTZMANN * resistors.parallel * f_b)
 
 
-def notch_filter(trace: SampledTrace, center: float, halfwidth: float) -> SampledTrace:
+def notch_filter(
+    samples: np.ndarray, sample_rate: float, center: float, halfwidth: float
+) -> np.ndarray:
     """Zero all spectral bins within halfwidth of the center frequency.
 
-    A frequency-domain brick wall: energy outside the notch survives the
-    round trip to numerical precision.
+    A frequency-domain brick wall along the last axis, so an array of
+    periods (one per row) is filtered by one batched FFT pair; energy
+    outside the notch survives the round trip to numerical precision.
     """
-    nyquist = trace.sample_rate / 2.0
+    nyquist = sample_rate / 2.0
     if not 0 < center < nyquist:
         raise ConfigurationError(
             f"notch center must lie inside (0, {nyquist}), got {center}"
         )
     if not halfwidth > 0:
         raise ConfigurationError(f"notch halfwidth must be positive, got {halfwidth}")
-    n = len(trace)
-    coeffs = np.fft.rfft(trace.samples)
-    freqs = np.fft.rfftfreq(n, d=1.0 / trace.sample_rate)
-    coeffs[np.abs(freqs - center) <= halfwidth] = 0.0
-    return SampledTrace(np.fft.irfft(coeffs, n), trace.sample_rate)
+    n = np.shape(samples)[-1]
+    coeffs = np.fft.rfft(samples, axis=-1)
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    coeffs[..., np.abs(freqs - center) <= halfwidth] = 0.0
+    return np.fft.irfft(coeffs, n, axis=-1)
 
 
 def run_point(
@@ -196,58 +211,48 @@ def run_point(
 ) -> AttackOutcome:
     """Simulate one session and run the chosen attack over its secure bits.
 
-    Scoring compares the guessed key bit against the ground-truth one
-    (low/high maps to 0, high/low to 1).  Undetermined low-frequency bits
-    are dropped from numerator and denominator alike.
+    The session streams through in chunks of periods; only the secure rows
+    of each chunk reach the attack, so memory stays bounded whatever the
+    bit count.  Scoring compares the guessed situation against the ground
+    truth.  Undetermined low-frequency bits are dropped from numerator and
+    denominator alike.
     """
     if defense is None:
         defense = DefenseSpec()
-    if defense.kind is DefenseKind.RAISE_TEMPERATURE:
-        config = replace(config, t_eff=defense.target_t_eff)
+    if attack.mode is AttackMode.LOW_FREQ and not attack.eve_knows_source:
+        raise ConfigurationError(
+            "the threshold protocol needs the source waveform; "
+            "set eve_knows_source or use the spectral mode"
+        )
+    config = replace(config, t_eff=defense.applied_t_eff(config.t_eff))
+    notch_center = defense.notch_center
+    if notch_center is None:
+        notch_center = config.source.frequency
 
-    if defense.kind is DefenseKind.NOTCH:
-        center = defense.notch_center
-        if center is None:
-            center = config.source.frequency
-        halfwidth = defense.notch_halfwidth
-
-        def observe(trace: SampledTrace) -> SampledTrace:
-            return notch_filter(trace, center, halfwidth)
-
-    else:
-
-        def observe(trace: SampledTrace) -> SampledTrace:
-            return trace
-
-    records = simulate_session(config)
-    secure_records = [r for r in records if r.situation.secure]
+    session = simulate_session(config)
+    if attack.mode is AttackMode.HIGH_FREQ:
+        prep = hf_prepare(config, attack)
+    tau = config.period_duration
 
     n_guessed = 0
     n_correct = 0
-    if attack.mode is AttackMode.LOW_FREQ:
-        if not attack.eve_knows_source:
-            raise ConfigurationError(
-                "the threshold protocol needs the source waveform; "
-                "set eve_knows_source or use the spectral mode"
-            )
-        tau = config.period_duration
-        for record in secure_records:
-            threshold = lf_threshold(config.source, record.index + 1, tau, attack.kappa)
-            gamma = lf_gamma(observe(record.wire_voltage), threshold)
-            decision = lf_decide(threshold, gamma)
-            if decision.guess is None:
-                continue
-            n_guessed += 1
-            n_correct += int(decision.guess.bit == record.situation.bit)
-    else:
-        prep = hf_prepare(config, attack)
-        for record in secure_records:
-            power = hf_ac_power(observe(record.wire_voltage), prep)
-            guess = hf_decide(power, prep)
-            n_guessed += 1
-            n_correct += int(guess.bit == record.situation.bit)
+    for chunk in session.chunks():
+        secure = chunk.secure
+        if not np.any(secure):
+            continue
+        wire = chunk.wire_voltage[secure]
+        if defense.kind is DefenseKind.NOTCH:
+            wire = notch_filter(wire, config.sample_rate, notch_center, defense.notch_halfwidth)
+        if attack.mode is AttackMode.LOW_FREQ:
+            threshold = lf_threshold(config.source, chunk.index[secure] + 1, tau, attack.kappa)
+            guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
+        else:
+            guess = hf_decide(hf_ac_power(wire, prep), prep)
+        n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
+        n_correct += int(np.count_nonzero(guess == chunk.situations[secure]))
 
-    return AttackOutcome.from_counts(len(secure_records), n_guessed, n_correct)
+    n_secure = int(np.count_nonzero(session.secure))
+    return AttackOutcome.from_counts(n_secure, n_guessed, n_correct)
 
 
 def default_u_eff_grid(n_points: int = 25) -> np.ndarray:
@@ -268,7 +273,9 @@ def sweep(
     Each cell reruns the full session at the temperature implied by its
     u_eff, with the cell seed mixed from the base seed and the cell's
     (u_eff index, f_a index); extending either list never changes the
-    seeds of existing cells.  Results are ordered by (f_a, u_eff)
+    seeds of existing cells.  A raise_temperature defense can run a cell
+    hotter than its grid point; the cell then reports the temperature and
+    u_eff it actually ran at.  Results are ordered by (f_a, u_eff)
     regardless of ``max_workers``, and the outputs are identical whether
     cells run sequentially or in parallel.
     """
@@ -276,11 +283,16 @@ def sweep(
     frequencies = [float(f) for f in (f_a_list if f_a_list is not None else [base.source.frequency])]
     if not grid or not frequencies:
         raise ConfigurationError("sweep needs at least one u_eff and one f_a")
+    if defense is None:
+        defense = DefenseSpec()
 
     cells: list[tuple[float, float, float, KljnConfig]] = []
     for i, f_a in enumerate(frequencies):
         for j, u_eff in enumerate(grid):
-            t_eff = teff_of_ueff(u_eff, base.resistors, base.f_b)
+            grid_t_eff = teff_of_ueff(u_eff, base.resistors, base.f_b)
+            t_eff = defense.applied_t_eff(grid_t_eff)
+            if t_eff != grid_t_eff:
+                u_eff = u_eff_of_teff(t_eff, base.resistors, base.f_b)
             cell_config = replace(
                 base,
                 t_eff=t_eff,

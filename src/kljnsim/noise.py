@@ -15,7 +15,6 @@ generator, which keeps parallel execution byte-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,11 @@ __all__ = [
     "SampledTrace",
     "Spectrum",
     "generate_unit_gbwn",
+    "johnson_rms",
     "johnson_scale",
     "mix_seed",
     "periodogram",
+    "power_spectrum",
 ]
 
 BOLTZMANN = 1.380649e-23  # J/K, exact SI value
@@ -172,13 +173,12 @@ class Spectrum:
 def generate_unit_gbwn(spec: NoiseSpec) -> SampledTrace:
     """Generate one unit-variance GBWN trace.
 
-    Draws i.i.d. standard Gaussians at the Nyquist rate of the noise band,
-    round-trips them through the frequency domain with a brick wall above
-    the noise bandwidth, and compensates the wall's energy loss with a
-    deterministic gain so the ensemble variance is exactly one.  The pinned
-    rate puts the wall at the top of the represented band, so the sample
-    variance keeps its natural chi-square fluctuation; consumers that need
-    a fixed power must average over enough samples.
+    At the pinned rate the represented band ends exactly at the noise
+    bandwidth, so i.i.d. standard Gaussians drawn at that rate already are
+    band-limited white noise with every DFT bin inside the band; no
+    frequency-domain shaping is needed.  The sample variance keeps its
+    natural chi-square fluctuation; consumers that need a fixed power must
+    average over enough samples.
 
     Args:
         spec: Trace length, grid, and seed.
@@ -187,25 +187,26 @@ def generate_unit_gbwn(spec: NoiseSpec) -> SampledTrace:
         A ``SampledTrace`` of ``spec.n_samples`` values at ``spec.sample_rate``.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    white = rng.standard_normal(spec.n_samples)
+    return SampledTrace(rng.standard_normal(spec.n_samples), spec.sample_rate)
 
-    n = spec.n_samples
-    coeffs = np.fft.rfft(white)
-    # Highest bin index still inside the band; bin k sits at k * rate / n.
-    k_cut = int(math.floor(n * (spec.noise_bandwidth / spec.sample_rate)))
-    k_cut = min(k_cut, coeffs.size - 1)
-    coeffs[k_cut + 1 :] = 0.0
 
-    # Ensemble variance after the wall equals the kept energy fraction:
-    # bins 0 and (for even n) Nyquist carry weight 1, interior bins 2.
-    weights = np.full(coeffs.size, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    kept_fraction = float(np.sum(weights[: k_cut + 1])) / n
+def johnson_rms(resistance, t_eff: float, bandwidth: float):
+    """Integrated Johnson voltage noise ``sqrt(4 * k * t_eff * R * bandwidth)``.
 
-    samples = np.fft.irfft(coeffs, n) / math.sqrt(kept_fraction)
-    return SampledTrace(samples, spec.sample_rate)
+    ``resistance`` may be a scalar or an array of resistor values.
+
+    Raises:
+        ConfigurationError: On a negative resistance or temperature, or a
+            non-positive bandwidth.
+    """
+    if np.any(np.less(resistance, 0)):
+        raise ConfigurationError(f"resistance must be non-negative, got {resistance}")
+    if t_eff < 0:
+        raise ConfigurationError(f"t_eff must be non-negative, got {t_eff}")
+    if not bandwidth > 0:
+        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
+    resistance = np.asarray(resistance, dtype=np.float64)
+    return np.sqrt(4.0 * BOLTZMANN * t_eff * resistance * bandwidth)
 
 
 def johnson_scale(
@@ -213,41 +214,31 @@ def johnson_scale(
 ) -> SampledTrace:
     """Scale a unit-variance trace to a thermal-noise amplitude.
 
-    The target rms is ``sqrt(4 * k * t_eff * resistance * bandwidth)``,
-    the integrated Johnson voltage noise of a resistor over the band.
-
-    Args:
-        trace: Unit-variance GBWN trace.
-        resistance: Resistor value in ohms, non-negative.
-        t_eff: Effective temperature in kelvin, non-negative; zero yields
-            an all-zero trace (generator switched off).
-        bandwidth: Noise bandwidth in Hz, positive.
-
-    Raises:
-        ConfigurationError: On a negative resistance or temperature, or a
-            non-positive bandwidth.
+    The target rms is :func:`johnson_rms` of the resistor over the band;
+    zero temperature yields an all-zero trace (generator switched off).
     """
-    if resistance < 0:
-        raise ConfigurationError(f"resistance must be non-negative, got {resistance}")
-    if t_eff < 0:
-        raise ConfigurationError(f"t_eff must be non-negative, got {t_eff}")
-    if not bandwidth > 0:
-        raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
-    rms = math.sqrt(4.0 * BOLTZMANN * t_eff * resistance * bandwidth)
-    return SampledTrace(trace.samples * rms, trace.sample_rate)
+    return SampledTrace(
+        trace.samples * johnson_rms(resistance, t_eff, bandwidth), trace.sample_rate
+    )
+
+
+def power_spectrum(samples: np.ndarray) -> np.ndarray:
+    """One-sided rectangular-window periodogram bins along the last axis.
+
+    No tapering and no averaging: single window, 1/N-normalized DFT,
+    squared magnitudes.  For an array of periods (one per row) this is one
+    batched FFT.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    coeffs = np.fft.rfft(samples, axis=-1) / samples.shape[-1]
+    return coeffs.real**2 + coeffs.imag**2
 
 
 def periodogram(trace: SampledTrace) -> Spectrum:
-    """One-sided rectangular-window periodogram of a trace.
-
-    No tapering and no averaging: single window, 1/N-normalized DFT,
-    squared magnitudes.  Bin m covers frequency m * sample_rate / N.
-    """
+    """Periodogram of one trace; bin m covers frequency m * sample_rate / N."""
     n = len(trace)
-    coeffs = np.fft.rfft(trace.samples) / n
-    bins = np.abs(coeffs) ** 2
     return Spectrum(
-        bins=bins,
+        bins=power_spectrum(trace.samples),
         bin_width=trace.sample_rate / n,
         band=(0.0, trace.sample_rate / 2.0),
     )

@@ -25,7 +25,6 @@ from kljnsim import (
     NoiseSpec,
     PeriodicSource,
     ResistorPair,
-    SampledTrace,
     default_u_eff_grid,
     divider_ac,
     generate_unit_gbwn,
@@ -35,6 +34,7 @@ from kljnsim import (
     lf_gamma,
     lf_threshold,
     periodogram,
+    power_spectrum,
     run_point,
     simulate_session,
     sweep,
@@ -185,12 +185,17 @@ def test_spectral_crossover_ordering(acceptance_log, spectral_sweep):
     )
 
 
+def secure_rows(session, name, parts=False):
+    """One array per chunk of the session, secure periods only, stacked."""
+    return np.concatenate(
+        [getattr(chunk, name)[chunk.secure] for chunk in session.chunks(parts=parts)]
+    )
+
+
 def test_wire_noise_level_matches_formula(acceptance_log):
-    records = simulate_session(lf_base(n_secure_bits=600))
-    secure = [r for r in records if r.situation.secure]
+    secure = secure_rows(simulate_session(lf_base(n_secure_bits=600)), "noise_part", parts=True)
     assert len(secure) >= 500
-    total = np.concatenate([r.noise_part.samples for r in secure])
-    measured = float(np.sqrt(np.mean(total**2)))
+    measured = float(np.sqrt(np.mean(secure**2)))
     ok = abs(measured / WIRE_RMS_9E15 - 1.0) < 0.02
     verdict(
         acceptance_log,
@@ -204,12 +209,8 @@ def test_loop_current_spectrum_level(acceptance_log):
     config = lf_base(
         source=PeriodicSource(amplitude=0.0, frequency=318.30), n_secure_bits=300
     )
-    records = simulate_session(config, include_current=True)
-    secure = [r for r in records if r.situation.secure]
-    interior = []
-    for record in secure:
-        bins = periodogram(record.wire_current).bins
-        interior.append(np.mean(bins[1:-1]))
+    secure = secure_rows(simulate_session(config), "wire_current", parts=True)
+    interior = np.mean(power_spectrum(secure)[:, 1:-1], axis=1)
     density = float(np.mean(interior)) * config.samples_per_bit / config.f_b
     expected = 4.0 * BOLTZMANN * config.t_eff / 1.1e4
     ok = abs(density / expected - 1.0) < 0.05
@@ -222,17 +223,13 @@ def test_loop_current_spectrum_level(acceptance_log):
 
 
 def test_wire_voltage_superposition(acceptance_log):
-    records = simulate_session(lf_base(n_secure_bits=200))
     worst = 0.0
-    for record in records:
+    for chunk in simulate_session(lf_base(n_secure_bits=200)).chunks(parts=True):
         residual = np.max(
-            np.abs(
-                record.wire_voltage.samples
-                - (record.ac_part.samples + record.noise_part.samples)
-            )
+            np.abs(chunk.wire_voltage - (chunk.ac_part + chunk.noise_part)), axis=1
         )
-        scale = max(1.0, float(np.max(np.abs(record.wire_voltage.samples))))
-        worst = max(worst, residual / scale)
+        scale = np.maximum(1.0, np.max(np.abs(chunk.wire_voltage), axis=1))
+        worst = max(worst, float(np.max(residual / scale)))
     ok = worst <= 1e-12
     verdict(
         acceptance_log,
@@ -277,7 +274,7 @@ def test_noise_generator_quality(acceptance_log):
 def test_attack_micro_oracles(acceptance_log):
     checks = []
 
-    gamma = lf_gamma(SampledTrace([0.2, -0.1, 0.5, 0.3], 4.0), 0.25)
+    gamma = lf_gamma(np.array([0.2, -0.1, 0.5, 0.3]), 0.25)
     checks.append(("gamma hand count", gamma == 0.5))
 
     omega_tau = 2.0 * math.pi * 318.30 * 1.0e-3
@@ -285,12 +282,12 @@ def test_attack_micro_oracles(acceptance_log):
     got = lf_threshold(PeriodicSource(amplitude=1.0, frequency=318.30), 1, 1.0e-3, 1.0)
     checks.append(("threshold analytic", abs(got / analytic - 1.0) < 1e-9))
 
-    ones = SampledTrace(np.ones(8), 8.0)
+    ones = np.ones(8)
     checks.append(
         (
             "divider amplitudes",
-            np.allclose(divider_ac(1.0e3, 1.0e4, ones).samples, 10.0 / 11.0, rtol=1e-15)
-            and np.allclose(divider_ac(1.0e4, 1.0e3, ones).samples, 1.0 / 11.0, rtol=1e-15),
+            np.allclose(divider_ac(1.0e3, 1.0e4, ones), 10.0 / 11.0, rtol=1e-15)
+            and np.allclose(divider_ac(1.0e4, 1.0e3, ones), 1.0 / 11.0, rtol=1e-15),
         )
     )
 
@@ -298,10 +295,10 @@ def test_attack_micro_oracles(acceptance_log):
     prep = hf_prepare(
         noise_free, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
     )
-    perfect = all(
-        hf_decide(hf_ac_power(r.wire_voltage, prep), prep) is r.situation
-        for r in simulate_session(noise_free)
-        if r.situation.secure
+    session = simulate_session(noise_free)
+    perfect = np.array_equal(
+        hf_decide(hf_ac_power(secure_rows(session, "wire_voltage"), prep), prep),
+        session.situations[session.secure],
     )
     checks.append(("noise-free spectral count", perfect))
 

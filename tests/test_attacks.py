@@ -12,16 +12,15 @@ from kljnsim import (
     ConfigurationError,
     HfPreparation,
     KljnConfig,
-    NoiseSpec,
     PeriodicSource,
     ResistorPair,
+    UNDETERMINED,
     SampledTrace,
     ShapeMismatchError,
     Situation,
     Spectrum,
     default_band,
     divider_ac,
-    generate_unit_gbwn,
     hf_ac_power,
     hf_decide,
     hf_prepare,
@@ -34,6 +33,7 @@ from kljnsim import (
     save_hf_preparation,
     simulate_session,
 )
+from kljnsim.channel import secure_mask
 
 # Period-average of a unit cosine at 318.30 Hz over the first 1 ms clock
 # period, frozen from adaptive quadrature (absolute error ~6e-18).
@@ -119,13 +119,14 @@ class TestLfThreshold:
         # 2 kHz over a 2 ms period covers four full cycles; the period
         # average must vanish exactly so these periods are discarded.
         source = PeriodicSource(amplitude=1.0, frequency=2000.0)
-        for index in range(1, 51):
-            assert lf_threshold(source, index, 2.0e-3, 0.5) == 0.0
+        assert np.all(lf_threshold(source, np.arange(1, 51), 2.0e-3, 0.5) == 0.0)
 
     def test_validation(self):
         source = PeriodicSource(amplitude=1.0, frequency=100.0)
         with pytest.raises(ConfigurationError):
             lf_threshold(source, 0, 1.0e-3, 0.5)
+        with pytest.raises(ConfigurationError):
+            lf_threshold(source, np.array([3, 0, 4]), 1.0e-3, 0.5)
         with pytest.raises(ConfigurationError):
             lf_threshold(source, 1, 0.0, 0.5)
         with pytest.raises(ConfigurationError):
@@ -134,39 +135,36 @@ class TestLfThreshold:
 
 class TestLfGamma:
     def test_half_above(self):
-        wire = SampledTrace(samples=[0.2, -0.1, 0.5, 0.3], sample_rate=4.0)
-        assert lf_gamma(wire, 0.25) == pytest.approx(0.5)
+        assert lf_gamma(np.array([0.2, -0.1, 0.5, 0.3]), 0.25) == pytest.approx(0.5)
 
     def test_all_above(self):
-        wire = SampledTrace(samples=[1.0, 2.0, 3.0], sample_rate=3.0)
-        assert lf_gamma(wire, 0.0) == pytest.approx(1.0)
+        assert lf_gamma(np.array([1.0, 2.0, 3.0]), 0.0) == pytest.approx(1.0)
 
     def test_none_above(self):
-        wire = SampledTrace(samples=[1.0, 2.0, 3.0], sample_rate=3.0)
-        assert lf_gamma(wire, 3.5) == pytest.approx(0.0)
+        assert lf_gamma(np.array([1.0, 2.0, 3.0]), 3.5) == pytest.approx(0.0)
 
     def test_comparison_is_strict(self):
-        wire = SampledTrace(samples=[0.25, 0.30], sample_rate=2.0)
-        assert lf_gamma(wire, 0.25) == pytest.approx(0.5)
+        assert lf_gamma(np.array([0.25, 0.30]), 0.25) == pytest.approx(0.5)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(5)
-        wire = SampledTrace(samples=rng.standard_normal(256), sample_rate=256.0)
+        wire = rng.standard_normal(256)
         thresholds = np.sort(rng.standard_normal(32))
-        gammas = [lf_gamma(wire, t) for t in thresholds]
-        assert all(a >= b for a, b in zip(gammas, gammas[1:]))
+        # One row per threshold: the batched form must match each scalar call.
+        gammas = lf_gamma(np.tile(wire, (32, 1)), thresholds)
+        assert np.array_equal(gammas, [lf_gamma(wire, t) for t in thresholds])
+        assert np.all(np.diff(gammas) <= 0)
 
 
 class TestLfDecide:
     def test_four_quadrants(self):
-        assert lf_decide(0.3, 0.8).guess is Situation.LH
-        assert lf_decide(0.3, 0.2).guess is Situation.HL
-        assert lf_decide(-0.3, 0.2).guess is Situation.LH
-        assert lf_decide(-0.3, 0.8).guess is Situation.HL
+        decision = lf_decide([0.3, 0.3, -0.3, -0.3], [0.8, 0.2, 0.2, 0.8])
+        expected = [Situation.LH, Situation.HL, Situation.LH, Situation.HL]
+        assert np.array_equal(decision.guess, expected)
 
     def test_undetermined_cases(self):
-        assert lf_decide(0.0, 0.8).guess is None
-        assert lf_decide(0.3, 0.5).guess is None
+        assert lf_decide(0.0, 0.8).guess == UNDETERMINED
+        assert lf_decide(0.3, 0.5).guess == UNDETERMINED
 
     def test_decision_carries_inputs(self):
         decision = lf_decide(0.3, 0.8)
@@ -175,12 +173,13 @@ class TestLfDecide:
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            threshold = float(rng.standard_normal())
-            gamma = float(rng.uniform())
-            if threshold == 0.0 or gamma == 0.5:
-                continue
-            assert lf_decide(threshold, gamma).guess is lf_decide(-threshold, 1.0 - gamma).guess
+        threshold = rng.standard_normal(100)
+        gamma = rng.uniform(size=100)
+        keep = (threshold != 0.0) & (gamma != 0.5)
+        threshold, gamma = threshold[keep], gamma[keep]
+        assert np.array_equal(
+            lf_decide(threshold, gamma).guess, lf_decide(-threshold, 1.0 - gamma).guess
+        )
 
 
 class TestDefaultBand:
@@ -233,9 +232,10 @@ class TestHfPrepare:
         hl_means = []
         for m in range(attack.ensemble_size):
             times = (m * spb + np.arange(spb)) / config.sample_rate
-            source = SampledTrace(config.source.sample(times), config.sample_rate)
-            lh = periodogram(divider_ac(1.0e3, 1.0e4, source)).bins
-            hl = periodogram(divider_ac(1.0e4, 1.0e3, source)).bins
+            source = config.source.sample(times)
+            rate = config.sample_rate
+            lh = periodogram(SampledTrace(divider_ac(1.0e3, 1.0e4, source), rate)).bins
+            hl = periodogram(SampledTrace(divider_ac(1.0e4, 1.0e3, source), rate)).bins
             lh_means.append(np.mean(lh[mask]))
             hl_means.append(np.mean(hl[mask]))
         lh_mean = float(np.mean(lh_means))
@@ -279,7 +279,7 @@ class TestHfPrepare:
             hf_prepare(make_config(), attack)
 
 
-def silent_preparation(config, band):
+def silent_preparation(config, band, ac_threshold=0.0):
     """Preparation with a zero background, for noise-free checks."""
     spb = config.samples_per_bit
     background = Spectrum(
@@ -288,7 +288,20 @@ def silent_preparation(config, band):
         band=(0.0, config.f_b),
     )
     return HfPreparation(
-        noise_background=background, ac_threshold=0.0, band=band, ensemble_size=100
+        noise_background=background,
+        ac_threshold=ac_threshold,
+        band=band,
+        ensemble_size=100,
+        samples_per_bit=spb,
+    )
+
+
+def session_rows(session):
+    """Situation codes and wire voltages of every period, as whole arrays."""
+    chunks = list(session.chunks())
+    return (
+        np.concatenate([chunk.situations for chunk in chunks]),
+        np.concatenate([chunk.wire_voltage for chunk in chunks]),
     )
 
 
@@ -297,8 +310,7 @@ class TestHfAcPower:
         config = make_config()
         spb = config.samples_per_bit
         times = np.arange(spb) / config.sample_rate
-        source = SampledTrace(config.source.sample(times), config.sample_rate)
-        wire = divider_ac(1.0e3, 1.0e4, source)
+        wire = divider_ac(1.0e3, 1.0e4, config.source.sample(times))
         band = default_band(2000.0, config.sample_rate / spb, config.f_b)
         prep = silent_preparation(config, band)
         n_bins = np.count_nonzero(
@@ -307,19 +319,20 @@ class TestHfAcPower:
         )
         expected = (10.0 / 11.0) ** 2 * 0.25 / n_bins
         assert hf_ac_power(wire, prep) == pytest.approx(expected, rel=1e-12)
+        # A batch of identical periods gives the same value on every row.
+        batch = hf_ac_power(np.tile(wire, (3, 1)), prep)
+        np.testing.assert_allclose(batch, expected, rtol=1e-12)
 
     def test_zero_wire_gives_zero(self):
         config = make_config()
-        wire = SampledTrace(np.zeros(config.samples_per_bit), config.sample_rate)
         prep = silent_preparation(config, (500.0, 4500.0))
-        assert hf_ac_power(wire, prep) == 0.0
+        assert hf_ac_power(np.zeros(config.samples_per_bit), prep) == 0.0
 
     def test_mismatched_grid_rejected(self):
         config = make_config()
         prep = silent_preparation(config, (500.0, 4500.0))
-        wire = SampledTrace(np.zeros(config.samples_per_bit + 1), config.sample_rate)
         with pytest.raises(ShapeMismatchError):
-            hf_ac_power(wire, prep)
+            hf_ac_power(np.zeros(config.samples_per_bit + 1), prep)
 
     def test_unbiased_on_pure_noise(self):
         # Background subtraction must center the statistic on zero when no
@@ -329,12 +342,14 @@ class TestHfAcPower:
         prep = hf_prepare(
             make_config(source=PeriodicSource(amplitude=0.0, frequency=2000.0)), attack
         )
-        records = simulate_session(
-            make_config(
-                source=PeriodicSource(amplitude=0.0, frequency=2000.0), n_secure_bits=300
+        situations, wire = session_rows(
+            simulate_session(
+                make_config(
+                    source=PeriodicSource(amplitude=0.0, frequency=2000.0), n_secure_bits=300
+                )
             )
         )
-        values = [hf_ac_power(r.wire_voltage, prep) for r in records if r.situation.secure]
+        values = hf_ac_power(wire[secure_mask(situations)], prep)
         freqs = prep.noise_background.frequencies()
         mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
         mask[0] = False
@@ -346,47 +361,31 @@ class TestHfAcPower:
 
 class TestHfDecide:
     def test_above_and_below(self):
-        config = make_config()
-        prep = silent_preparation(config, (500.0, 4500.0))
-        prep = HfPreparation(
-            noise_background=prep.noise_background,
-            ac_threshold=1.0,
-            band=prep.band,
-            ensemble_size=100,
-        )
-        assert hf_decide(2.0, prep) is Situation.LH
-        assert hf_decide(0.5, prep) is Situation.HL
+        prep = silent_preparation(make_config(), (500.0, 4500.0), ac_threshold=1.0)
+        assert np.array_equal(hf_decide([2.0, 0.5], prep), [Situation.LH, Situation.HL])
 
     def test_tie_is_deterministic_and_roughly_fair(self):
         config = make_config()
-        background = silent_preparation(config, (500.0, 4500.0)).noise_background
 
         def tied(value):
-            prep = HfPreparation(
-                noise_background=background,
-                ac_threshold=value,
-                band=(500.0, 4500.0),
-                ensemble_size=100,
-            )
-            return hf_decide(value, prep)
+            prep = silent_preparation(config, (500.0, 4500.0), ac_threshold=value)
+            return int(hf_decide(value, prep))
 
         repeats = [tied(0.125) for _ in range(5)]
         assert len(set(repeats)) == 1
         # Distinct tied values should split close to evenly between guesses.
         outcomes = [tied(float(v)) for v in np.linspace(-1.0, 1.0, 2001)]
-        lh_share = sum(1 for g in outcomes if g is Situation.LH) / len(outcomes)
+        lh_share = sum(1 for g in outcomes if g == Situation.LH) / len(outcomes)
         assert 0.4 < lh_share < 0.6
 
     def test_noise_free_attack_is_perfect(self):
         config = make_config(t_eff=0.0, n_secure_bits=40)
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
         prep = hf_prepare(config, attack)
-        records = simulate_session(config)
-        for record in records:
-            if not record.situation.secure:
-                continue
-            guess = hf_decide(hf_ac_power(record.wire_voltage, prep), prep)
-            assert guess is record.situation
+        situations, wire = session_rows(simulate_session(config))
+        secure = secure_mask(situations)
+        guess = hf_decide(hf_ac_power(wire[secure], prep), prep)
+        assert np.array_equal(guess, situations[secure])
 
 
 class TestPreparationFiles:
@@ -400,6 +399,7 @@ class TestPreparationFiles:
         assert loaded.ac_threshold == prep.ac_threshold
         assert loaded.band == prep.band
         assert loaded.ensemble_size == prep.ensemble_size
+        assert loaded.samples_per_bit == prep.samples_per_bit
         assert loaded.noise_background.bin_width == prep.noise_background.bin_width
         assert np.array_equal(loaded.noise_background.bins, prep.noise_background.bins)
 

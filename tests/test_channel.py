@@ -15,13 +15,12 @@ from kljnsim import (
     PeriodicSource,
     ResistorPair,
     SESSION_CSV_COLUMNS,
-    SampledTrace,
     Situation,
     divider_ac,
     dump_session_csv,
     generate_unit_gbwn,
     johnson_scale,
-    periodogram,
+    power_spectrum,
     simulate_session,
     wire_current,
     wire_noise,
@@ -106,38 +105,46 @@ class TestKljnConfig:
             make_config(f_c=0.0)
 
 
+def session_arrays(session):
+    """Every period of a session, with its decomposition, as whole arrays."""
+    chunks = list(session.chunks(parts=True))
+    return {
+        name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+        for name in ("index", "situations", "wire_voltage", "ac_part", "noise_part", "wire_current")
+    }
+
+
 class TestDividerAc:
     def test_equal_resistors_halve(self):
-        source = SampledTrace(samples=np.ones(8), sample_rate=8.0)
-        out = divider_ac(1.0e3, 1.0e3, source)
-        np.testing.assert_allclose(out.samples, 0.5, rtol=1e-15)
+        out = divider_ac(1.0e3, 1.0e3, np.ones(8))
+        np.testing.assert_allclose(out, 0.5, rtol=1e-15)
 
     def test_low_high_ratio(self):
-        source = SampledTrace(samples=np.ones(8), sample_rate=8.0)
-        lh = divider_ac(1.0e3, 1.0e4, source)
-        hl = divider_ac(1.0e4, 1.0e3, source)
-        np.testing.assert_allclose(lh.samples, 10.0 / 11.0, rtol=1e-15)
-        np.testing.assert_allclose(hl.samples, 1.0 / 11.0, rtol=1e-15)
+        lh = divider_ac(1.0e3, 1.0e4, np.ones(8))
+        hl = divider_ac(1.0e4, 1.0e3, np.ones(8))
+        np.testing.assert_allclose(lh, 10.0 / 11.0, rtol=1e-15)
+        np.testing.assert_allclose(hl, 1.0 / 11.0, rtol=1e-15)
 
     def test_rejects_nonpositive_resistance(self):
-        source = SampledTrace(samples=np.ones(8), sample_rate=8.0)
         with pytest.raises(ConfigurationError):
-            divider_ac(0.0, 1.0e3, source)
+            divider_ac(0.0, 1.0e3, np.ones(8))
+        with pytest.raises(ConfigurationError):
+            divider_ac(np.array([[1.0e3], [0.0]]), 1.0e3, np.ones((2, 8)))
 
 
 class TestWireNoise:
     def test_identical_sources_pass_through(self):
-        x = unit_trace(512, 2.0e5, seed=31)
+        x = unit_trace(512, 2.0e5, seed=31).samples
         out = wire_noise(1.0e3, 1.0e4, x, x)
-        np.testing.assert_allclose(out.samples, x.samples, rtol=1e-15)
+        np.testing.assert_allclose(out, x, rtol=1e-15)
 
     def test_each_side_weighted_by_far_resistor(self):
-        ones = SampledTrace(samples=np.ones(16), sample_rate=2.0)
-        zeros = SampledTrace(samples=np.zeros(16), sample_rate=2.0)
+        ones = np.ones(16)
+        zeros = np.zeros(16)
         from_alice = wire_noise(1.0e3, 1.0e4, ones, zeros)
         from_bob = wire_noise(1.0e3, 1.0e4, zeros, ones)
-        np.testing.assert_allclose(from_alice.samples, 10.0 / 11.0, rtol=1e-15)
-        np.testing.assert_allclose(from_bob.samples, 1.0 / 11.0, rtol=1e-15)
+        np.testing.assert_allclose(from_alice, 10.0 / 11.0, rtol=1e-15)
+        np.testing.assert_allclose(from_bob, 1.0 / 11.0, rtol=1e-15)
 
     def test_rms_matches_parallel_resistance_formula(self):
         n = 1 << 18
@@ -145,98 +152,84 @@ class TestWireNoise:
         f_b = 1.0e5
         alice = johnson_scale(unit_trace(n, 2.0 * f_b, 32), 1.0e3, t_eff, f_b)
         bob = johnson_scale(unit_trace(n, 2.0 * f_b, 33), 1.0e4, t_eff, f_b)
-        mixed = wire_noise(1.0e3, 1.0e4, alice, bob)
+        mixed = wire_noise(1.0e3, 1.0e4, alice.samples, bob.samples)
         parallel = 1.0e3 * 1.0e4 / 1.1e4
         expected = math.sqrt(4.0 * BOLTZMANN * t_eff * parallel * f_b)
-        assert mixed.rms() == pytest.approx(expected, rel=0.02)
+        assert math.sqrt(np.mean(mixed**2)) == pytest.approx(expected, rel=0.02)
 
     def test_rejects_mismatched_grids(self):
-        a = SampledTrace(samples=np.zeros(8), sample_rate=2.0)
-        b = SampledTrace(samples=np.zeros(9), sample_rate=2.0)
         with pytest.raises(ShapeMismatchError):
-            wire_noise(1.0e3, 1.0e4, a, b)
+            wire_noise(1.0e3, 1.0e4, np.zeros(8), np.zeros(9))
 
 
 class TestWireCurrent:
     def test_dc_source_alone(self):
-        volt = SampledTrace(samples=np.ones(8), sample_rate=8.0)
-        silent = SampledTrace(samples=np.zeros(8), sample_rate=8.0)
-        out = wire_current(1.0e3, 1.0e4, volt, silent, silent)
-        np.testing.assert_allclose(out.samples, 1.0 / 1.1e4, rtol=1e-15)
+        out = wire_current(1.0e3, 1.0e4, np.ones(8), np.zeros(8), np.zeros(8))
+        np.testing.assert_allclose(out, 1.0 / 1.1e4, rtol=1e-15)
 
     def test_noise_sign_convention(self):
-        silent = SampledTrace(samples=np.zeros(8), sample_rate=8.0)
-        ones = SampledTrace(samples=np.ones(8), sample_rate=8.0)
+        silent = np.zeros(8)
+        ones = np.ones(8)
         pushed = wire_current(1.0e3, 1.0e4, silent, ones, silent)
         pulled = wire_current(1.0e3, 1.0e4, silent, silent, ones)
-        np.testing.assert_allclose(pushed.samples, 1.0 / 1.1e4, rtol=1e-15)
-        np.testing.assert_allclose(pulled.samples, -1.0 / 1.1e4, rtol=1e-15)
+        np.testing.assert_allclose(pushed, 1.0 / 1.1e4, rtol=1e-15)
+        np.testing.assert_allclose(pulled, -1.0 / 1.1e4, rtol=1e-15)
 
     def test_noise_only_psd_level(self):
         n = 1 << 18
         t_eff = 9.0e15
         f_b = 1.0e5
-        silent = SampledTrace(samples=np.zeros(n), sample_rate=2.0 * f_b)
         alice = johnson_scale(unit_trace(n, 2.0 * f_b, 34), 1.0e3, t_eff, f_b)
         bob = johnson_scale(unit_trace(n, 2.0 * f_b, 35), 1.0e4, t_eff, f_b)
-        current = wire_current(1.0e3, 1.0e4, silent, alice, bob)
-        spectrum = periodogram(current)
+        current = wire_current(1.0e3, 1.0e4, np.zeros(n), alice.samples, bob.samples)
+        bins = power_spectrum(current)
         # Interior bins each carry sigma^2/N, so the one-sided density is
         # bin * N / f_b on this grid.
-        density = float(np.mean(spectrum.bins[1:-1])) * n / f_b
+        density = float(np.mean(bins[1:-1])) * n / f_b
         expected = 4.0 * BOLTZMANN * t_eff / 1.1e4
         assert density == pytest.approx(expected, rel=0.05)
 
 
 class TestSimulateSession:
     def test_reaches_requested_secure_count(self):
-        records = simulate_session(make_config(n_secure_bits=200))
-        secure = [r for r in records if r.situation.secure]
-        assert len(secure) == 200
+        session = simulate_session(make_config(n_secure_bits=200))
+        assert np.count_nonzero(session.secure) == 200
+        assert session.secure[-1]  # the session ends on its last secure bit
         # Secure periods arrive at rate ~1/2, so the total sits near double.
-        assert 340 <= len(records) <= 480
+        assert 340 <= len(session) <= 480
 
     def test_situation_frequencies_balanced(self):
-        records = simulate_session(make_config(n_secure_bits=500, f_c=1.0e4))
-        counts = {s: 0 for s in Situation}
-        for record in records:
-            counts[record.situation] += 1
-        total = len(records)
-        for situation, count in counts.items():
-            assert 0.20 < count / total < 0.30, situation
+        session = simulate_session(make_config(n_secure_bits=500, f_c=1.0e4))
+        counts = np.bincount(session.situations, minlength=4)
+        for situation in Situation:
+            assert 0.20 < counts[situation] / len(session) < 0.30, situation
 
     def test_deterministic_replay(self):
-        a = simulate_session(make_config(n_secure_bits=20))
-        b = simulate_session(make_config(n_secure_bits=20))
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert ra.situation is rb.situation
-            assert np.array_equal(ra.wire_voltage.samples, rb.wire_voltage.samples)
+        a = session_arrays(simulate_session(make_config(n_secure_bits=20)))
+        b = session_arrays(simulate_session(make_config(n_secure_bits=20)))
+        assert np.array_equal(a["situations"], b["situations"])
+        assert np.array_equal(a["wire_voltage"], b["wire_voltage"])
 
     def test_seed_changes_everything(self):
-        a = simulate_session(make_config(n_secure_bits=20, seed=1))
-        b = simulate_session(make_config(n_secure_bits=20, seed=2))
-        assert not np.array_equal(a[0].wire_voltage.samples, b[0].wire_voltage.samples)
+        a = session_arrays(simulate_session(make_config(n_secure_bits=20, seed=1)))
+        b = session_arrays(simulate_session(make_config(n_secure_bits=20, seed=2)))
+        assert not np.array_equal(a["wire_voltage"][0], b["wire_voltage"][0])
 
     def test_wire_is_exact_superposition(self):
-        records = simulate_session(make_config(n_secure_bits=50))
-        scale = max(r.wire_voltage.samples.max() for r in records)
-        for record in records:
-            residual = record.wire_voltage.samples - (
-                record.ac_part.samples + record.noise_part.samples
-            )
-            assert np.max(np.abs(residual)) <= 1e-12 * scale
+        arrays = session_arrays(simulate_session(make_config(n_secure_bits=50)))
+        scale = arrays["wire_voltage"].max()
+        residual = arrays["wire_voltage"] - (arrays["ac_part"] + arrays["noise_part"])
+        assert np.max(np.abs(residual)) <= 1e-12 * scale
 
     def test_ac_part_follows_divider(self):
-        config = make_config(n_secure_bits=50)
-        records = simulate_session(config)
-        lh_rms = [r.ac_part.rms() for r in records if r.situation is Situation.LH]
-        hl_rms = [r.ac_part.rms() for r in records if r.situation is Situation.HL]
-        assert min(lh_rms) > max(hl_rms)
+        arrays = session_arrays(simulate_session(make_config(n_secure_bits=50)))
+        rms = np.sqrt(np.mean(arrays["ac_part"] ** 2, axis=1))
+        situations = arrays["situations"]
+        assert rms[situations == Situation.LH].min() > rms[situations == Situation.HL].max()
 
     def test_ac_phase_is_globally_continuous(self):
         config = make_config(n_secure_bits=30)
-        records = simulate_session(config)
+        arrays = session_arrays(simulate_session(config))
         spb = config.samples_per_bit
         dividers = {
             Situation.LL: 0.5,
@@ -244,31 +237,29 @@ class TestSimulateSession:
             Situation.HL: 1.0 / 11.0,
             Situation.HH: 0.5,
         }
-        for record in records:
-            times = (record.index * spb + np.arange(spb)) / config.sample_rate
-            expected = dividers[record.situation] * config.source.sample(times)
-            np.testing.assert_allclose(record.ac_part.samples, expected, atol=1e-12)
+        for index, situation, ac in zip(
+            arrays["index"], arrays["situations"], arrays["ac_part"]
+        ):
+            times = (index * spb + np.arange(spb)) / config.sample_rate
+            expected = dividers[situation] * config.source.sample(times)
+            np.testing.assert_allclose(ac, expected, atol=1e-12)
 
     def test_zero_amplitude_silences_ac_part(self):
         config = make_config(source=PeriodicSource(amplitude=0.0, frequency=318.30))
-        for record in simulate_session(config):
-            assert np.all(record.ac_part.samples == 0.0)
+        assert np.all(session_arrays(simulate_session(config))["ac_part"] == 0.0)
 
     def test_current_included_on_request(self):
-        records = simulate_session(make_config(n_secure_bits=5), include_current=True)
-        assert all(r.wire_current is not None for r in records)
-        assert all(r.wire_current.samples.shape == r.wire_voltage.samples.shape for r in records)
-        plain = simulate_session(make_config(n_secure_bits=5))
-        assert all(r.wire_current is None for r in plain)
+        session = simulate_session(make_config(n_secure_bits=5))
+        for chunk in session.chunks(parts=True):
+            assert chunk.wire_current.shape == chunk.wire_voltage.shape
+        for chunk in session.chunks():
+            assert chunk.wire_current is None
+            assert chunk.ac_part is None and chunk.noise_part is None
 
     def test_noise_level_tracks_parallel_resistance(self):
-        records = simulate_session(make_config(n_secure_bits=300))
-        by_situation = {}
-        for record in records:
-            by_situation.setdefault(record.situation, []).append(
-                np.mean(record.noise_part.samples ** 2)
-            )
-        mean_power = {s: np.mean(v) for s, v in by_situation.items()}
+        arrays = session_arrays(simulate_session(make_config(n_secure_bits=300)))
+        power = np.mean(arrays["noise_part"] ** 2, axis=1)
+        mean_power = {s: np.mean(power[arrays["situations"] == s]) for s in Situation}
         # LL parallel resistance is 500 ohm, HH is 5000 ohm: power ratio 10.
         assert mean_power[Situation.HH] / mean_power[Situation.LL] == pytest.approx(10.0, rel=0.15)
         # Both secure situations share the same 909.1 ohm parallel value.
@@ -277,25 +268,26 @@ class TestSimulateSession:
 
 class TestSessionCsv:
     def test_header_and_roundtrip(self):
-        records = simulate_session(make_config(n_secure_bits=3))
+        session = simulate_session(make_config(n_secure_bits=3))
         buffer = io.StringIO()
-        dump_session_csv(records, buffer)
+        dump_session_csv(session, buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == ",".join(SESSION_CSV_COLUMNS)
         spb = make_config().samples_per_bit
-        assert len(lines) == 1 + spb * len(records)
+        assert len(lines) == 1 + spb * len(session)
+        arrays = session_arrays(session)
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert first[1] == records[0].situation.name
+        assert first[1] == Situation(arrays["situations"][0]).name
         assert first[2] == "0"
         # 17 significant digits reproduce float64 exactly.
-        assert float(first[3]) == records[0].wire_voltage.samples[0]
-        assert float(first[4]) == records[0].ac_part.samples[0]
-        assert float(first[5]) == records[0].noise_part.samples[0]
+        assert float(first[3]) == arrays["wire_voltage"][0, 0]
+        assert float(first[4]) == arrays["ac_part"][0, 0]
+        assert float(first[5]) == arrays["noise_part"][0, 0]
 
     def test_writes_to_path(self, tmp_path):
-        records = simulate_session(make_config(n_secure_bits=2))
+        session = simulate_session(make_config(n_secure_bits=2))
         target = tmp_path / "session.csv"
-        dump_session_csv(records, target)
+        dump_session_csv(session, target)
         content = target.read_text()
         assert content.startswith(",".join(SESSION_CSV_COLUMNS))

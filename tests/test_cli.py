@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from kljnsim import AttackMode, DefenseKind
+from kljnsim import AttackMode, DefenseKind, ResistorPair, u_eff_of_teff
 from kljnsim.cli import PRESETS, main, parse_config
 
 
@@ -283,7 +283,7 @@ class TestDefendCommand:
                 "--defense",
                 "raise_temperature",
                 "--target-t-eff",
-                "9e15",
+                "2e18",
                 "--bits",
                 "60",
                 "--u-eff-points",
@@ -299,8 +299,37 @@ class TestDefendCommand:
         )
         assert code == 0
         p = float(out.splitlines()[1].split(",")[9])
-        # The target is ~6.7 V rms, far into the chance-level regime.
+        # The target is ~100 V rms, far into the chance-level regime.
         assert 0.3 <= p <= 0.7
+
+    def test_raise_temperature_rows_state_what_ran(self, capsys):
+        argv = [
+            "--preset",
+            "fig5",
+            "--u-eff-points",
+            "2",
+            "--f-a-list",
+            "318.3",
+            "--bits",
+            "200",
+        ]
+        code, out, err = run_main(
+            ["defend", "--defense", "raise_temperature", "--target-t-eff", "1e18"] + argv,
+            capsys,
+        )
+        assert code == 0
+        _, undefended, _ = run_main(["sweep"] + argv, capsys)
+        cold, hot = [line.split(",") for line in out.splitlines()[1:]]
+        # The 0.01 V cell is raised to the target and says so ...
+        assert float(cold[5]) == 1e18
+        u_target = u_eff_of_teff(1e18, ResistorPair(1e3, 1e4), 1e5)
+        assert float(cold[4]) == pytest.approx(u_target, rel=1e-9)
+        # ... while the 100 V cell, already hotter, runs exactly as undefended.
+        assert ",".join(hot) == undefended.splitlines()[2]
+        assert float(hot[5]) > 1e18
+        # The grid overrides the channel temperature, so the echo omits it.
+        assert "# channel.t_eff_k" not in err
+        assert "derived.u_eff_vrms" not in err
 
     def test_sweep_ignores_defense_section(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -326,6 +355,31 @@ class TestDefendCommand:
         assert code == 0
         # An undefended easy point stays easy; the notch would drag it to 0.5.
         assert float(out.splitlines()[1].split(",")[9]) >= 0.9
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--t-eff", "inf"], "t_eff"),
+            (["--t-eff", "nan"], "t_eff"),
+            (["--u-eff", "nan"], "u_eff"),
+            (["--amplitude", "inf"], "amplitude"),
+            (["--f-a", "nan"], "frequency"),
+        ],
+    )
+    def test_non_finite_point_rejected(self, flags, key, capsys):
+        code, out, err = run_main(["attack", "--preset", "fig5", "--bits", "5"] + flags, capsys)
+        assert code == 1
+        assert out == ""
+        assert key in err and "finite" in err
+
+    def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[channel]\nphase_rad = nan\n")
+        code, _, err = run_main(["simulate", "--preset", "fig5", "--config", str(path)], capsys)
+        assert code == 1
+        assert "phase" in err and "finite" in err
 
 
 class TestModuleEntryPoint:
