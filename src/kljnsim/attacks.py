@@ -22,11 +22,9 @@ she never replays the exact noise she is attacking.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import Enum
 from math import cos, floor, isfinite, pi
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .channel import (
     Situation,
     divider_ac,
     draw_end_noise,
-    period_batches,
+    unit_noise_blocks,
     wire_noise,
 )
 from .errors import ConfigurationError, ShapeMismatchError
@@ -56,8 +54,6 @@ __all__ = [
     "lf_decide",
     "lf_gamma",
     "lf_threshold",
-    "load_hf_preparation",
-    "save_hf_preparation",
 ]
 
 _STREAM_EAVESDROPPER = 3  # rehearsal noise, disjoint from the victim's streams
@@ -298,11 +294,9 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     m_count = attack.ensemble_size
     background_sum = np.zeros(spb // 2 + 1)
     source_power = np.empty(m_count)
-    for members in period_batches(m_count):
+    for members, unit in unit_noise_blocks(rng, m_count, spb):
         r_alice, r_bob = pairs[members % 2].T[:, :, None]
-        alice_noise, bob_noise = draw_end_noise(
-            rng, r_alice, r_bob, config.t_eff, config.f_b, spb
-        )
+        alice_noise, bob_noise = draw_end_noise(unit, r_alice, r_bob, config.t_eff, config.f_b)
         # Add member by member so the sum does not depend on the batching.
         for bins in power_spectrum(wire_noise(r_alice, r_bob, alice_noise, bob_noise)):
             background_sum += bins
@@ -353,52 +347,3 @@ def hf_decide(ac_power, prep: HfPreparation) -> np.ndarray:
         heads = [mix_seed(_TIE_SALT, int(bits)) & 1 for bits in power[tied].view(np.uint64)]
         guess[tied] = np.where(heads, Situation.LH, Situation.HL)
     return guess
-
-
-_PREP_HEADER = ("ac_threshold_v2", "f_lo_hz", "f_hi_hz", "ensemble_size", "samples_per_bit")
-
-
-def save_hf_preparation(prep: HfPreparation, path: str | Path) -> None:
-    """Persist a rehearsal result as CSV.
-
-    Layout: one scalar header row (threshold, window edges, ensemble size,
-    period length) followed by the background spectrum as
-    (frequency_hz, background_v2) rows, all floats with 17 significant
-    digits.
-    """
-    background = prep.noise_background
-    freqs = background.frequencies()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_PREP_HEADER)
-        writer.writerow(
-            (
-                f"{prep.ac_threshold:.17g}",
-                f"{prep.band[0]:.17g}",
-                f"{prep.band[1]:.17g}",
-                prep.ensemble_size,
-                prep.samples_per_bit,
-            )
-        )
-        writer.writerow(("frequency_hz", "background_v2"))
-        for f, b in zip(freqs, background.bins):
-            writer.writerow((f"{f:.17g}", f"{b:.17g}"))
-
-
-def load_hf_preparation(path: str | Path) -> HfPreparation:
-    """Reload a rehearsal result written by :func:`save_hf_preparation`."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if len(rows) < 5 or rows[0] != list(_PREP_HEADER):
-        raise ConfigurationError(f"{path} is not a rehearsal file")
-    threshold = float(rows[1][0])
-    band = (float(rows[1][1]), float(rows[1][2]))
-    ensemble_size = int(rows[1][3])
-    samples_per_bit = int(rows[1][4])
-    if rows[2] != ["frequency_hz", "background_v2"]:
-        raise ConfigurationError(f"{path} is missing the spectrum column header")
-    freqs = np.array([float(r[0]) for r in rows[3:]])
-    bins = np.array([float(r[1]) for r in rows[3:]])
-    bin_width = freqs[1] - freqs[0]
-    background = Spectrum(bins=bins, bin_width=bin_width, band=(0.0, float(freqs[-1])))
-    return HfPreparation(background, threshold, band, ensemble_size, samples_per_bit)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -48,6 +50,7 @@ __all__ = [
     "period_batches",
     "secure_mask",
     "simulate_session",
+    "unit_noise_blocks",
     "wire_current",
     "wire_noise",
 ]
@@ -127,13 +130,6 @@ class ResistorPair:
             raise ConfigurationError(
                 f"need finite 0 < r_low < r_high, got {self.r_low}, {self.r_high}"
             )
-
-    def resistance(self, choice: str) -> float:
-        if choice == "L":
-            return self.r_low
-        if choice == "H":
-            return self.r_high
-        raise ConfigurationError(f"resistor choice must be 'L' or 'H', got {choice!r}")
 
     @property
     def parallel(self) -> float:
@@ -274,21 +270,52 @@ def wire_current(
     return (source + alice_noise - bob_noise) / (r_alice + r_bob)
 
 
+def unit_noise_blocks(
+    rng: np.random.Generator, count: int, n_samples: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Periods 0 .. count-1 in ``period_batches`` runs, each with its unit noise.
+
+    Yields ``(index, unit)`` where ``unit`` holds standard normals of shape
+    ``(index.size, 2, n_samples)``, drawn in period order from ``rng``.
+    One helper thread draws every block in order, the next one while the
+    caller works on the current one (numpy fills normals without holding
+    the interpreter lock), so the numbers are those of drawing the blocks
+    one after another on the calling thread.  Closing the generator, or
+    dropping it, waits for the block in flight and ends the helper.
+
+    Off the main thread, as in the cells of a sweep with ``max_workers``
+    above one, the cells already keep the cores busy and a helper per cell
+    only adds contention, so the blocks are drawn inline.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        for index in period_batches(count):
+            yield index, rng.standard_normal((index.size, 2, n_samples))
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        blocks = (
+            (index, helper.submit(rng.standard_normal, (index.size, 2, n_samples)))
+            for index in period_batches(count)
+        )
+        ahead = next(blocks, None)
+        while ahead is not None:
+            index, block = ahead
+            ahead = next(blocks, None)  # start the next draw before waiting on this one
+            yield index, block.result()
+
+
 def draw_end_noise(
-    rng: np.random.Generator,
+    unit: np.ndarray,
     r_alice: np.ndarray,
     r_bob: np.ndarray,
     t_eff: float,
     f_b: float,
-    n_samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Thermal noise of both ends for a batch of periods, one period per row.
 
-    ``r_alice`` and ``r_bob`` are columns of per-period resistances.  The
-    unit Gaussians are drawn in period order, Alice's segment before Bob's,
-    so consecutive batches continue one stream whatever their sizes.
+    ``unit`` is a block from :func:`unit_noise_blocks`, Alice's segment
+    before Bob's in each period; ``r_alice`` and ``r_bob`` are columns of
+    per-period resistances.
     """
-    unit = rng.standard_normal((len(r_alice), 2, n_samples))
     return (
         johnson_rms(r_alice, t_eff, f_b) * unit[:, 0],
         johnson_rms(r_bob, t_eff, f_b) * unit[:, 1],
@@ -352,13 +379,11 @@ class Session:
             np.random.Philox(key=mix_seed(config.seed, _STREAM_NOISE))
         )
         offsets = np.arange(spb)
-        for index in period_batches(len(self)):
+        for index, unit in unit_noise_blocks(rng, len(self), spb):
             codes = self.situations[index]
             r_alice = resistors[codes[:, None] >> 1]
             r_bob = resistors[codes[:, None] & 1]
-            alice_noise, bob_noise = draw_end_noise(
-                rng, r_alice, r_bob, config.t_eff, config.f_b, spb
-            )
+            alice_noise, bob_noise = draw_end_noise(unit, r_alice, r_bob, config.t_eff, config.f_b)
             source = config.source.sample((index[:, None] * spb + offsets) / config.sample_rate)
             ac = divider_ac(r_alice, r_bob, source)
             noise = wire_noise(r_alice, r_bob, alice_noise, bob_noise)

@@ -19,11 +19,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -421,15 +423,30 @@ def _echo_setup(setup: ResolvedSetup, manifest: RunManifest, stream: TextIO) -> 
         print(f"# derived.u_eff_vrms = {u_eff:.6g}", file=stream)
 
 
-def _open_output(manifest: RunManifest) -> TextIO:
+@contextmanager
+def _output(manifest: RunManifest) -> Iterator[TextIO]:
+    """The handle results go to: stdout, or a file that appears only on success.
+
+    A file target is written under a temporary sibling name and moved into
+    place once the run succeeds, so a failed run leaves no partial file and
+    never destroys the one ``--force`` would have replaced.
+    """
     if manifest.out is None:
-        return sys.stdout
+        yield sys.stdout
+        return
     path = Path(manifest.out)
     if path.exists() and not manifest.force:
         raise ConfigurationError(
             f"refusing to overwrite existing {path}; pass --force to allow it"
         )
-    return open(path, "w", newline="")
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    handle = open(partial, "x", newline="")
+    try:
+        with handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def dispatch(manifest: RunManifest) -> int:
@@ -442,9 +459,7 @@ def dispatch(manifest: RunManifest) -> int:
     setup = _build_setup(_merge_layers(manifest), manifest.command)
     _echo_setup(setup, manifest, sys.stderr)
 
-    handle = _open_output(manifest)
-    owns_handle = handle is not sys.stdout
-    try:
+    with _output(manifest) as handle:
         if manifest.command == "simulate":
             session = simulate_session(setup.config)
             dump_session_csv(session, handle)
@@ -472,9 +487,6 @@ def dispatch(manifest: RunManifest) -> int:
             )
             write_sweep_csv(points, setup.config, handle)
             secure_bits = sum(pt.outcome.n_secure for pt in points)
-    finally:
-        if owns_handle:
-            handle.close()
 
     elapsed = time.perf_counter() - start
     print(

@@ -27,10 +27,8 @@ from kljnsim import (
     lf_decide,
     lf_gamma,
     lf_threshold,
-    load_hf_preparation,
     mix_seed,
     periodogram,
-    save_hf_preparation,
     simulate_session,
 )
 from kljnsim.channel import secure_mask
@@ -386,28 +384,6 @@ class TestHfDecide:
         secure = secure_mask(situations)
         guess = hf_decide(hf_ac_power(wire[secure], prep), prep)
         assert np.array_equal(guess, situations[secure])
-
-
-class TestPreparationFiles:
-    def test_roundtrip(self, tmp_path):
-        config = make_config()
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
-        prep = hf_prepare(config, attack)
-        path = tmp_path / "prep.csv"
-        save_hf_preparation(prep, path)
-        loaded = load_hf_preparation(path)
-        assert loaded.ac_threshold == prep.ac_threshold
-        assert loaded.band == prep.band
-        assert loaded.ensemble_size == prep.ensemble_size
-        assert loaded.samples_per_bit == prep.samples_per_bit
-        assert loaded.noise_background.bin_width == prep.noise_background.bin_width
-        assert np.array_equal(loaded.noise_background.bins, prep.noise_background.bins)
-
-    def test_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bogus.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigurationError):
-            load_hf_preparation(path)
 
 
 class TestSeedSeparation:

@@ -72,8 +72,7 @@ class TestSituation:
 
 class TestResistorPair:
     def test_lookup_and_parallel(self):
-        assert PAIR.resistance("L") == 1.0e3
-        assert PAIR.resistance("H") == 1.0e4
+        assert (PAIR.r_low, PAIR.r_high) == (1.0e3, 1.0e4)
         assert PAIR.parallel == pytest.approx(1.0e3 * 1.0e4 / 1.1e4, rel=1e-15)
 
     def test_rejects_bad_ordering(self):

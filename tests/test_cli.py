@@ -162,6 +162,32 @@ class TestSimulateCommand:
         assert target.read_text().startswith("period_index")
 
 
+class TestFailedRunOutput:
+    # The band check fails inside the run, after the output was chosen.
+    FAILING = ["attack", "--preset", "fig6", "--bits", "10", "--band-lo", "10", "--band-hi", "2e5"]
+
+    def test_leaves_no_file_behind(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        code, _, err = run_main(self.FAILING + ["--out", str(target)], capsys)
+        assert code == 1
+        assert "exceeds noise bandwidth" in err
+        assert list(tmp_path.iterdir()) == []
+        code, _, _ = run_main(
+            ["attack", "--preset", "fig6", "--bits", "10", "--out", str(target)], capsys
+        )
+        assert code == 0
+        assert target.read_text().startswith("mode,")
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_forced_failure_keeps_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        target.write_text("precious\n")
+        code, _, _ = run_main(self.FAILING + ["--out", str(target), "--force"], capsys)
+        assert code == 1
+        assert target.read_text() == "precious\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+
 class TestAttackCommand:
     def test_single_row(self, capsys):
         code, out, err = run_main(

@@ -3,16 +3,21 @@
 Results must be pure functions of (config, seed): independent of the
 batch size the engine works in and of the number of sweep threads.  The
 resistor coin stream must match the period-by-period draws it replaced,
-and memory must not grow with the number of secure bits.
+and memory must not grow with the number of secure bits.  The helper
+thread that draws noise ahead must neither change a number nor outlive
+the iteration that started it.
 """
 
 import dataclasses
 import hashlib
 import io
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +25,7 @@ import kljnsim.channel as channel
 from kljnsim import (
     AttackConfig,
     AttackMode,
+    ConfigurationError,
     DefenseKind,
     DefenseSpec,
     UNDETERMINED,
@@ -192,3 +198,69 @@ def test_memory_bounded_in_secure_bits():
     peak_one = traced_peak(one, setup.attack)
     peak_four = traced_peak(four, setup.attack)
     assert peak_four <= 1.10 * peak_one, (peak_one, peak_four)
+
+
+def consume_blocks(rng, count):
+    """Every (index, unit) pair, and the most threads alive beside the consumer's."""
+    baseline = threading.active_count()
+    pairs, extra = [], 0
+    for pair in channel.unit_noise_blocks(rng, count, 5):
+        extra = max(extra, threading.active_count() - baseline)
+        pairs.append(pair)
+    return pairs, extra
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=SEEDS,
+    count=st.integers(min_value=1, max_value=300),
+    on_main_thread=st.booleans(),
+)
+def test_blocks_continue_one_inline_stream(seed, count, on_main_thread):
+    # On the main thread one helper draws ahead; sweep pool workers draw inline.
+    def philox():
+        return np.random.Generator(np.random.Philox(key=seed))
+
+    if on_main_thread:
+        pairs, extra = consume_blocks(philox(), count)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pairs, extra = pool.submit(consume_blocks, philox(), count).result(timeout=60)
+    assert extra == (1 if on_main_thread else 0)
+    assert np.array_equal(np.concatenate([index for index, _ in pairs]), np.arange(count))
+    drawn = np.concatenate([unit for _, unit in pairs])
+    assert np.array_equal(drawn, philox().standard_normal((count, 2, 5)))
+
+
+def test_noise_helper_thread_never_outlives_iteration():
+    baseline = threading.active_count()
+    session = simulate_session(make_config(AttackMode.HIGH_FREQ, 7, bits=400))
+    assert len(session) > 2 * channel.CHUNK_PERIODS
+    first = wire_of(session)
+    assert threading.active_count() == baseline
+    for chunk in session.chunks():
+        assert threading.active_count() == baseline + 1
+        break
+    assert threading.active_count() == baseline
+    assert np.array_equal(wire_of(session), first)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize(
+    "attack, defense",
+    [
+        # The notch rejects its center on the first chunk, with the next
+        # chunk's noise already in flight.
+        (
+            AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100),
+            DefenseSpec(kind=DefenseKind.NOTCH, notch_center=2.0e5, notch_halfwidth=10.0),
+        ),
+        # The rehearsal rejects the band before drawing anything.
+        (AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100, band=(10.0, 2.0e5)), None),
+    ],
+)
+def test_noise_helper_thread_never_outlives_failed_run(attack, defense):
+    baseline = threading.active_count()
+    with pytest.raises(ConfigurationError):
+        run_point(make_config(AttackMode.HIGH_FREQ, 7, bits=400), attack, defense)
+    assert threading.active_count() == baseline
