@@ -28,17 +28,9 @@ from math import cos, floor, isfinite, pi
 
 import numpy as np
 
-from .channel import (
-    KljnConfig,
-    PeriodicSource,
-    Situation,
-    divider_ac,
-    draw_end_noise,
-    unit_noise_blocks,
-    wire_noise,
-)
+from .channel import KljnConfig, PeriodicSource, Situation, divider_ac, period_batches
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import Spectrum, mix_seed, power_spectrum
+from .noise import Spectrum, johnson_rms, mix_seed, power_spectrum
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
 __all__ = [
@@ -257,14 +249,14 @@ def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float
 def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     """Rehearse the spectral attack offline.
 
-    Simulates ``attack.ensemble_size`` secure periods (alternating the two
-    secure situations; the ideal loop's noise statistics are identical in
-    both) from one rehearsal stream disjoint from the session's, batch by
-    batch like a session.  Produces the ensemble-averaged noise
-    periodogram and the midpoint threshold between the band-averaged
-    source power with the divider the two situations would apply.  The
-    divider only scales the source, so each member needs one source
-    periodogram, scaled by both squared divider ratios.
+    Simulates ``attack.ensemble_size`` secure periods from one rehearsal
+    stream disjoint from the session's, batch by batch like a session.  LH
+    and HL share the same wire noise, one Johnson noise of r_low and r_high
+    in parallel, so each member draws that once.  Produces the
+    ensemble-averaged noise periodogram and the midpoint threshold between
+    the band-averaged source power with the divider the two situations
+    would apply.  The divider only scales the source, so each member needs
+    one source periodogram, scaled by both squared divider ratios.
 
     Raises:
         ConfigurationError: If the band reaches outside (0, f_b] or holds
@@ -284,21 +276,17 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         band = default_band(config.source.frequency, bin_width, config.f_b)
     mask = _band_mask(np.arange(spb // 2 + 1) * bin_width, band)
 
-    r_low, r_high = config.resistors.r_low, config.resistors.r_high
-    # Row 0 rehearses LH (even members), row 1 HL (odd members): (r_alice, r_bob).
-    pairs = np.array([[r_low, r_high], [r_high, r_low]])
     rng = np.random.Generator(
         np.random.Philox(key=mix_seed(config.seed, _STREAM_EAVESDROPPER))
     )
+    rms = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
     offsets = np.arange(spb)
     m_count = attack.ensemble_size
     background_sum = np.zeros(spb // 2 + 1)
     source_power = np.empty(m_count)
-    for members, unit in unit_noise_blocks(rng, m_count, spb):
-        r_alice, r_bob = pairs[members % 2].T[:, :, None]
-        alice_noise, bob_noise = draw_end_noise(unit, r_alice, r_bob, config.t_eff, config.f_b)
+    for members in period_batches(np.arange(m_count)):
         # Add member by member so the sum does not depend on the batching.
-        for bins in power_spectrum(wire_noise(r_alice, r_bob, alice_noise, bob_noise)):
+        for bins in power_spectrum(rms * rng.standard_normal((members.size, spb))):
             background_sum += bins
         source = config.source.sample((members[:, None] * spb + offsets) / f_s)
         source_power[members] = np.mean(power_spectrum(source)[:, mask], axis=1)
@@ -308,7 +296,8 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         bin_width=bin_width,
         band=(0.0, f_s / 2.0),
     )
-    lh_gain, hl_gain = divider_ac(pairs[:, 0], pairs[:, 1], 1.0)
+    r_low, r_high = config.resistors.r_low, config.resistors.r_high
+    lh_gain, hl_gain = divider_ac(np.array([r_low, r_high]), np.array([r_high, r_low]), 1.0)
     ac_threshold = float(0.5 * (lh_gain**2 + hl_gain**2) * np.mean(source_power))
     return HfPreparation(background, ac_threshold, band, m_count, spb)
 

@@ -15,15 +15,18 @@ All wire quantities follow from two-resistor circuit algebra:
 * noise:    u_wire = (r_alice * u_bob_n + r_bob * u_alice_n) / (r_alice + r_bob)
 * current:  i_wire = (source + u_alice_n - u_bob_n) / (r_alice + r_bob)
 
-with the current sign positive when flowing from Alice toward Bob.
+with the current sign positive when flowing from Alice toward Bob.  The
+two ends' generators are independent, so the wire noise is itself one
+Johnson noise of the parallel resistance r_alice * r_bob / (r_alice + r_bob),
+independent of the end-to-end difference u_alice_n - u_bob_n that drives the
+current (Kish, Phys. Lett. A 352, 2006).  Sessions draw those two Gaussians
+directly instead of the ends' noises.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -45,12 +48,10 @@ __all__ = [
     "SessionChunk",
     "Situation",
     "divider_ac",
-    "draw_end_noise",
     "dump_session_csv",
     "period_batches",
     "secure_mask",
     "simulate_session",
-    "unit_noise_blocks",
     "wire_current",
     "wire_noise",
 ]
@@ -62,7 +63,9 @@ CHUNK_PERIODS = 128
 
 # Disjoint sub-stream labels under one session seed.
 _STREAM_CHOICES = 1  # resistor coin flips
-_STREAM_NOISE = 2  # thermal noise of both ends, all periods in order
+_STREAM_SECURE_WIRE = 2  # wire noise of the LH/HL periods, in their order
+_STREAM_PUBLIC_WIRE = 4  # wire noise of the LL/HH periods, in their order
+_STREAM_DIFFERENCE = 5  # end-to-end noise difference, all periods in order
 
 
 class Situation(IntEnum):
@@ -107,10 +110,10 @@ class Situation(IntEnum):
         return self.value - 1
 
 
-def period_batches(count: int) -> Iterator[np.ndarray]:
-    """Indices 0 .. count-1 in consecutive runs of ``CHUNK_PERIODS``."""
-    for start in range(0, count, CHUNK_PERIODS):
-        yield np.arange(start, min(start + CHUNK_PERIODS, count))
+def period_batches(periods: np.ndarray) -> Iterator[np.ndarray]:
+    """``periods`` in consecutive runs of ``CHUNK_PERIODS``."""
+    for start in range(0, periods.size, CHUNK_PERIODS):
+        yield periods[start : start + CHUNK_PERIODS]
 
 
 def secure_mask(situations: np.ndarray) -> np.ndarray:
@@ -195,6 +198,11 @@ class KljnConfig:
             raise ConfigurationError(
                 f"f_b must be finite and exceed f_c, got f_b={self.f_b}, f_c={self.f_c}"
             )
+        if self.source.frequency > self.f_b:
+            raise ConfigurationError(
+                "source frequency must not exceed f_b, where the sampled source aliases; "
+                f"got frequency={self.source.frequency}, f_b={self.f_b}"
+            )
         if not 0 <= self.t_eff < math.inf:
             raise ConfigurationError(
                 f"t_eff must be finite and non-negative, got {self.t_eff}"
@@ -270,58 +278,6 @@ def wire_current(
     return (source + alice_noise - bob_noise) / (r_alice + r_bob)
 
 
-def unit_noise_blocks(
-    rng: np.random.Generator, count: int, n_samples: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Periods 0 .. count-1 in ``period_batches`` runs, each with its unit noise.
-
-    Yields ``(index, unit)`` where ``unit`` holds standard normals of shape
-    ``(index.size, 2, n_samples)``, drawn in period order from ``rng``.
-    One helper thread draws every block in order, the next one while the
-    caller works on the current one (numpy fills normals without holding
-    the interpreter lock), so the numbers are those of drawing the blocks
-    one after another on the calling thread.  Closing the generator, or
-    dropping it, waits for the block in flight and ends the helper.
-
-    Off the main thread, as in the cells of a sweep with ``max_workers``
-    above one, the cells already keep the cores busy and a helper per cell
-    only adds contention, so the blocks are drawn inline.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        for index in period_batches(count):
-            yield index, rng.standard_normal((index.size, 2, n_samples))
-        return
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        blocks = (
-            (index, helper.submit(rng.standard_normal, (index.size, 2, n_samples)))
-            for index in period_batches(count)
-        )
-        ahead = next(blocks, None)
-        while ahead is not None:
-            index, block = ahead
-            ahead = next(blocks, None)  # start the next draw before waiting on this one
-            yield index, block.result()
-
-
-def draw_end_noise(
-    unit: np.ndarray,
-    r_alice: np.ndarray,
-    r_bob: np.ndarray,
-    t_eff: float,
-    f_b: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thermal noise of both ends for a batch of periods, one period per row.
-
-    ``unit`` is a block from :func:`unit_noise_blocks`, Alice's segment
-    before Bob's in each period; ``r_alice`` and ``r_bob`` are columns of
-    per-period resistances.
-    """
-    return (
-        johnson_rms(r_alice, t_eff, f_b) * unit[:, 0],
-        johnson_rms(r_bob, t_eff, f_b) * unit[:, 1],
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SessionChunk:
     """Consecutive bit periods as arrays, one row per period.
@@ -363,36 +319,57 @@ class Session:
     def secure(self) -> np.ndarray:
         return secure_mask(self.situations)
 
-    def chunks(self, parts: bool = False) -> Iterator[SessionChunk]:
+    def chunks(self, parts: bool = False, secure_only: bool = False) -> Iterator[SessionChunk]:
         """Yield the session's periods in order, ``CHUNK_PERIODS`` at a time.
 
-        Per period both ends draw fresh noise segments (independent across
-        periods, emulating generators re-seeded per clock cycle), and the
-        source is evaluated on the global time grid so its phase never
-        resets.  ``parts`` also fills in the AC part, the noise part and
-        the loop current.
+        Each period draws fresh wire noise (independent across periods,
+        emulating generators re-seeded per clock cycle): one Johnson noise
+        segment of the period's parallel resistance.  Secure and LL/HH
+        periods draw from separate streams, each in its own period order,
+        so ``secure_only``, which yields the secure periods alone and never
+        synthesizes the others, gives the same secure rows as iterating
+        every period.  The source is evaluated on the global time grid so
+        its phase never resets.  ``parts`` also fills in the AC part, the
+        noise part and the loop current; it needs every period.
         """
+        if parts and secure_only:
+            raise ConfigurationError("parts are synthesized for every period, not secure_only")
         config = self.config
         spb = config.samples_per_bit
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
-        rng = np.random.Generator(
-            np.random.Philox(key=mix_seed(config.seed, _STREAM_NOISE))
+        secure_rng, public_rng, difference_rng = (
+            np.random.Generator(np.random.Philox(key=mix_seed(config.seed, label)))
+            for label in (_STREAM_SECURE_WIRE, _STREAM_PUBLIC_WIRE, _STREAM_DIFFERENCE)
         )
+        periods = np.flatnonzero(self.secure) if secure_only else np.arange(len(self))
         offsets = np.arange(spb)
-        for index, unit in unit_noise_blocks(rng, len(self), spb):
+        for index in period_batches(periods):
             codes = self.situations[index]
             r_alice = resistors[codes[:, None] >> 1]
             r_bob = resistors[codes[:, None] & 1]
-            alice_noise, bob_noise = draw_end_noise(unit, r_alice, r_bob, config.t_eff, config.f_b)
+            r_sum = r_alice + r_bob
+            if secure_only:
+                unit = secure_rng.standard_normal((index.size, spb))
+            else:
+                secure = secure_mask(codes)
+                unit = np.empty((index.size, spb))
+                for rows, rng in ((secure, secure_rng), (~secure, public_rng)):
+                    unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
+            noise = johnson_rms(r_alice * r_bob / r_sum, config.t_eff, config.f_b) * unit
             source = config.source.sample((index[:, None] * spb + offsets) / config.sample_rate)
             ac = divider_ac(r_alice, r_bob, source)
-            noise = wire_noise(r_alice, r_bob, alice_noise, bob_noise)
             wire = ac + noise
             if not np.all(np.isfinite(wire)):
                 raise ConfigurationError(
                     "wire voltage overflows float64; lower t_eff or the source amplitude"
                 )
             if parts:
+                # Ends that superpose to ``noise`` and differ by ``difference``.
+                difference = johnson_rms(r_sum, config.t_eff, config.f_b) * (
+                    difference_rng.standard_normal((index.size, spb))
+                )
+                alice_noise = noise + r_alice / r_sum * difference
+                bob_noise = noise - r_bob / r_sum * difference
                 current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
                 yield SessionChunk(index, codes, wire, ac, noise, current)
             else:

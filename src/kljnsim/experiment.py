@@ -183,6 +183,16 @@ def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
     return u_eff * u_eff / (4.0 * BOLTZMANN * resistors.parallel * f_b)
 
 
+def _check_notch(sample_rate: float, center: float, halfwidth: float) -> None:
+    nyquist = sample_rate / 2.0
+    if not 0 < center < nyquist:
+        raise ConfigurationError(
+            f"notch center must lie inside (0, {nyquist}), got {center}"
+        )
+    if not halfwidth > 0:
+        raise ConfigurationError(f"notch halfwidth must be positive, got {halfwidth}")
+
+
 def notch_filter(
     samples: np.ndarray, sample_rate: float, center: float, halfwidth: float
 ) -> np.ndarray:
@@ -192,13 +202,7 @@ def notch_filter(
     periods (one per row) is filtered by one batched FFT pair; energy
     outside the notch survives the round trip to numerical precision.
     """
-    nyquist = sample_rate / 2.0
-    if not 0 < center < nyquist:
-        raise ConfigurationError(
-            f"notch center must lie inside (0, {nyquist}), got {center}"
-        )
-    if not halfwidth > 0:
-        raise ConfigurationError(f"notch halfwidth must be positive, got {halfwidth}")
+    _check_notch(sample_rate, center, halfwidth)
     n = np.shape(samples)[-1]
     coeffs = np.fft.rfft(samples, axis=-1)
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
@@ -211,11 +215,12 @@ def run_point(
 ) -> AttackOutcome:
     """Simulate one session and run the chosen attack over its secure bits.
 
-    The session streams through in chunks of periods; only the secure rows
-    of each chunk reach the attack, so memory stays bounded whatever the
-    bit count.  Scoring compares the guessed situation against the ground
-    truth.  Undetermined low-frequency bits are dropped from numerator and
-    denominator alike.
+    The session's secure periods stream through in chunks, and the LL/HH
+    periods the attack never reads are not synthesized at all; memory stays
+    bounded whatever the bit count.  Scoring compares the guessed situation
+    against the ground truth.  Undetermined low-frequency bits are dropped
+    from numerator and denominator alike.  A notch center outside the band
+    is rejected before any of that work starts.
     """
     if defense is None:
         defense = DefenseSpec()
@@ -228,6 +233,8 @@ def run_point(
     notch_center = defense.notch_center
     if notch_center is None:
         notch_center = config.source.frequency
+    if defense.kind is DefenseKind.NOTCH:
+        _check_notch(config.sample_rate, notch_center, defense.notch_halfwidth)
 
     session = simulate_session(config)
     if attack.mode is AttackMode.HIGH_FREQ:
@@ -236,20 +243,17 @@ def run_point(
 
     n_guessed = 0
     n_correct = 0
-    for chunk in session.chunks():
-        secure = chunk.secure
-        if not np.any(secure):
-            continue
-        wire = chunk.wire_voltage[secure]
+    for chunk in session.chunks(secure_only=True):
+        wire = chunk.wire_voltage
         if defense.kind is DefenseKind.NOTCH:
             wire = notch_filter(wire, config.sample_rate, notch_center, defense.notch_halfwidth)
         if attack.mode is AttackMode.LOW_FREQ:
-            threshold = lf_threshold(config.source, chunk.index[secure] + 1, tau, attack.kappa)
+            threshold = lf_threshold(config.source, chunk.index + 1, tau, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
         else:
             guess = hf_decide(hf_ac_power(wire, prep), prep)
         n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
-        n_correct += int(np.count_nonzero(guess == chunk.situations[secure]))
+        n_correct += int(np.count_nonzero(guess == chunk.situations))
 
     n_secure = int(np.count_nonzero(session.secure))
     return AttackOutcome.from_counts(n_secure, n_guessed, n_correct)

@@ -389,7 +389,7 @@ class TestHfDecide:
 class TestSeedSeparation:
     def test_rehearsal_stream_disjoint_from_session(self):
         # The eavesdropper must not consume the victims' random numbers:
-        # stream tags 1..3 with any index never collide.
+        # stream tags 1..5 with any index never collide.
         base = 42
-        tagged = {mix_seed(base, tag) for tag in (1, 2, 3)}
-        assert len(tagged) == 3
+        tagged = {mix_seed(base, tag) for tag in (1, 2, 3, 4, 5)}
+        assert len(tagged) == 5

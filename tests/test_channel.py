@@ -102,6 +102,8 @@ class TestKljnConfig:
             make_config(n_secure_bits=0)
         with pytest.raises(ConfigurationError):
             make_config(f_c=0.0)
+        with pytest.raises(ConfigurationError, match="frequency"):
+            make_config(source=PeriodicSource(amplitude=1.0, frequency=2.0e5))  # above f_b
 
 
 def session_arrays(session):
@@ -263,6 +265,43 @@ class TestSimulateSession:
         assert mean_power[Situation.HH] / mean_power[Situation.LL] == pytest.approx(10.0, rel=0.15)
         # Both secure situations share the same 909.1 ohm parallel value.
         assert mean_power[Situation.LH] / mean_power[Situation.HL] == pytest.approx(1.0, rel=0.15)
+
+
+@pytest.fixture(scope="module")
+def silent_source_session():
+    """Parts of a source-free session, long enough for ~3e5 samples per situation."""
+    config = make_config(source=PeriodicSource(amplitude=0.0, frequency=318.30), n_secure_bits=3200)
+    return config, session_arrays(simulate_session(config))
+
+
+class TestDecomposition:
+    """Each situation's noise part and current against the loop's closed forms."""
+
+    @pytest.mark.parametrize("situation", list(Situation))
+    def test_matches_closed_form(self, situation, silent_source_session):
+        config, arrays = silent_source_session
+        rows = arrays["situations"] == situation
+        noise = arrays["noise_part"][rows].ravel()
+        current = arrays["wire_current"][rows].ravel()
+        assert noise.size >= 3e5
+        r_alice = (PAIR.r_low, PAIR.r_high)[situation >> 1]
+        r_bob = (PAIR.r_low, PAIR.r_high)[situation & 1]
+        r_sum = r_alice + r_bob
+        scale = 4.0 * BOLTZMANN * config.t_eff * config.f_b
+        # 2% is about 7 standard errors of a variance over 3e5 samples.
+        assert np.var(noise) == pytest.approx(scale * r_alice * r_bob / r_sum, rel=0.02)
+        assert np.var(current) == pytest.approx(scale / r_sum, rel=0.02)
+        assert abs(np.corrcoef(noise, current)[0, 1]) < 0.01
+        # With the source off, the ends are the wire noise plus their share
+        # of the end-to-end difference, which drives the current alone.
+        difference = r_sum * current
+        alice = noise + r_alice / r_sum * difference
+        bob = noise - r_bob / r_sum * difference
+        rebuilt = wire_noise(r_alice, r_bob, alice, bob)
+        assert np.max(np.abs(rebuilt - noise)) <= 1e-12 * np.max(np.abs(noise))
+        assert np.var(alice) == pytest.approx(scale * r_alice, rel=0.02)
+        assert np.var(bob) == pytest.approx(scale * r_bob, rel=0.02)
+        assert abs(np.corrcoef(alice, bob)[0, 1]) < 0.01
 
 
 class TestSessionCsv:

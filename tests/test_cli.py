@@ -400,6 +400,24 @@ class TestBoundaryValidation:
         assert out == ""
         assert key in err and "finite" in err
 
+    def test_source_frequency_above_f_b_rejected(self, capsys):
+        code, out, err = run_main(
+            ["attack", "--preset", "fig5", "--f-a", "2e5", "--bits", "10"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "frequency" in err and "f_b" in err
+
+    def test_sweep_frequency_above_f_b_fails_before_any_row(self, capsys):
+        code, out, err = run_main(
+            ["sweep", "--preset", "fig5", "--f-a-list", "318.3,2e5", "--u-eff-points", "1",
+             "--bits", "10"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "frequency" in err
+
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[channel]\nphase_rad = nan\n")

@@ -30,6 +30,7 @@ from kljnsim import (
     u_eff_of_teff,
     write_sweep_csv,
 )
+import kljnsim.experiment as experiment
 from kljnsim.noise import NoiseSpec
 
 # rms of the wire noise at T_eff = 9e15 K over a 100 kHz band with the
@@ -239,6 +240,18 @@ class TestRunPoint:
         config = make_config(n_secure_bits=100)
         attack = AttackConfig(mode=AttackMode.LOW_FREQ)
         assert run_point(config, attack) == run_point(config, attack)
+
+    def test_notch_center_checked_before_any_work(self, monkeypatch):
+        def never(*args):
+            pytest.fail("the cell started before its notch center was checked")
+
+        monkeypatch.setattr(experiment, "simulate_session", never)
+        monkeypatch.setattr(experiment, "hf_prepare", never)
+        config = make_config(f_c=500.0, source=PeriodicSource(amplitude=1.0, frequency=2000.0))
+        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_center=2.0e5, notch_halfwidth=10.0)
+        with pytest.raises(ConfigurationError, match="notch center"):
+            run_point(config, attack, defense)
 
 
 class TestSweep:

@@ -17,15 +17,15 @@ from kljnsim.cli import main
 GOLDEN = [
     (
         "simulate --preset fig5 --bits 2 --seed 7",
-        "ae705e53d2e0133ad982ddcad2db6b61c7aee10b5a366bf39619a7285f0d3a54",
+        "1ae52a38b2289ff9190135f9bffa1cd4da91701d7b3031f568942f8d1398f56b",
     ),
     (
         "simulate --preset fig6 --bits 2 --seed 7",
-        "c02e3930e26e61e4224627b5c5c57dc3e70b5ebb5ccc902fa09d38af79080da8",
+        "4028a9707efbda4d4fe1ce3afeb24faacb0050b256e76f2dbc3d406286a5432f",
     ),
     (
         "attack --preset fig5 --u-eff 1 --bits 300 --seed 7",
-        "5eb28a603d59e0c1be07a43812c0d895fce29eb73a4c7fdeb10fcade01e3ed9c",
+        "fe6b6323be003c13c95a72779627478471df436ed4089398bd91e86907e6b892",
     ),
     (
         "attack --preset fig6 --u-eff 1 --bits 300 --seed 7 --ensemble-size 200",
@@ -33,20 +33,20 @@ GOLDEN = [
     ),
     (
         "sweep --preset fig5 --u-eff-points 3 --bits 200 --seed 7",
-        "4088a7c2069cd0d070444de15921148e386e0ce4254e6726d208a053e381e2ea",
+        "c4c878775fb8593e4d1738796e1cdd2a654a3dcba1e043e92077bad96e0a4d9a",
     ),
     (
         "sweep --preset fig6 --u-eff-points 3 --bits 200 --seed 7 --ensemble-size 200",
-        "ff3a95a1a49ca1601186c8855be6eeb699a62538f10461c922c98ee7c57deb2b",
+        "5ee2057a16ce1040d5eca9a9a62098d62309989c0239a8886f88b2fdce141d8e",
     ),
     (
         "defend --preset fig5 --u-eff-points 2 --bits 200 --seed 7",
-        "63e91f5c1a83d51c4a21305db5185b70027417fd019c60059fc5dc74147bf34e",
+        "16130df2cd9ddf36415d734fd08b19dce1a1b76937399041bceade32bd7412ed",
     ),
     (
         "defend --preset fig6 --u-eff-points 2 --bits 200 --seed 7 --ensemble-size 200 "
         "--defense raise_temperature --target-t-eff 1e17",
-        "88368efce56a8272fc96df8648250f8461dccccc0bb97467416d865bbe4015ca",
+        "d6826c5c3e2944aafaf58cda33872a7f21ff500b08507bd1669d0291e4a3cad5",
     ),
 ]
 
@@ -56,4 +56,5 @@ def test_cli_output_is_pinned(command, digest, tmp_path, capsys):
     target = tmp_path / "out.csv"
     assert main(command.split() + ["--out", str(target)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+    actual = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert actual == digest, f"{command!r} now hashes to {actual}"

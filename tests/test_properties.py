@@ -1,23 +1,19 @@
 """Properties of the batched session engine.
 
 Results must be pure functions of (config, seed): independent of the
-batch size the engine works in and of the number of sweep threads.  The
-resistor coin stream must match the period-by-period draws it replaced,
-and memory must not grow with the number of secure bits.  The helper
-thread that draws noise ahead must neither change a number nor outlive
-the iteration that started it.
+batch size the engine works in, of the number of sweep threads and of
+whether a session is iterated over every period or its secure periods
+only.  The resistor coin stream must match the period-by-period draws it
+replaced, and memory must not grow with the number of secure bits.
 """
 
 import dataclasses
 import hashlib
 import io
 import math
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +21,7 @@ import kljnsim.channel as channel
 from kljnsim import (
     AttackConfig,
     AttackMode,
-    ConfigurationError,
+    AttackOutcome,
     DefenseKind,
     DefenseSpec,
     UNDETERMINED,
@@ -200,67 +196,66 @@ def test_memory_bounded_in_secure_bits():
     assert peak_four <= 1.10 * peak_one, (peak_one, peak_four)
 
 
-def consume_blocks(rng, count):
-    """Every (index, unit) pair, and the most threads alive beside the consumer's."""
-    baseline = threading.active_count()
-    pairs, extra = [], 0
-    for pair in channel.unit_noise_blocks(rng, count, 5):
-        extra = max(extra, threading.active_count() - baseline)
-        pairs.append(pair)
-    return pairs, extra
+def secure_rows(session, **iteration):
+    """Index, situation and wire voltage of the secure periods, as bytes."""
+    chunks = list(session.chunks(**iteration))
+    return [
+        np.concatenate([getattr(chunk, name)[chunk.secure] for chunk in chunks]).tobytes()
+        for name in ("index", "situations", "wire_voltage")
+    ]
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=SEEDS,
-    count=st.integers(min_value=1, max_value=300),
-    on_main_thread=st.booleans(),
-)
-def test_blocks_continue_one_inline_stream(seed, count, on_main_thread):
-    # On the main thread one helper draws ahead; sweep pool workers draw inline.
-    def philox():
-        return np.random.Generator(np.random.Philox(key=seed))
-
-    if on_main_thread:
-        pairs, extra = consume_blocks(philox(), count)
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pairs, extra = pool.submit(consume_blocks, philox(), count).result(timeout=60)
-    assert extra == (1 if on_main_thread else 0)
-    assert np.array_equal(np.concatenate([index for index, _ in pairs]), np.arange(count))
-    drawn = np.concatenate([unit for _, unit in pairs])
-    assert np.array_equal(drawn, philox().standard_normal((count, 2, 5)))
+@settings(max_examples=6, deadline=None)
+@given(seed=SEEDS, mode=st.sampled_from(AttackMode), bits=st.integers(min_value=1, max_value=300))
+def test_secure_rows_do_not_depend_on_iteration(seed, mode, bits):
+    config = make_config(mode, seed, bits)
+    session = simulate_session(config)
+    assert np.array_equal(session.situations, period_by_period_situations(config))
+    reference = secure_rows(session, secure_only=True)
+    assert reference[0] == np.flatnonzero(session.secure).tobytes()
+    default = channel.CHUNK_PERIODS
+    try:
+        for size in (1, 7, default):
+            channel.CHUNK_PERIODS = size
+            for iteration in ({"secure_only": True}, {}, {"parts": True}):
+                assert secure_rows(session, **iteration) == reference, (size, iteration)
+    finally:
+        channel.CHUNK_PERIODS = default
 
 
-def test_noise_helper_thread_never_outlives_iteration():
-    baseline = threading.active_count()
-    session = simulate_session(make_config(AttackMode.HIGH_FREQ, 7, bits=400))
-    assert len(session) > 2 * channel.CHUNK_PERIODS
-    first = wire_of(session)
-    assert threading.active_count() == baseline
-    for chunk in session.chunks():
-        assert threading.active_count() == baseline + 1
-        break
-    assert threading.active_count() == baseline
-    assert np.array_equal(wire_of(session), first)
-    assert threading.active_count() == baseline
+def all_period_outcome(config, attack):
+    """Reference: score the secure rows of an iteration over every period."""
+    guessed = correct = 0
+    for chunk in simulate_session(config).chunks():
+        secure = chunk.secure
+        threshold = lf_threshold(
+            config.source, chunk.index[secure] + 1, config.period_duration, attack.kappa
+        )
+        guess = lf_decide(threshold, lf_gamma(chunk.wire_voltage[secure], threshold)).guess
+        guessed += int(np.count_nonzero(guess != UNDETERMINED))
+        correct += int(np.count_nonzero(guess == chunk.situations[secure]))
+    return AttackOutcome.from_counts(config.n_secure_bits, guessed, correct)
 
 
-@pytest.mark.parametrize(
-    "attack, defense",
-    [
-        # The notch rejects its center on the first chunk, with the next
-        # chunk's noise already in flight.
-        (
-            AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100),
-            DefenseSpec(kind=DefenseKind.NOTCH, notch_center=2.0e5, notch_halfwidth=10.0),
-        ),
-        # The rehearsal rejects the band before drawing anything.
-        (AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100, band=(10.0, 2.0e5)), None),
-    ],
-)
-def test_noise_helper_thread_never_outlives_failed_run(attack, defense):
-    baseline = threading.active_count()
-    with pytest.raises(ConfigurationError):
-        run_point(make_config(AttackMode.HIGH_FREQ, 7, bits=400), attack, defense)
-    assert threading.active_count() == baseline
+@settings(max_examples=3, deadline=None)
+@given(seed=SEEDS)
+def test_sweep_scores_the_secure_rows_of_every_period(seed):
+    base = make_config(AttackMode.LOW_FREQ, seed, bits=40)
+    attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+    grid, frequencies = [0.3, 3.0], [318.30, 101.32]
+    expected = [
+        all_period_outcome(
+            dataclasses.replace(
+                base,
+                t_eff=teff_of_ueff(u_eff, PAIR, base.f_b),
+                seed=mix_seed(base.seed, j, i),
+                source=dataclasses.replace(base.source, frequency=f_a),
+            ),
+            attack,
+        )
+        for i, f_a in enumerate(frequencies)
+        for j, u_eff in enumerate(grid)
+    ]
+    for workers in (1, 3):
+        points = sweep(base, attack, u_eff_grid=grid, f_a_list=frequencies, max_workers=workers)
+        assert [point.outcome for point in points] == expected
