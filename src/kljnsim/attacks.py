@@ -41,8 +41,10 @@ __all__ = [
     "UNDETERMINED",
     "default_band",
     "hf_ac_power",
+    "hf_band",
     "hf_decide",
     "hf_prepare",
+    "hf_source_band",
     "lf_decide",
     "lf_gamma",
     "lf_threshold",
@@ -128,7 +130,8 @@ class HfPreparation:
 
     Attributes:
         noise_background: Ensemble-averaged periodogram of the noise-only
-            wire voltage over one bit period.
+            wire voltage over one bit period, at unit temperature (1 K);
+            noise power is proportional to t_eff.
         ac_threshold: Midpoint of the band-averaged source power in the
             two secure situations.
         band: Spectral window (f_lo, f_hi) used for band averages.
@@ -256,7 +259,9 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     ensemble-averaged noise periodogram and the midpoint threshold between
     the band-averaged source power with the divider the two situations
     would apply.  The divider only scales the source, so each member needs
-    one source periodogram, scaled by both squared divider ratios.
+    one source band power, scaled by both squared divider ratios.  Noise
+    is rehearsed at unit temperature, so ``config.t_eff`` is not used and
+    one rehearsal serves every temperature (see :func:`hf_ac_power`).
 
     Raises:
         ConfigurationError: If the band reaches outside (0, f_b] or holds
@@ -279,8 +284,7 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     rng = np.random.Generator(
         np.random.Philox(key=mix_seed(config.seed, _STREAM_EAVESDROPPER))
     )
-    rms = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
-    offsets = np.arange(spb)
+    rms = johnson_rms(config.resistors.parallel, 1.0, config.f_b)
     m_count = attack.ensemble_size
     background_sum = np.zeros(spb // 2 + 1)
     source_power = np.empty(m_count)
@@ -288,8 +292,8 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         # Add member by member so the sum does not depend on the batching.
         for bins in power_spectrum(rms * rng.standard_normal((members.size, spb))):
             background_sum += bins
-        source = config.source.sample((members[:, None] * spb + offsets) / f_s)
-        source_power[members] = np.mean(power_spectrum(source)[:, mask], axis=1)
+        source = hf_source_band(config, members, mask)
+        source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
 
     background = Spectrum(
         bins=background_sum / m_count,
@@ -302,22 +306,56 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     return HfPreparation(background, ac_threshold, band, m_count, spb)
 
 
-def hf_ac_power(wire: np.ndarray, prep: HfPreparation) -> np.ndarray:
-    """Background-subtracted band power of each measured period.
+def hf_band(samples: np.ndarray, prep: HfPreparation) -> np.ndarray:
+    """1/N-normalized DFT coefficients of each period inside the band.
 
-    ``wire`` holds one period per row.  Subtracts the rehearsed noise
-    spectrum bin by bin and averages over the window without clipping, so
-    the estimator stays unbiased; negative values simply mean the period
-    held less band power than the noise average.
+    ``samples`` holds one period per row.  The DFT is linear, so the band
+    of ``ac + sigma * z`` is ``hf_band(ac) + sigma * hf_band(z)``.
     """
-    wire = np.asarray(wire)
-    if wire.shape[-1] != prep.samples_per_bit:
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.shape[-1] != prep.samples_per_bit:
         raise ShapeMismatchError(
-            f"measured periods hold {wire.shape[-1]} samples, the rehearsal "
+            f"measured periods hold {samples.shape[-1]} samples, the rehearsal "
             f"ran at {prep.samples_per_bit}"
         )
-    bins = power_spectrum(wire)[..., prep.mask]
-    return np.mean(bins - prep.noise_background.bins[prep.mask], axis=-1)
+    return np.fft.rfft(samples, axis=-1)[..., prep.mask] / prep.samples_per_bit
+
+
+def hf_source_band(config: KljnConfig, index: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The source's band coefficients over the 0-based periods ``index``.
+
+    They equal :func:`hf_band` of the sampled source, for the band that
+    ``mask`` selects, but come in closed form.  Period i starts at phase theta_i = omega * i * N / f_s + phi, and
+    A cos(theta_i + omega k / f_s) = A (cos theta_i c_k - sin theta_i s_k),
+    so by linearity its band is A (cos theta_i C - sin theta_i S), with C
+    and S the bands of c and s: two cosines per period instead of N.
+    """
+    source, f_s, spb = config.source, config.sample_rate, config.samples_per_bit
+    omega = 2.0 * pi * source.frequency
+    steps = omega * np.arange(spb) / f_s
+    cos_band, sin_band = np.fft.rfft([np.cos(steps), np.sin(steps)], axis=-1)[:, mask] / spb
+    theta = omega * (np.asarray(index)[:, None] * spb / f_s) + source.phase
+    return source.amplitude * (np.cos(theta) * cos_band - np.sin(theta) * sin_band)
+
+
+def hf_ac_power(coeffs: np.ndarray, prep: HfPreparation, t_eff: float) -> np.ndarray:
+    """Background-subtracted band power of each measured period.
+
+    ``coeffs`` holds each period's band coefficients from :func:`hf_band`,
+    one period per row, measured at temperature ``t_eff``.  Subtracts the
+    rehearsed noise spectrum, scaled to ``t_eff``, bin by bin and averages
+    over the window without clipping, so the estimator stays unbiased;
+    negative values simply mean the period held less band power than the
+    noise average.
+    """
+    coeffs = np.asarray(coeffs)
+    bins = prep.noise_background.bins[prep.mask]
+    if coeffs.shape[-1] != bins.size:
+        raise ShapeMismatchError(
+            f"got {coeffs.shape[-1]} coefficients per period, the band holds "
+            f"{bins.size} bins; pass the periods through hf_band first"
+        )
+    return np.mean(coeffs.real**2 + coeffs.imag**2 - t_eff * bins, axis=-1)
 
 
 def hf_decide(ac_power, prep: HfPreparation) -> np.ndarray:

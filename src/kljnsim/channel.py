@@ -282,15 +282,18 @@ def wire_current(
 class SessionChunk:
     """Consecutive bit periods as arrays, one row per period.
 
-    ``wire_voltage`` is what an eavesdropper can tap.  ``ac_part``,
-    ``noise_part`` and ``wire_current`` are the ground-truth decomposition,
-    filled in only when the chunk was asked for its parts.
+    ``wire_voltage`` is what an eavesdropper can tap: ``ac_part`` plus the
+    Johnson rms of the period's parallel resistance times ``unit_noise``.
+    Both are None when the chunk was asked for its unit noise alone.
+    ``noise_part`` and ``wire_current`` complete the ground-truth
+    decomposition, filled in only when the chunk was asked for its parts.
     """
 
     index: np.ndarray  # 0-based period numbers
     situations: np.ndarray  # Situation codes
-    wire_voltage: np.ndarray
-    ac_part: np.ndarray | None = None
+    wire_voltage: np.ndarray | None
+    ac_part: np.ndarray | None
+    unit_noise: np.ndarray  # standard normals, one per sample
     noise_part: np.ndarray | None = None
     wire_current: np.ndarray | None = None
 
@@ -319,7 +322,9 @@ class Session:
     def secure(self) -> np.ndarray:
         return secure_mask(self.situations)
 
-    def chunks(self, parts: bool = False, secure_only: bool = False) -> Iterator[SessionChunk]:
+    def chunks(
+        self, parts: bool = False, secure_only: bool = False, samples: bool = True
+    ) -> Iterator[SessionChunk]:
         """Yield the session's periods in order, ``CHUNK_PERIODS`` at a time.
 
         Each period draws fresh wire noise (independent across periods,
@@ -329,11 +334,13 @@ class Session:
         so ``secure_only``, which yields the secure periods alone and never
         synthesizes the others, gives the same secure rows as iterating
         every period.  The source is evaluated on the global time grid so
-        its phase never resets.  ``parts`` also fills in the AC part, the
-        noise part and the loop current; it needs every period.
+        its phase never resets.  ``parts`` also fills in the noise part and
+        the loop current; it needs every period.  ``samples=False`` draws
+        the coins' unit noise alone, for a caller that builds the rest in
+        closed form.
         """
-        if parts and secure_only:
-            raise ConfigurationError("parts are synthesized for every period, not secure_only")
+        if parts and (secure_only or not samples):
+            raise ConfigurationError("parts are synthesized for every period, from samples")
         config = self.config
         spb = config.samples_per_bit
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
@@ -345,9 +352,6 @@ class Session:
         offsets = np.arange(spb)
         for index in period_batches(periods):
             codes = self.situations[index]
-            r_alice = resistors[codes[:, None] >> 1]
-            r_bob = resistors[codes[:, None] & 1]
-            r_sum = r_alice + r_bob
             if secure_only:
                 unit = secure_rng.standard_normal((index.size, spb))
             else:
@@ -355,6 +359,12 @@ class Session:
                 unit = np.empty((index.size, spb))
                 for rows, rng in ((secure, secure_rng), (~secure, public_rng)):
                     unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
+            if not samples:
+                yield SessionChunk(index, codes, None, None, unit)
+                continue
+            r_alice = resistors[codes[:, None] >> 1]
+            r_bob = resistors[codes[:, None] & 1]
+            r_sum = r_alice + r_bob
             noise = johnson_rms(r_alice * r_bob / r_sum, config.t_eff, config.f_b) * unit
             source = config.source.sample((index[:, None] * spb + offsets) / config.sample_rate)
             ac = divider_ac(r_alice, r_bob, source)
@@ -371,9 +381,9 @@ class Session:
                 alice_noise = noise + r_alice / r_sum * difference
                 bob_noise = noise - r_bob / r_sum * difference
                 current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
-                yield SessionChunk(index, codes, wire, ac, noise, current)
+                yield SessionChunk(index, codes, wire, ac, unit, noise, current)
             else:
-                yield SessionChunk(index, codes, wire)
+                yield SessionChunk(index, codes, wire, ac, unit)
 
 
 def simulate_session(config: KljnConfig) -> Session:

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO
 
@@ -36,6 +36,7 @@ from .experiment import (
     DefenseKind,
     DefenseSpec,
     SweepPoint,
+    _check_notch,
     run_point,
     sweep,
     teff_of_ueff,
@@ -360,6 +361,17 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
         float(v) for v in np.logspace(math.log10(u_min), math.log10(u_max), u_points)
     ]
     f_a_list = [float(f) for f in grid_section.get("f_a_list_hz", [source.frequency])]
+    default_notch = kind is DefenseKind.NOTCH and defense.notch_center is None
+    for f_a in f_a_list if command in ("sweep", "defend") else ():
+        context = f"grid.f_a_list_hz holds {f_a:g}"
+        try:
+            replace(config, source=replace(source, frequency=f_a))
+            if command == "defend" and default_notch:
+                context += (" and the notch center defaults to the source frequency"
+                            " (set defense.notch_center_hz)")
+                _check_notch(config.sample_rate, f_a, halfwidth)
+        except ConfigurationError as error:
+            raise ConfigurationError(f"{context}: {error}") from None
 
     sections = {
         "channel": channel,

@@ -3,9 +3,10 @@
 The independent variable throughout is the wire noise level expressed as
 the rms voltage ``u_eff`` the loop would show across the parallel resistor
 combination; it maps bijectively to the effective temperature.  A sweep
-runs one full session plus attack per (source frequency, u_eff) cell with
-a per-cell seed derived from the base seed and the cell indices, so cells
-are independent, order-insensitive, and safe to execute in parallel.
+replays one session per source frequency, a column, at every u_eff, so
+the cells of a column share their random numbers.  Column seeds derive
+from the base seed and the column index, so columns are independent and
+safe to run in parallel.
 """
 
 from __future__ import annotations
@@ -25,16 +26,19 @@ from .attacks import (
     UNDETERMINED,
     AttackConfig,
     AttackMode,
+    HfPreparation,
     hf_ac_power,
+    hf_band,
     hf_decide,
     hf_prepare,
+    hf_source_band,
     lf_decide,
     lf_gamma,
     lf_threshold,
 )
-from .channel import KljnConfig, ResistorPair, simulate_session
+from .channel import KljnConfig, ResistorPair, divider_ac, simulate_session
 from .errors import ConfigurationError
-from .noise import BOLTZMANN, mix_seed
+from .noise import BOLTZMANN, johnson_rms, mix_seed
 
 __all__ = [
     "AttackOutcome",
@@ -44,6 +48,7 @@ __all__ = [
     "SweepPoint",
     "default_u_eff_grid",
     "notch_filter",
+    "run_column",
     "run_point",
     "sweep",
     "teff_of_ueff",
@@ -211,7 +216,10 @@ def notch_filter(
 
 
 def run_point(
-    config: KljnConfig, attack: AttackConfig, defense: DefenseSpec | None = None
+    config: KljnConfig,
+    attack: AttackConfig,
+    defense: DefenseSpec | None = None,
+    rehearsal: HfPreparation | None = None,
 ) -> AttackOutcome:
     """Simulate one session and run the chosen attack over its secure bits.
 
@@ -220,11 +228,14 @@ def run_point(
     bounded whatever the bit count.  Scoring compares the guessed situation
     against the ground truth.  Undetermined low-frequency bits are dropped
     from numerator and denominator alike.  A notch center outside the band
-    is rejected before any of that work starts.
+    is rejected before any of that work starts.  ``rehearsal`` is
+    ``hf_prepare(config, attack)`` when the caller has drawn it already.
     """
     if defense is None:
         defense = DefenseSpec()
-    if attack.mode is AttackMode.LOW_FREQ and not attack.eve_knows_source:
+    lowfreq = attack.mode is AttackMode.LOW_FREQ
+    notched = defense.kind is DefenseKind.NOTCH
+    if lowfreq and not attack.eve_knows_source:
         raise ConfigurationError(
             "the threshold protocol needs the source waveform; "
             "set eve_knows_source or use the spectral mode"
@@ -233,30 +244,63 @@ def run_point(
     notch_center = defense.notch_center
     if notch_center is None:
         notch_center = config.source.frequency
-    if defense.kind is DefenseKind.NOTCH:
-        _check_notch(config.sample_rate, notch_center, defense.notch_halfwidth)
+    halfwidth = defense.notch_halfwidth
+    if notched:
+        _check_notch(config.sample_rate, notch_center, halfwidth)
 
     session = simulate_session(config)
-    if attack.mode is AttackMode.HIGH_FREQ:
-        prep = hf_prepare(config, attack)
+    if not lowfreq:
+        prep = rehearsal if rehearsal is not None else hf_prepare(config, attack)
+        sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
+        r_low, r_high = config.resistors.r_low, config.resistors.r_high
+        gains = divider_ac(np.array([r_low, r_high]), np.array([r_high, r_low]), 1.0)[:, None]
+        if notched:
+            band_freqs = prep.noise_background.frequencies()[prep.mask]
+            cut = np.abs(band_freqs - notch_center) <= halfwidth
     tau = config.period_duration
 
     n_guessed = 0
     n_correct = 0
-    for chunk in session.chunks(secure_only=True):
-        wire = chunk.wire_voltage
-        if defense.kind is DefenseKind.NOTCH:
-            wire = notch_filter(wire, config.sample_rate, notch_center, defense.notch_halfwidth)
-        if attack.mode is AttackMode.LOW_FREQ:
+    for chunk in session.chunks(secure_only=True, samples=lowfreq):
+        if lowfreq:
+            wire = chunk.wire_voltage
+            if notched:
+                wire = notch_filter(wire, config.sample_rate, notch_center, halfwidth)
             threshold = lf_threshold(config.source, chunk.index + 1, tau, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
         else:
-            guess = hf_decide(hf_ac_power(wire, prep), prep)
+            # The band of the wire, gain * source + sigma * z, with the
+            # source in closed form; codes 1 and 2 are LH and HL.
+            coeffs = gains[chunk.situations - 1] * hf_source_band(config, chunk.index, prep.mask)
+            coeffs += sigma * hf_band(chunk.unit_noise, prep)
+            if notched:
+                coeffs[..., cut] = 0.0
+            if not np.all(np.isfinite(coeffs)):
+                raise ConfigurationError(
+                    "wire voltage overflows float64; lower t_eff or the source amplitude"
+                )
+            guess = hf_decide(hf_ac_power(coeffs, prep, config.t_eff), prep)
         n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
         n_correct += int(np.count_nonzero(guess == chunk.situations))
 
     n_secure = int(np.count_nonzero(session.secure))
     return AttackOutcome.from_counts(n_secure, n_guessed, n_correct)
+
+
+def run_column(
+    config: KljnConfig,
+    attack: AttackConfig,
+    t_effs: Sequence[float],
+    defense: DefenseSpec | None = None,
+) -> list[AttackOutcome]:
+    """:func:`run_point` at each of ``t_effs``, sharing one rehearsal.
+
+    Every cell replays the coins and unit noise of ``config.seed`` at its
+    own temperature (common random numbers): cells are correlated, but
+    each has the distribution of a session of its own.
+    """
+    rehearsal = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
+    return [run_point(replace(config, t_eff=t), attack, defense, rehearsal) for t in t_effs]
 
 
 def default_u_eff_grid(n_points: int = 25) -> np.ndarray:
@@ -274,14 +318,14 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate the attack over a (source frequency, noise level) grid.
 
-    Each cell reruns the full session at the temperature implied by its
-    u_eff, with the cell seed mixed from the base seed and the cell's
-    (u_eff index, f_a index); extending either list never changes the
-    seeds of existing cells.  A raise_temperature defense can run a cell
+    Each source frequency is one column, seeded from the base seed and the
+    column's index in ``f_a_list`` and scored at every u_eff by
+    :func:`run_column`.  Each row equals :func:`run_point` at the column
+    seed and the row's temperature, so appending to either list never
+    changes an existing row.  A raise_temperature defense can run a cell
     hotter than its grid point; the cell then reports the temperature and
-    u_eff it actually ran at.  Results are ordered by (f_a, u_eff)
-    regardless of ``max_workers``, and the outputs are identical whether
-    cells run sequentially or in parallel.
+    u_eff it actually ran at.  The pool runs whole columns, and results
+    are ordered by (f_a, u_eff) and identical whatever ``max_workers``.
     """
     grid = [float(u) for u in (u_eff_grid if u_eff_grid is not None else default_u_eff_grid())]
     frequencies = [float(f) for f in (f_a_list if f_a_list is not None else [base.source.frequency])]
@@ -290,30 +334,27 @@ def sweep(
     if defense is None:
         defense = DefenseSpec()
 
-    cells: list[tuple[float, float, float, KljnConfig]] = []
-    for i, f_a in enumerate(frequencies):
-        for j, u_eff in enumerate(grid):
-            grid_t_eff = teff_of_ueff(u_eff, base.resistors, base.f_b)
-            t_eff = defense.applied_t_eff(grid_t_eff)
-            if t_eff != grid_t_eff:
-                u_eff = u_eff_of_teff(t_eff, base.resistors, base.f_b)
-            cell_config = replace(
-                base,
-                t_eff=t_eff,
-                seed=mix_seed(base.seed, j, i),
-                source=replace(base.source, frequency=f_a),
-            )
-            cells.append((f_a, u_eff, t_eff, cell_config))
+    t_effs = [teff_of_ueff(u_eff, base.resistors, base.f_b) for u_eff in grid]
+    labels = [  # the (t_eff, u_eff) each cell actually runs at
+        (ran, u_eff if ran == t_eff else u_eff_of_teff(ran, base.resistors, base.f_b))
+        for u_eff, t_eff, ran in zip(grid, t_effs, map(defense.applied_t_eff, t_effs))
+    ]
+    columns = [
+        replace(base, seed=mix_seed(base.seed, i), source=replace(base.source, frequency=f_a))
+        for i, f_a in enumerate(frequencies)
+    ]
 
-    def evaluate(cell: tuple[float, float, float, KljnConfig]) -> SweepPoint:
-        f_a, u_eff, t_eff, cell_config = cell
-        outcome = run_point(cell_config, attack, defense)
-        return SweepPoint(t_eff, u_eff, f_a, attack.mode, outcome)
+    def evaluate(config: KljnConfig) -> list[SweepPoint]:
+        outcomes = run_column(config, attack, t_effs, defense)
+        f_a = config.source.frequency
+        return [SweepPoint(t, u, f_a, attack.mode, o) for (t, u), o in zip(labels, outcomes)]
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, cells))
-    return [evaluate(cell) for cell in cells]
+            results = list(pool.map(evaluate, columns))
+    else:
+        results = [evaluate(config) for config in columns]
+    return [point for column in results for point in column]
 
 
 SWEEP_CSV_COLUMNS = (

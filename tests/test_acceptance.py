@@ -29,6 +29,7 @@ from kljnsim import (
     divider_ac,
     generate_unit_gbwn,
     hf_ac_power,
+    hf_band,
     hf_decide,
     hf_prepare,
     lf_gamma,
@@ -297,7 +298,7 @@ def test_attack_micro_oracles(acceptance_log):
     )
     session = simulate_session(noise_free)
     perfect = np.array_equal(
-        hf_decide(hf_ac_power(secure_rows(session, "wire_voltage"), prep), prep),
+        hf_decide(hf_ac_power(hf_band(secure_rows(session, "wire_voltage"), prep), prep, 0), prep),
         session.situations[session.secure],
     )
     checks.append(("noise-free spectral count", perfect))

@@ -22,6 +22,7 @@ from kljnsim import (
     default_band,
     divider_ac,
     hf_ac_power,
+    hf_band,
     hf_decide,
     hf_prepare,
     lf_decide,
@@ -250,7 +251,8 @@ class TestHfPrepare:
         freqs = prep.noise_background.frequencies()
         mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
         mask[0] = False
-        measured = float(np.mean(prep.noise_background.bins[mask]))
+        # The rehearsal is at unit temperature; noise power scales with t_eff.
+        measured = config.t_eff * float(np.mean(prep.noise_background.bins[mask]))
         parallel = 1.0e3 * 1.0e4 / 1.1e4
         sigma_sq = 4.0 * 1.380649e-23 * 9.0e15 * parallel * config.f_b
         assert measured == pytest.approx(sigma_sq / config.samples_per_bit, rel=0.05)
@@ -316,21 +318,27 @@ class TestHfAcPower:
             & (np.arange(spb // 2 + 1) * (config.sample_rate / spb) <= band[1])
         )
         expected = (10.0 / 11.0) ** 2 * 0.25 / n_bins
-        assert hf_ac_power(wire, prep) == pytest.approx(expected, rel=1e-12)
+        assert hf_ac_power(hf_band(wire, prep), prep, 0.0) == pytest.approx(expected, rel=1e-12)
         # A batch of identical periods gives the same value on every row.
-        batch = hf_ac_power(np.tile(wire, (3, 1)), prep)
+        batch = hf_ac_power(hf_band(np.tile(wire, (3, 1)), prep), prep, 0.0)
         np.testing.assert_allclose(batch, expected, rtol=1e-12)
 
     def test_zero_wire_gives_zero(self):
         config = make_config()
         prep = silent_preparation(config, (500.0, 4500.0))
-        assert hf_ac_power(np.zeros(config.samples_per_bit), prep) == 0.0
+        assert hf_ac_power(hf_band(np.zeros(config.samples_per_bit), prep), prep, 0.0) == 0.0
 
     def test_mismatched_grid_rejected(self):
         config = make_config()
         prep = silent_preparation(config, (500.0, 4500.0))
         with pytest.raises(ShapeMismatchError):
-            hf_ac_power(np.zeros(config.samples_per_bit + 1), prep)
+            hf_band(np.zeros(config.samples_per_bit + 1), prep)
+
+    def test_samples_instead_of_band_coefficients_rejected(self):
+        config = make_config()
+        prep = silent_preparation(config, (500.0, 4500.0))
+        with pytest.raises(ShapeMismatchError, match="hf_band"):
+            hf_ac_power(np.zeros(config.samples_per_bit), prep, config.t_eff)
 
     def test_unbiased_on_pure_noise(self):
         # Background subtraction must center the statistic on zero when no
@@ -347,11 +355,11 @@ class TestHfAcPower:
                 )
             )
         )
-        values = hf_ac_power(wire[secure_mask(situations)], prep)
+        values = hf_ac_power(hf_band(wire[secure_mask(situations)], prep), prep, config.t_eff)
         freqs = prep.noise_background.frequencies()
         mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
         mask[0] = False
-        bin_level = float(np.mean(prep.noise_background.bins[mask]))
+        bin_level = config.t_eff * float(np.mean(prep.noise_background.bins[mask]))
         n_bins = int(np.count_nonzero(mask))
         tolerance = 6.0 * bin_level / math.sqrt(n_bins * len(values))
         assert abs(float(np.mean(values))) < tolerance
@@ -382,7 +390,7 @@ class TestHfDecide:
         prep = hf_prepare(config, attack)
         situations, wire = session_rows(simulate_session(config))
         secure = secure_mask(situations)
-        guess = hf_decide(hf_ac_power(wire[secure], prep), prep)
+        guess = hf_decide(hf_ac_power(hf_band(wire[secure], prep), prep, config.t_eff), prep)
         assert np.array_equal(guess, situations[secure])
 
 

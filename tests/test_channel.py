@@ -255,7 +255,7 @@ class TestSimulateSession:
             assert chunk.wire_current.shape == chunk.wire_voltage.shape
         for chunk in session.chunks():
             assert chunk.wire_current is None
-            assert chunk.ac_part is None and chunk.noise_part is None
+            assert chunk.noise_part is None
 
     def test_noise_level_tracks_parallel_resistance(self):
         arrays = session_arrays(simulate_session(make_config(n_secure_bits=300)))

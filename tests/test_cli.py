@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from kljnsim import AttackMode, DefenseKind, ResistorPair, u_eff_of_teff
+from kljnsim import AttackMode, DefenseKind, ResistorPair, mix_seed, u_eff_of_teff
 from kljnsim.cli import PRESETS, main, parse_config
 
 
@@ -258,6 +258,28 @@ class TestSweepCommand:
         _, parallel, _ = run_main(argv + ["--threads", "3"], capsys)
         assert serial == parallel
 
+    @pytest.mark.parametrize("preset", ["fig5", "fig6"])
+    def test_rows_equal_attack_at_column_seed(self, preset, capsys):
+        frequencies = PRESETS[preset]["grid"]["f_a_list_hz"][:2]
+        common = ["--preset", preset, "--bits", "60", "--ensemble-size", "100"]
+        code, out, _ = run_main(
+            ["sweep", *common, "--seed", "5", "--u-eff-points", "3",
+             "--f-a-list", ",".join(map(str, frequencies))],
+            capsys,
+        )
+        assert code == 0
+        expected = []
+        for i, f_a in enumerate(frequencies):
+            for u_eff in ("0.01", "1", "100"):
+                code, row, _ = run_main(
+                    ["attack", *common, "--seed", str(mix_seed(5, i)), "--u-eff", u_eff,
+                     "--f-a", str(f_a)],
+                    capsys,
+                )
+                assert code == 0
+                expected.append(row.splitlines()[1])
+        assert out.splitlines()[1:] == expected
+
     def test_seed_flag_changes_rows(self, capsys):
         argv = [
             "sweep",
@@ -417,6 +439,30 @@ class TestBoundaryValidation:
         assert code == 1
         assert out == ""
         assert "frequency" in err
+
+    def test_grid_frequency_above_f_b_names_the_grid_key(self, capsys):
+        code, out, err = run_main(
+            ["sweep", "--preset", "fig5", "--f-a-list", "318.3,2e5", "--u-eff-points", "1",
+             "--bits", "10"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "grid.f_a_list_hz" in err and "200000" in err
+        assert "# " not in err  # rejected before the echo
+
+    def test_default_notch_at_nyquist_rejected_before_echo(self, capsys):
+        argv = ["defend", "--preset", "fig6", "--f-a-list", "1e5", "--u-eff-points", "1",
+                "--bits", "10"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "grid.f_a_list_hz" in err and "defaults to the source frequency" in err
+        assert "# " not in err
+        # The same grid runs once the center is given inside the band.
+        code, out, _ = run_main(argv + ["--notch-center", "3000"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 2
 
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -19,12 +19,26 @@ from kljnsim import (
     PeriodicSource,
     ResistorPair,
     SWEEP_CSV_COLUMNS,
+    UNDETERMINED,
     default_u_eff_grid,
+    divider_ac,
     generate_unit_gbwn,
+    hf_ac_power,
+    hf_band,
+    hf_decide,
+    hf_prepare,
+    hf_source_band,
+    johnson_rms,
+    lf_decide,
+    lf_gamma,
+    lf_threshold,
     mix_seed,
     notch_filter,
     periodogram,
+    power_spectrum,
+    run_column,
     run_point,
+    simulate_session,
     sweep,
     teff_of_ueff,
     u_eff_of_teff,
@@ -262,7 +276,7 @@ class TestSweep:
         cell_config = dataclasses.replace(
             base,
             t_eff=teff_of_ueff(0.05, PAIR, base.f_b),
-            seed=mix_seed(base.seed, 0, 0),
+            seed=mix_seed(base.seed, 0),
             source=dataclasses.replace(base.source, frequency=318.30),
         )
         direct = run_point(cell_config, attack)
@@ -296,8 +310,39 @@ class TestSweep:
         base = make_config(n_secure_bits=20)
         attack = AttackConfig(mode=AttackMode.LOW_FREQ)
         short = sweep(base, attack, u_eff_grid=[0.1, 1.0], f_a_list=[318.30])
-        grown = sweep(base, attack, u_eff_grid=[0.1, 1.0, 10.0], f_a_list=[318.30])
-        assert short == grown[:2]
+        grown = sweep(
+            base, attack, u_eff_grid=[0.01, 0.1, 1.0, 10.0], f_a_list=[318.30, 101.32]
+        )
+        assert short == grown[1:3]
+        # A column's rows depend on its index in f_a_list, not on its neighbours.
+        other = sweep(base, attack, u_eff_grid=[0.1], f_a_list=[32.25, 101.32])
+        assert grown[5] == other[1]
+
+    @pytest.mark.parametrize("mode", list(AttackMode))
+    @pytest.mark.parametrize("kind", [DefenseKind.NOTCH, DefenseKind.RAISE_TEMPERATURE])
+    def test_defended_rows_equal_run_point_at_column_seed(self, mode, kind):
+        if mode is AttackMode.LOW_FREQ:
+            base, frequencies = make_config(n_secure_bits=80), [318.30, 101.32]
+        else:
+            base, frequencies = hf_config(n_secure_bits=80), [2000.0, 16000.0]
+        attack = AttackConfig(mode=mode, ensemble_size=100)
+        if kind is DefenseKind.NOTCH:
+            defense = DefenseSpec(kind=kind, notch_halfwidth=500.0)
+        else:  # raises the two cooler cells to 1 V, keeps the hottest
+            defense = DefenseSpec(kind=kind, target_t_eff=teff_of_ueff(1.0, PAIR, base.f_b))
+        grid = [0.05, 0.5, 5.0]
+        points = sweep(base, attack, u_eff_grid=grid, f_a_list=frequencies, defense=defense)
+        for i, f_a in enumerate(frequencies):
+            column = dataclasses.replace(
+                base, seed=mix_seed(base.seed, i), source=PeriodicSource(1.0, f_a)
+            )
+            for u_eff, point in zip(grid, points[3 * i : 3 * i + 3]):
+                t_eff = teff_of_ueff(u_eff, PAIR, base.f_b)
+                cell = dataclasses.replace(column, t_eff=t_eff)
+                assert point.outcome == run_point(cell, attack, defense)
+                assert point.t_eff == defense.applied_t_eff(t_eff)
+        if kind is DefenseKind.RAISE_TEMPERATURE:
+            assert [pt.u_eff for pt in points[:3]] == pytest.approx([1.0, 1.0, 5.0], rel=1e-12)
 
     def test_default_grid(self):
         grid = default_u_eff_grid()
@@ -305,6 +350,119 @@ class TestSweep:
         assert grid[0] == pytest.approx(0.01, rel=1e-12)
         assert grid[-1] == pytest.approx(100.0, rel=1e-12)
         assert np.all(np.diff(np.log(grid)) > 0)
+
+
+def hf_config(**overrides):
+    return make_config(
+        f_c=500.0, source=PeriodicSource(amplitude=1.0, frequency=2000.0), **overrides
+    )
+
+
+def sampled_cell(config, attack, defense):
+    """Reference: classify each period's sampled wire, notched if the defense is a notch."""
+    prep = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
+    guessed = correct = 0
+    for chunk in simulate_session(config).chunks(secure_only=True):
+        wire = chunk.wire_voltage
+        if defense.kind is DefenseKind.NOTCH:
+            wire = notch_filter(wire, config.sample_rate, config.source.frequency,
+                                defense.notch_halfwidth)
+        if prep is None:
+            threshold = lf_threshold(
+                config.source, chunk.index + 1, config.period_duration, attack.kappa
+            )
+            guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
+        else:
+            guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)
+        guessed += int(np.count_nonzero(guess != UNDETERMINED))
+        correct += int(np.count_nonzero(guess == chunk.situations))
+    return AttackOutcome.from_counts(config.n_secure_bits, guessed, correct)
+
+
+class TestColumnAlgebra:
+    def test_unit_rehearsal_scales_to_direct_rehearsal(self):
+        config = hf_config(t_eff=9.0e15)
+        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=150)
+        # Reference: the rehearsal stream drawn straight at the cell's sigma.
+        rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, 3)))
+        sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+        noise = sigma * rng.standard_normal((150, config.samples_per_bit))
+        direct = np.mean(power_spectrum(noise), axis=0)
+        prep = hf_prepare(config, attack)
+        np.testing.assert_allclose(config.t_eff * prep.noise_background.bins, direct, rtol=1e-12)
+        # One rehearsal serves every temperature.
+        other = hf_prepare(dataclasses.replace(config, t_eff=1.0), attack)
+        assert np.array_equal(other.noise_background.bins, prep.noise_background.bins)
+        assert other.ac_threshold == prep.ac_threshold
+
+    def test_closed_form_source_band_matches_sampled_source(self):
+        config = make_config(f_c=500.0, source=PeriodicSource(0.7, 16000.0, 0.3), n_secure_bits=150)
+        prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
+        gains = divider_ac(np.array([1.0e3, 1.0e4]), np.array([1.0e4, 1.0e3]), 1.0)[:, None]
+        for chunk in simulate_session(config).chunks(secure_only=True):
+            closed = gains[chunk.situations - 1] * hf_source_band(config, chunk.index, prep.mask)
+            sampled = hf_band(chunk.ac_part, prep)
+            # Both round the phase omega * t + phi to within an ulp of itself.
+            theta = 2.0 * math.pi * 16000.0 * (chunk.index[-1] + 1) * config.period_duration
+            peak = np.max(np.abs(sampled), axis=1, keepdims=True)
+            assert np.all(np.abs(closed - sampled) <= 4.0 * np.finfo(float).eps * theta * peak)
+
+    @pytest.mark.parametrize("notched", [False, True])
+    def test_band_bins_match_wire_periodogram(self, notched):
+        config = hf_config(t_eff=teff_of_ueff(1.0, PAIR, 1.0e5), n_secure_bits=150)
+        prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
+        sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+        center, halfwidth = 2000.0, 500.0
+        freqs = np.fft.rfftfreq(config.samples_per_bit, d=1.0 / config.sample_rate)
+        cut = (np.abs(freqs - center) <= halfwidth)[prep.mask]
+        assert 0 < np.count_nonzero(cut) < cut.size
+        for chunk in simulate_session(config).chunks(secure_only=True):
+            assert np.array_equal(chunk.wire_voltage, chunk.ac_part + sigma * chunk.unit_noise)
+            ac, z = hf_band(chunk.ac_part, prep), hf_band(chunk.unit_noise, prep)
+            wire = chunk.wire_voltage
+            if notched:
+                ac[..., cut] = 0.0
+                z[..., cut] = 0.0
+                wire = notch_filter(wire, config.sample_rate, center, halfwidth)
+            coeffs = ac + sigma * z
+            expected = power_spectrum(wire)[..., prep.mask]
+            np.testing.assert_allclose(
+                coeffs.real**2 + coeffs.imag**2, expected, rtol=1e-12, atol=1e-12 * expected.max()
+            )
+
+    @pytest.mark.parametrize("mode", list(AttackMode))
+    @pytest.mark.parametrize("notched", [False, True])
+    def test_column_equals_classifying_each_sampled_wire(self, mode, notched):
+        lowfreq = mode is AttackMode.LOW_FREQ
+        config = make_config(n_secure_bits=150) if lowfreq else hf_config(n_secure_bits=150)
+        attack = AttackConfig(mode=mode, ensemble_size=100)
+        defense = DefenseSpec()
+        if notched:
+            defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=200.0)
+        t_effs = [teff_of_ueff(u, PAIR, config.f_b) for u in (0.01, 0.3, 3.0)]
+        outcomes = run_column(config, attack, t_effs, defense)
+        for t_eff, outcome in zip(t_effs, outcomes):
+            cell = dataclasses.replace(config, t_eff=t_eff)
+            assert outcome == sampled_cell(cell, attack, defense)
+
+    def test_zero_temperature_runs_on_the_bare_source(self):
+        config = hf_config(t_eff=0.0, n_secure_bits=60)
+        for chunk in simulate_session(config).chunks(secure_only=True):
+            assert np.array_equal(chunk.wire_voltage, chunk.ac_part)
+        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        cold, warm = run_column(config, attack, [0.0, teff_of_ueff(10.0, PAIR, config.f_b)])
+        assert cold.n_guessed == cold.n_correct == 60
+        assert cold == run_point(config, attack)
+        lowfreq = AttackConfig(mode=AttackMode.LOW_FREQ)
+        assert run_column(make_config(n_secure_bits=60), lowfreq, [0.0])[0].n_secure == 60
+
+    @pytest.mark.parametrize("t_effs", [[-1.0], [1.0, math.nan], [math.inf]])
+    def test_bad_temperatures_rejected(self, t_effs):
+        with pytest.raises(ConfigurationError, match="t_eff"):
+            run_column(make_config(), AttackConfig(mode=AttackMode.LOW_FREQ), t_effs)
+
+    def test_empty_column_has_no_cells(self):
+        assert run_column(make_config(), AttackConfig(mode=AttackMode.HIGH_FREQ), []) == []
 
 
 class TestSweepCsv:

@@ -33,20 +33,20 @@ GOLDEN = [
     ),
     (
         "sweep --preset fig5 --u-eff-points 3 --bits 200 --seed 7",
-        "c4c878775fb8593e4d1738796e1cdd2a654a3dcba1e043e92077bad96e0a4d9a",
+        "b7d236c6ee0cabeedbcd64be2eab467ef6bdd2bbd2f68e18efd9e5001e9374c5",
     ),
     (
         "sweep --preset fig6 --u-eff-points 3 --bits 200 --seed 7 --ensemble-size 200",
-        "5ee2057a16ce1040d5eca9a9a62098d62309989c0239a8886f88b2fdce141d8e",
+        "6d45f0e18628608b35b4dcc4b3c614c4c739ca05b0b3760cc3afff00ecd60af6",
     ),
     (
         "defend --preset fig5 --u-eff-points 2 --bits 200 --seed 7",
-        "16130df2cd9ddf36415d734fd08b19dce1a1b76937399041bceade32bd7412ed",
+        "55fbf8c326b1cd5407bed81eea35e4a6403230f771f1f855388dfa64c64a3d2e",
     ),
     (
         "defend --preset fig6 --u-eff-points 2 --bits 200 --seed 7 --ensemble-size 200 "
         "--defense raise_temperature --target-t-eff 1e17",
-        "d6826c5c3e2944aafaf58cda33872a7f21ff500b08507bd1669d0291e4a3cad5",
+        "38d9de3699b1d8ba9aa032c91a7c7f714a8139b2fbcf53787b0a907197c78ecf",
     ),
 ]
 

@@ -248,13 +248,13 @@ def test_sweep_scores_the_secure_rows_of_every_period(seed):
             dataclasses.replace(
                 base,
                 t_eff=teff_of_ueff(u_eff, PAIR, base.f_b),
-                seed=mix_seed(base.seed, j, i),
+                seed=mix_seed(base.seed, i),
                 source=dataclasses.replace(base.source, frequency=f_a),
             ),
             attack,
         )
         for i, f_a in enumerate(frequencies)
-        for j, u_eff in enumerate(grid)
+        for u_eff in grid
     ]
     for workers in (1, 3):
         points = sweep(base, attack, u_eff_grid=grid, f_a_list=frequencies, max_workers=workers)
