@@ -28,7 +28,8 @@ from math import cos, floor, isfinite, pi
 
 import numpy as np
 
-from .channel import KljnConfig, PeriodicSource, Situation, divider_ac, period_batches
+from .channel import KljnConfig, PeriodicSource, Situation, divider_ac
+from .channel import period_batches, source_basis
 from .errors import ConfigurationError, ShapeMismatchError
 from .noise import Spectrum, johnson_rms, mix_seed, power_spectrum
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
@@ -325,17 +326,13 @@ def hf_source_band(config: KljnConfig, index: np.ndarray, mask: np.ndarray) -> n
     """The source's band coefficients over the 0-based periods ``index``.
 
     They equal :func:`hf_band` of the sampled source, for the band that
-    ``mask`` selects, but come in closed form.  Period i starts at phase theta_i = omega * i * N / f_s + phi, and
-    A cos(theta_i + omega k / f_s) = A (cos theta_i c_k - sin theta_i s_k),
-    so by linearity its band is A (cos theta_i C - sin theta_i S), with C
-    and S the bands of c and s: two cosines per period instead of N.
+    ``mask`` selects, but come in closed form: by linearity the band of
+    A (cos theta_i c_k - sin theta_i s_k) (see :func:`source_basis`) is
+    A (cos theta_i C - sin theta_i S), with C and S the bands of c and s.
     """
-    source, f_s, spb = config.source, config.sample_rate, config.samples_per_bit
-    omega = 2.0 * pi * source.frequency
-    steps = omega * np.arange(spb) / f_s
-    cos_band, sin_band = np.fft.rfft([np.cos(steps), np.sin(steps)], axis=-1)[:, mask] / spb
-    theta = omega * (np.asarray(index)[:, None] * spb / f_s) + source.phase
-    return source.amplitude * (np.cos(theta) * cos_band - np.sin(theta) * sin_band)
+    a_cos, a_sin, c, s = source_basis(config, index)
+    cos_band, sin_band = np.fft.rfft([c, s], axis=-1)[:, mask] / config.samples_per_bit
+    return a_cos * cos_band - a_sin * sin_band
 
 
 def hf_ac_power(coeffs: np.ndarray, prep: HfPreparation, t_eff: float) -> np.ndarray:

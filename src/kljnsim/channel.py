@@ -52,6 +52,7 @@ __all__ = [
     "period_batches",
     "secure_mask",
     "simulate_session",
+    "source_basis",
     "wire_current",
     "wire_noise",
 ]
@@ -66,6 +67,7 @@ _STREAM_CHOICES = 1  # resistor coin flips
 _STREAM_SECURE_WIRE = 2  # wire noise of the LH/HL periods, in their order
 _STREAM_PUBLIC_WIRE = 4  # wire noise of the LL/HH periods, in their order
 _STREAM_DIFFERENCE = 5  # end-to-end noise difference, all periods in order
+_STREAM_SECURE_BAND = 6  # band noise of the LH/HL periods, in their order
 
 
 class Situation(IntEnum):
@@ -165,13 +167,6 @@ class PeriodicSource:
         if not math.isfinite(self.phase):
             raise ConfigurationError(f"phase must be finite, got {self.phase}")
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate the source at the given times (seconds), any shape."""
-        return self.amplitude * np.cos(
-            2.0 * math.pi * self.frequency * np.asarray(times, dtype=np.float64)
-            + self.phase
-        )
-
 
 @dataclass(frozen=True)
 class KljnConfig:
@@ -226,6 +221,21 @@ class KljnConfig:
     def period_duration(self) -> float:
         """Length of one bit period on the sample grid, in seconds."""
         return self.samples_per_bit / self.sample_rate
+
+
+def source_basis(config: KljnConfig, index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A cos theta_i and A sin theta_i as columns, c_k and s_k as rows.
+
+    Period i of ``index`` starts at phase theta_i = omega i N / f_s + phi, so
+    its sample k is A cos(theta_i + omega k / f_s) = A (cos theta_i c_k -
+    sin theta_i s_k): two cosines per period and N per call, not one per sample.
+    """
+    source, f_s, spb = config.source, config.sample_rate, config.samples_per_bit
+    omega = 2.0 * math.pi * source.frequency
+    theta = omega * (np.asarray(index)[:, None] * spb / f_s) + source.phase
+    steps = omega * np.arange(spb) / f_s
+    a = source.amplitude
+    return a * np.cos(theta), a * np.sin(theta), np.cos(steps), np.sin(steps)
 
 
 # The loop algebra below works on arrays of any shape that broadcast
@@ -283,17 +293,15 @@ class SessionChunk:
     """Consecutive bit periods as arrays, one row per period.
 
     ``wire_voltage`` is what an eavesdropper can tap: ``ac_part`` plus the
-    Johnson rms of the period's parallel resistance times ``unit_noise``.
-    Both are None when the chunk was asked for its unit noise alone.
-    ``noise_part`` and ``wire_current`` complete the ground-truth
-    decomposition, filled in only when the chunk was asked for its parts.
+    Johnson noise of the period's parallel resistance.  ``noise_part`` and
+    ``wire_current`` complete the ground-truth decomposition, filled in
+    only when the chunk was asked for its parts.
     """
 
     index: np.ndarray  # 0-based period numbers
     situations: np.ndarray  # Situation codes
-    wire_voltage: np.ndarray | None
-    ac_part: np.ndarray | None
-    unit_noise: np.ndarray  # standard normals, one per sample
+    wire_voltage: np.ndarray
+    ac_part: np.ndarray
     noise_part: np.ndarray | None = None
     wire_current: np.ndarray | None = None
 
@@ -322,9 +330,7 @@ class Session:
     def secure(self) -> np.ndarray:
         return secure_mask(self.situations)
 
-    def chunks(
-        self, parts: bool = False, secure_only: bool = False, samples: bool = True
-    ) -> Iterator[SessionChunk]:
+    def chunks(self, parts: bool = False, secure_only: bool = False) -> Iterator[SessionChunk]:
         """Yield the session's periods in order, ``CHUNK_PERIODS`` at a time.
 
         Each period draws fresh wire noise (independent across periods,
@@ -333,14 +339,12 @@ class Session:
         periods draw from separate streams, each in its own period order,
         so ``secure_only``, which yields the secure periods alone and never
         synthesizes the others, gives the same secure rows as iterating
-        every period.  The source is evaluated on the global time grid so
-        its phase never resets.  ``parts`` also fills in the noise part and
-        the loop current; it needs every period.  ``samples=False`` draws
-        the coins' unit noise alone, for a caller that builds the rest in
-        closed form.
+        every period.  The source's phase runs on from the session's start,
+        so it never resets.  ``parts`` also fills in the noise part and the
+        loop current; it needs every period.
         """
-        if parts and (secure_only or not samples):
-            raise ConfigurationError("parts are synthesized for every period, from samples")
+        if parts and secure_only:
+            raise ConfigurationError("parts are synthesized for every period")
         config = self.config
         spb = config.samples_per_bit
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
@@ -349,7 +353,6 @@ class Session:
             for label in (_STREAM_SECURE_WIRE, _STREAM_PUBLIC_WIRE, _STREAM_DIFFERENCE)
         )
         periods = np.flatnonzero(self.secure) if secure_only else np.arange(len(self))
-        offsets = np.arange(spb)
         for index in period_batches(periods):
             codes = self.situations[index]
             if secure_only:
@@ -359,14 +362,12 @@ class Session:
                 unit = np.empty((index.size, spb))
                 for rows, rng in ((secure, secure_rng), (~secure, public_rng)):
                     unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
-            if not samples:
-                yield SessionChunk(index, codes, None, None, unit)
-                continue
             r_alice = resistors[codes[:, None] >> 1]
             r_bob = resistors[codes[:, None] & 1]
             r_sum = r_alice + r_bob
             noise = johnson_rms(r_alice * r_bob / r_sum, config.t_eff, config.f_b) * unit
-            source = config.source.sample((index[:, None] * spb + offsets) / config.sample_rate)
+            a_cos, a_sin, c, s = source_basis(config, index)
+            source = a_cos * c - a_sin * s
             ac = divider_ac(r_alice, r_bob, source)
             wire = ac + noise
             if not np.all(np.isfinite(wire)):
@@ -381,9 +382,33 @@ class Session:
                 alice_noise = noise + r_alice / r_sum * difference
                 bob_noise = noise - r_bob / r_sum * difference
                 current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
-                yield SessionChunk(index, codes, wire, ac, unit, noise, current)
+                yield SessionChunk(index, codes, wire, ac, noise, current)
             else:
-                yield SessionChunk(index, codes, wire, ac, unit)
+                yield SessionChunk(index, codes, wire, ac)
+
+    def secure_bands(self, mask: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Yield (period index, codes, unit band noise) like ``chunks(secure_only=True)``.
+
+        The 1/N-normalized DFT of N standard normals has independent complex
+        bins of variance 1/(2N) per component strictly between DC and
+        Nyquist, and a real Nyquist bin of variance 1/N (Kay 1998).  So each
+        period draws its ``mask`` bins directly, two normals per bin from a
+        stream of its own in period order: alike in law to the band of what
+        :meth:`chunks` samples, not equal to it.
+        """
+        spb = self.config.samples_per_bit
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (spb // 2 + 1,) or mask[0]:
+            raise ShapeMismatchError(f"band mask must span {spb // 2 + 1} rfft bins, DC excluded")
+        nyquist = spb % 2 == 0 and mask[-1]
+        key = mix_seed(self.config.seed, _STREAM_SECURE_BAND)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for index in period_batches(np.flatnonzero(self.secure)):
+            draws = rng.standard_normal((index.size, 2 * np.count_nonzero(mask)))
+            band = math.sqrt(0.5 / spb) * draws.view(np.complex128)
+            if nyquist:  # real, carrying the variance of both parts
+                band[:, -1] = math.sqrt(2.0) * band[:, -1].real
+            yield index, self.situations[index], band
 
 
 def simulate_session(config: KljnConfig) -> Session:

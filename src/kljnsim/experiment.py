@@ -28,7 +28,6 @@ from .attacks import (
     AttackMode,
     HfPreparation,
     hf_ac_power,
-    hf_band,
     hf_decide,
     hf_prepare,
     hf_source_band,
@@ -249,7 +248,9 @@ def run_point(
         _check_notch(config.sample_rate, notch_center, halfwidth)
 
     session = simulate_session(config)
-    if not lowfreq:
+    if lowfreq:
+        chunks = ((c.index, c.situations, c.wire_voltage) for c in session.chunks(secure_only=True))
+    else:
         prep = rehearsal if rehearsal is not None else hf_prepare(config, attack)
         sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
         r_low, r_high = config.resistors.r_low, config.resistors.r_high
@@ -257,22 +258,22 @@ def run_point(
         if notched:
             band_freqs = prep.noise_background.frequencies()[prep.mask]
             cut = np.abs(band_freqs - notch_center) <= halfwidth
+        chunks = session.secure_bands(prep.mask)
     tau = config.period_duration
 
     n_guessed = 0
     n_correct = 0
-    for chunk in session.chunks(secure_only=True, samples=lowfreq):
+    for index, codes, observed in chunks:
         if lowfreq:
-            wire = chunk.wire_voltage
+            wire = observed
             if notched:
                 wire = notch_filter(wire, config.sample_rate, notch_center, halfwidth)
-            threshold = lf_threshold(config.source, chunk.index + 1, tau, attack.kappa)
+            threshold = lf_threshold(config.source, index + 1, tau, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
         else:
-            # The band of the wire, gain * source + sigma * z, with the
-            # source in closed form; codes 1 and 2 are LH and HL.
-            coeffs = gains[chunk.situations - 1] * hf_source_band(config, chunk.index, prep.mask)
-            coeffs += sigma * hf_band(chunk.unit_noise, prep)
+            # The wire's band: gain * source band (closed form) + sigma *
+            # unit noise band (drawn); codes 1 and 2 are LH and HL.
+            coeffs = gains[codes - 1] * hf_source_band(config, index, prep.mask) + sigma * observed
             if notched:
                 coeffs[..., cut] = 0.0
             if not np.all(np.isfinite(coeffs)):
@@ -281,7 +282,7 @@ def run_point(
                 )
             guess = hf_decide(hf_ac_power(coeffs, prep, config.t_eff), prep)
         n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
-        n_correct += int(np.count_nonzero(guess == chunk.situations))
+        n_correct += int(np.count_nonzero(guess == codes))
 
     n_secure = int(np.count_nonzero(session.secure))
     return AttackOutcome.from_counts(n_secure, n_guessed, n_correct)

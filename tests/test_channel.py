@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import kljnsim.channel as channel
 from kljnsim import (
     BOLTZMANN,
     ConfigurationError,
@@ -242,7 +244,7 @@ class TestSimulateSession:
             arrays["index"], arrays["situations"], arrays["ac_part"]
         ):
             times = (index * spb + np.arange(spb)) / config.sample_rate
-            expected = dividers[situation] * config.source.sample(times)
+            expected = dividers[situation] * np.cos(2.0 * math.pi * config.source.frequency * times)
             np.testing.assert_allclose(ac, expected, atol=1e-12)
 
     def test_zero_amplitude_silences_ac_part(self):
@@ -302,6 +304,83 @@ class TestDecomposition:
         assert np.var(alice) == pytest.approx(scale * r_alice, rel=0.02)
         assert np.var(bob) == pytest.approx(scale * r_bob, rel=0.02)
         assert abs(np.corrcoef(alice, bob)[0, 1]) < 0.01
+
+
+def band_mask(spb, lo, hi):
+    """rfft bins lo..hi (inclusive) of a spb-sample period."""
+    mask = np.zeros(spb // 2 + 1, dtype=bool)
+    mask[lo : hi + 1] = True
+    return mask
+
+
+@pytest.fixture(scope="module", params=[500.0, 2.0e5 / 401], ids=["even-N", "odd-N"])
+def drawn_band(request):
+    """10^5 secure periods' band draws over the top 11 bins, reaching f_b."""
+    config = make_config(f_c=request.param, n_secure_bits=100_000)
+    spb = config.samples_per_bit
+    mask = band_mask(spb, spb // 2 - 10, spb // 2)
+    bands = [band for _, _, band in simulate_session(config).secure_bands(mask)]
+    return spb, np.concatenate(bands)
+
+
+class TestSecureBands:
+    """The drawn band against the law of the 1/N DFT of N standard normals.
+
+    Bounds are fixed at a family-wise false-alarm rate under 1e-3: each
+    variance and correlation check is a 5-sigma test (two-sided tail 6e-7,
+    about 490 of them) and each KS test rejects below p = 1e-5 (22 tests).
+    """
+
+    def test_component_variances(self, drawn_band):
+        spb, bands = drawn_band
+        n = bands.shape[0]
+        assert n >= 100_000
+        interior = bands[:, :-1] if spb % 2 == 0 else bands
+        components = np.concatenate([interior.real, interior.imag], axis=1)
+        variance = 1.0 / (2 * spb)
+        # The mean square of n normals of variance v has standard error v sqrt(2/n).
+        error = np.mean(components**2, axis=0) - variance
+        assert np.all(np.abs(error) < 5.0 * variance * math.sqrt(2.0 / n))
+        if spb % 2 == 0:  # the Nyquist bin is real with variance 1/N
+            nyquist = bands[:, -1]
+            assert np.all(nyquist.imag == 0.0)
+            error = np.mean(nyquist.real**2) - 1.0 / spb
+            assert abs(error) < 5.0 / spb * math.sqrt(2.0 / n)
+
+    def test_components_uncorrelated(self, drawn_band):
+        spb, bands = drawn_band
+        n = bands.shape[0]
+        parts = [bands.real, bands.imag[:, :-1] if spb % 2 == 0 else bands.imag]
+        correlation = np.corrcoef(np.concatenate(parts, axis=1), rowvar=False)
+        off_diagonal = correlation[~np.eye(correlation.shape[0], dtype=bool)]
+        assert np.all(np.abs(off_diagonal) < 5.0 / math.sqrt(n))
+
+    def test_bin_powers_follow_chi_square(self, drawn_band):
+        spb, bands = drawn_band
+        power = np.abs(bands) ** 2
+        if spb % 2 == 0:
+            assert stats.kstest(spb * power[:, -1], "chi2", args=(1,)).pvalue > 1e-5
+            power = power[:, :-1]
+        for column in 2 * spb * power.T:
+            assert stats.kstest(column, "chi2", args=(2,)).pvalue > 1e-5
+
+    def test_does_not_depend_on_chunk_size(self, monkeypatch):
+        session = simulate_session(make_config(f_c=500.0, n_secure_bits=300))
+        mask = band_mask(400, 190, 200)
+        draws = []
+        for size in (1, 7, 128):
+            monkeypatch.setattr(channel, "CHUNK_PERIODS", size)
+            index, codes, bands = (np.concatenate(a) for a in zip(*session.secure_bands(mask)))
+            assert np.array_equal(index, np.flatnonzero(session.secure))
+            assert np.array_equal(codes, session.situations[index])
+            draws.append(bands)
+        assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+
+    @pytest.mark.parametrize("mask", [band_mask(402, 1, 3), band_mask(400, 0, 3)], ids=["shape", "dc"])
+    def test_mask_outside_the_non_dc_bins_rejected(self, mask):
+        session = simulate_session(make_config(f_c=500.0, n_secure_bits=3))
+        with pytest.raises(ShapeMismatchError, match="DC excluded"):
+            next(session.secure_bands(mask))
 
 
 class TestSessionCsv:

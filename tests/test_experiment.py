@@ -358,24 +358,47 @@ def hf_config(**overrides):
     )
 
 
+def band_noise(band, mask, spb):
+    """Samples whose 1/N band is ``band`` on ``mask`` and zero elsewhere."""
+    full = np.zeros(band.shape[:-1] + mask.shape, dtype=complex)
+    full[..., mask] = band
+    return spb * np.fft.irfft(full, spb, axis=-1)
+
+
+def sampled_wires(config, prep):
+    """Each secure chunk's period index, codes and sampled wire.
+
+    For the spectral attack the noise is synthesized from the band the
+    session draws, so the reference sees the engine's random numbers.
+    """
+    session = simulate_session(config)
+    chunks = session.chunks(secure_only=True)
+    if prep is None:
+        for chunk in chunks:
+            yield chunk.index, chunk.situations, chunk.wire_voltage
+        return
+    sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+    for chunk, (index, codes, band) in zip(chunks, session.secure_bands(prep.mask)):
+        assert np.array_equal(index, chunk.index)
+        noise = band_noise(band, prep.mask, config.samples_per_bit)
+        yield index, codes, chunk.ac_part + sigma * noise
+
+
 def sampled_cell(config, attack, defense):
     """Reference: classify each period's sampled wire, notched if the defense is a notch."""
     prep = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
     guessed = correct = 0
-    for chunk in simulate_session(config).chunks(secure_only=True):
-        wire = chunk.wire_voltage
+    for index, codes, wire in sampled_wires(config, prep):
         if defense.kind is DefenseKind.NOTCH:
             wire = notch_filter(wire, config.sample_rate, config.source.frequency,
                                 defense.notch_halfwidth)
         if prep is None:
-            threshold = lf_threshold(
-                config.source, chunk.index + 1, config.period_duration, attack.kappa
-            )
+            threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
         else:
             guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)
         guessed += int(np.count_nonzero(guess != UNDETERMINED))
-        correct += int(np.count_nonzero(guess == chunk.situations))
+        correct += int(np.count_nonzero(guess == codes))
     return AttackOutcome.from_counts(config.n_secure_bits, guessed, correct)
 
 
@@ -399,9 +422,12 @@ class TestColumnAlgebra:
         config = make_config(f_c=500.0, source=PeriodicSource(0.7, 16000.0, 0.3), n_secure_bits=150)
         prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
         gains = divider_ac(np.array([1.0e3, 1.0e4]), np.array([1.0e4, 1.0e3]), 1.0)[:, None]
+        spb = config.samples_per_bit
         for chunk in simulate_session(config).chunks(secure_only=True):
             closed = gains[chunk.situations - 1] * hf_source_band(config, chunk.index, prep.mask)
-            sampled = hf_band(chunk.ac_part, prep)
+            times = (chunk.index[:, None] * spb + np.arange(spb)) / config.sample_rate
+            source = 0.7 * np.cos(2.0 * math.pi * 16000.0 * times + 0.3)
+            sampled = hf_band(gains[chunk.situations - 1] * source, prep)
             # Both round the phase omega * t + phi to within an ulp of itself.
             theta = 2.0 * math.pi * 16000.0 * (chunk.index[-1] + 1) * config.period_duration
             peak = np.max(np.abs(sampled), axis=1, keepdims=True)
@@ -412,16 +438,21 @@ class TestColumnAlgebra:
         config = hf_config(t_eff=teff_of_ueff(1.0, PAIR, 1.0e5), n_secure_bits=150)
         prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
         sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+        spb = config.samples_per_bit
         center, halfwidth = 2000.0, 500.0
-        freqs = np.fft.rfftfreq(config.samples_per_bit, d=1.0 / config.sample_rate)
+        freqs = np.fft.rfftfreq(spb, d=1.0 / config.sample_rate)
         cut = (np.abs(freqs - center) <= halfwidth)[prep.mask]
         assert 0 < np.count_nonzero(cut) < cut.size
-        for chunk in simulate_session(config).chunks(secure_only=True):
-            assert np.array_equal(chunk.wire_voltage, chunk.ac_part + sigma * chunk.unit_noise)
-            ac, z = hf_band(chunk.ac_part, prep), hf_band(chunk.unit_noise, prep)
-            wire = chunk.wire_voltage
+        session = simulate_session(config)
+        chunks = session.chunks(secure_only=True)
+        for chunk, (_, _, z) in zip(chunks, session.secure_bands(prep.mask)):
+            noise = band_noise(z, prep.mask, spb)
+            np.testing.assert_allclose(hf_band(noise, prep), z, rtol=0, atol=1e-12 * np.abs(z).max())
+            ac = hf_band(chunk.ac_part, prep)
+            wire = chunk.ac_part + sigma * noise
             if notched:
                 ac[..., cut] = 0.0
+                z = z.copy()
                 z[..., cut] = 0.0
                 wire = notch_filter(wire, config.sample_rate, center, halfwidth)
             coeffs = ac + sigma * z

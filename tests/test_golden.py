@@ -17,11 +17,11 @@ from kljnsim.cli import main
 GOLDEN = [
     (
         "simulate --preset fig5 --bits 2 --seed 7",
-        "1ae52a38b2289ff9190135f9bffa1cd4da91701d7b3031f568942f8d1398f56b",
+        "b6dcff3b86e7079a0b3368acb77517c62f39e7effcf2fbcacdf9006c80ea87bf",
     ),
     (
         "simulate --preset fig6 --bits 2 --seed 7",
-        "4028a9707efbda4d4fe1ce3afeb24faacb0050b256e76f2dbc3d406286a5432f",
+        "162dbc9437897d8ab9f1d9f603754180c56f20c23742de0f63238fb31118396e",
     ),
     (
         "attack --preset fig5 --u-eff 1 --bits 300 --seed 7",
@@ -37,7 +37,7 @@ GOLDEN = [
     ),
     (
         "sweep --preset fig6 --u-eff-points 3 --bits 200 --seed 7 --ensemble-size 200",
-        "6d45f0e18628608b35b4dcc4b3c614c4c739ca05b0b3760cc3afff00ecd60af6",
+        "f305bef5bbd2af167be75ed4a69e0bc7f0b7d761e4e5634d2847924e4eafa74b",
     ),
     (
         "defend --preset fig5 --u-eff-points 2 --bits 200 --seed 7",
@@ -46,7 +46,7 @@ GOLDEN = [
     (
         "defend --preset fig6 --u-eff-points 2 --bits 200 --seed 7 --ensemble-size 200 "
         "--defense raise_temperature --target-t-eff 1e17",
-        "38d9de3699b1d8ba9aa032c91a7c7f714a8139b2fbcf53787b0a907197c78ecf",
+        "24fa94556b5613b566121d027a6e61673ac5368e96364b7ca4fc2ae46cfa4136",
     ),
 ]
 
