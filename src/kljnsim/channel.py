@@ -82,35 +82,6 @@ class Situation(IntEnum):
     HL = 2
     HH = 3
 
-    @classmethod
-    def from_choices(cls, alice: str, bob: str) -> "Situation":
-        try:
-            return cls[alice + bob]
-        except KeyError:
-            raise ConfigurationError(
-                f"resistor choices must be 'L' or 'H', got {alice!r}, {bob!r}"
-            ) from None
-
-    @property
-    def alice(self) -> str:
-        return self.name[0]
-
-    @property
-    def bob(self) -> str:
-        return self.name[1]
-
-    @property
-    def secure(self) -> bool:
-        """True for the mixed situations that contribute key bits."""
-        return self.alice != self.bob
-
-    @property
-    def bit(self) -> int:
-        """Key bit carried by a secure situation: LH is 0, HL is 1."""
-        if not self.secure:
-            raise ConfigurationError(f"situation {self.name} carries no key bit")
-        return self.value - 1
-
 
 def period_batches(periods: np.ndarray) -> Iterator[np.ndarray]:
     """``periods`` in consecutive runs of ``CHUNK_PERIODS``."""
@@ -195,8 +166,8 @@ class KljnConfig:
             )
         if self.source.frequency > self.f_b:
             raise ConfigurationError(
-                "source frequency must not exceed f_b, where the sampled source aliases; "
-                f"got frequency={self.source.frequency}, f_b={self.f_b}"
+                "source frequency f_a must not exceed f_b, where the sampled source "
+                f"aliases; got f_a={self.source.frequency}, f_b={self.f_b}"
             )
         if not 0 <= self.t_eff < math.inf:
             raise ConfigurationError(

@@ -7,11 +7,12 @@ Four subcommands share one configuration model:
 * ``sweep``: attack over a (source frequency, noise level) grid.
 * ``defend``: the same sweep with a countermeasure enabled.
 
-Values resolve in three layers, later wins: compiled-in preset, config
-file, command-line flags.  Unknown config keys are hard errors.  Output
-files are never overwritten without ``--force``.  The effective
-configuration is echoed to stderr before the run; results go to ``--out``
-or stdout.
+Every configuration key is declared once, as a row of ``_KEYS``: its type,
+flag, help text and default (or that it is required).  Values resolve in
+four layers, later wins: those defaults, compiled-in preset, config file,
+command-line flags.  Unknown config keys are hard errors.  Output files
+are never overwritten without ``--force``.  The effective configuration is
+echoed to stderr before the run; results go to ``--out`` or stdout.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -63,112 +65,81 @@ def _parse_float_list(raw: str) -> list[float]:
     return values
 
 
-# section -> key -> converter applied to config-file strings
-_SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
-    "channel": {
-        "r_low_ohm": float,
-        "r_high_ohm": float,
-        "t_eff_k": float,
-        "u_eff_v": float,
-        "f_b_hz": float,
-        "f_c_hz": float,
-        "amplitude_v": float,
-        "f_a_hz": float,
-        "phase_rad": float,
-        "n_secure_bits": int,
-        "seed": int,
-    },
-    "attack": {
-        "mode": str.strip,
-        "kappa": float,
-        "ensemble_size": int,
-        "band_lo_hz": float,
-        "band_hi_hz": float,
-        "eve_knows_source": _parse_bool,
-    },
-    "defense": {
-        "kind": str.strip,
-        "notch_center_hz": float,
-        "notch_halfwidth_hz": float,
-        "target_t_eff_k": float,
-    },
-    "grid": {
-        "u_eff_min_v": float,
-        "u_eff_max_v": float,
-        "u_eff_points": int,
-        "f_a_list_hz": _parse_float_list,
-    },
-}
+_REQUIRED: Any = object()  # the default of a key every run must set
+
+
+class Key(NamedTuple):
+    """One configuration key: ``[section] name`` in a file, ``flag`` on the line."""
+
+    section: str
+    name: str
+    parse: Callable[[str], Any]  # applied to file strings and flag values
+    flag: str | None
+    help: str
+    default: Any = None  # None: optional, absent unless set
+    choices: tuple[str, ...] | None = None  # the values the flag accepts
+
+
+_KEYS = (
+    Key("channel", "r_low_ohm", float, None, "low resistance in ohms", _REQUIRED),
+    Key("channel", "r_high_ohm", float, None, "high resistance in ohms", _REQUIRED),
+    Key("channel", "t_eff_k", float, "--t-eff", "effective temperature in kelvin"),
+    Key("channel", "u_eff_v", float, "--u-eff", "wire noise rms in volts; sets t_eff_k"),
+    Key("channel", "f_b_hz", float, None, "noise bandwidth in Hz", _REQUIRED),
+    Key("channel", "f_c_hz", float, None, "clock frequency in Hz", _REQUIRED),
+    Key("channel", "amplitude_v", float, "--amplitude", "source amplitude in volts", _REQUIRED),
+    Key("channel", "f_a_hz", float, "--f-a", "source frequency in Hz", _REQUIRED),
+    Key("channel", "phase_rad", float, None, "source phase in radians", 0.0),
+    Key("channel", "n_secure_bits", int, "--bits", "secure bits per session", _REQUIRED),
+    Key("channel", "seed", int, "--seed", "session seed", 42),
+    Key("attack", "mode", str.strip, "--mode", "attack protocol", _REQUIRED,
+        tuple(m.value for m in AttackMode)),
+    Key("attack", "kappa", float, "--kappa", "threshold scale", 0.5),
+    Key("attack", "ensemble_size", int, "--ensemble-size", "rehearsal periods", 1000),
+    Key("attack", "band_lo_hz", float, "--band-lo", "band lower edge in Hz"),
+    Key("attack", "band_hi_hz", float, "--band-hi", "band upper edge in Hz"),
+    Key("attack", "eve_knows_source", _parse_bool, None, "attacker knows the source", True),
+    Key("defense", "kind", str.strip, "--defense", "countermeasure kind (default notch)", "none",
+        tuple(k.value for k in DefenseKind if k is not DefenseKind.NONE)),
+    Key("defense", "notch_center_hz", float, "--notch-center", "notch center in Hz"),
+    Key("defense", "notch_halfwidth_hz", float, "--notch-halfwidth", "notch halfwidth in Hz"),
+    Key("defense", "target_t_eff_k", float, "--target-t-eff", "raised temperature in kelvin"),
+    Key("grid", "u_eff_min_v", float, "--u-eff-min", "grid lower edge in volts", 0.01),
+    Key("grid", "u_eff_max_v", float, "--u-eff-max", "grid upper edge in volts", 100.0),
+    Key("grid", "u_eff_points", int, "--u-eff-points", "grid size", 25),
+    Key("grid", "f_a_list_hz", _parse_float_list, "--f-a-list",
+        "source frequencies to sweep, in Hz, comma-separated"),
+)
+_LOOKUP = {(key.section, key.name): key for key in _KEYS}
+_SECTIONS = tuple(dict.fromkeys(key.section for key in _KEYS))
+
+
+def _preset(f_c_hz: float, f_a_list_hz: list[float], mode: str) -> dict[str, dict[str, Any]]:
+    return {
+        "channel": {
+            "r_low_ohm": 1e3,
+            "r_high_ohm": 1e4,
+            "t_eff_k": 9e15,
+            "f_b_hz": 1e5,
+            "f_c_hz": f_c_hz,
+            "amplitude_v": 1.0,
+            "f_a_hz": f_a_list_hz[0],
+            "n_secure_bits": 1000,
+        },
+        "attack": {"mode": mode},
+        "defense": {},
+        "grid": {"f_a_list_hz": f_a_list_hz},
+    }
+
 
 # Demonstration operating points, compiled in so runs are reproducible
-# without any files.  fig5: threshold protocol below the clock frequency.
-# fig6: spectral protocol above it.
+# without any files; each holds only what differs from the key defaults.
+# fig5: threshold protocol below the clock frequency.  fig6: spectral
+# protocol above it.
 PRESETS: dict[str, dict[str, dict[str, Any]]] = {
-    "fig5": {
-        "channel": {
-            "r_low_ohm": 1e3,
-            "r_high_ohm": 1e4,
-            "t_eff_k": 9e15,
-            "f_b_hz": 1e5,
-            "f_c_hz": 1e3,
-            "amplitude_v": 1.0,
-            "f_a_hz": 318.30,
-            "phase_rad": 0.0,
-            "n_secure_bits": 1000,
-            "seed": 42,
-        },
-        "attack": {
-            "mode": "lowfreq",
-            "kappa": 0.5,
-            "ensemble_size": 1000,
-            "eve_knows_source": True,
-        },
-        "defense": {"kind": "none"},
-        "grid": {
-            "u_eff_min_v": 0.01,
-            "u_eff_max_v": 100.0,
-            "u_eff_points": 25,
-            "f_a_list_hz": [318.30, 101.32, 32.25],
-        },
-    },
-    "fig6": {
-        "channel": {
-            "r_low_ohm": 1e3,
-            "r_high_ohm": 1e4,
-            "t_eff_k": 9e15,
-            "f_b_hz": 1e5,
-            "f_c_hz": 500.0,
-            "amplitude_v": 1.0,
-            "f_a_hz": 2000.0,
-            "phase_rad": 0.0,
-            "n_secure_bits": 1000,
-            "seed": 42,
-        },
-        "attack": {
-            "mode": "highfreq",
-            "kappa": 0.5,
-            "ensemble_size": 1000,
-            "eve_knows_source": True,
-        },
-        "defense": {"kind": "none"},
-        "grid": {
-            "u_eff_min_v": 0.01,
-            "u_eff_max_v": 100.0,
-            "u_eff_points": 25,
-            "f_a_list_hz": [2000.0, 16000.0, 32000.0],
-        },
-    },
+    "fig5": _preset(1e3, [318.30, 101.32, 32.25], "lowfreq"),
+    "fig6": _preset(500.0, [2000.0, 16000.0, 32000.0], "highfreq"),
 }
-
-_REQUIRED_CHANNEL_KEYS = (
-    "r_low_ohm",
-    "r_high_ohm",
-    "f_b_hz",
-    "f_c_hz",
-    "amplitude_v",
-    "f_a_hz",
-    "n_secure_bits",
-)
 
 
 @dataclass
@@ -178,7 +149,6 @@ class RunManifest:
     command: str
     config_path: str | None = None
     preset: str | None = None
-    seed: int | None = None
     out: str | None = None
     force: bool = False
     threads: int = 1
@@ -198,7 +168,7 @@ class ResolvedSetup:
 
 
 def _read_config_file(path: str | Path) -> dict[str, dict[str, Any]]:
-    """Parse an INI-style config file against the schema, strictly."""
+    """Parse an INI-style config file against the key table, strictly."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as handle:
@@ -210,29 +180,34 @@ def _read_config_file(path: str | Path) -> dict[str, dict[str, Any]]:
 
     data: dict[str, dict[str, Any]] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigurationError(
                 f"unknown config section [{section}] in {path}; "
-                f"known sections: {', '.join(sorted(_SCHEMA))}"
+                f"known sections: {', '.join(sorted(_SECTIONS))}"
             )
         data[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+        for name, raw in parser.items(section):
+            key = _LOOKUP.get((section, name))
+            if key is None:
+                known = sorted(other.name for other in _KEYS if other.section == section)
                 raise ConfigurationError(
-                    f"unknown config key {section}.{key} in {path}; "
-                    f"known keys: {', '.join(sorted(_SCHEMA[section]))}"
+                    f"unknown config key {section}.{name} in {path}; "
+                    f"known keys: {', '.join(known)}"
                 )
             try:
-                data[section][key] = _SCHEMA[section][key](raw)
+                data[section][name] = key.parse(raw)
             except ValueError as exc:
                 raise ConfigurationError(
-                    f"bad value for {section}.{key}: {raw!r} ({exc})"
+                    f"bad value for {section}.{name}: {raw!r} ({exc})"
                 ) from exc
     return data
 
 
 def _merge_layers(manifest: RunManifest) -> dict[str, dict[str, Any]]:
-    merged: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
+    merged: dict[str, dict[str, Any]] = {section: {} for section in _SECTIONS}
+    for key in _KEYS:
+        if key.default is not None and key.default is not _REQUIRED:
+            merged[key.section][key.name] = key.default
     if manifest.preset is not None:
         if manifest.preset not in PRESETS:
             raise ConfigurationError(
@@ -244,58 +219,78 @@ def _merge_layers(manifest: RunManifest) -> dict[str, dict[str, Any]]:
     if manifest.config_path is not None:
         for section, values in _read_config_file(manifest.config_path).items():
             merged[section].update(values)
-    for (section, key), value in manifest.overrides.items():
-        merged[section][key] = value
-    if manifest.seed is not None:
-        merged["channel"]["seed"] = manifest.seed
+    for (section, name), value in manifest.overrides.items():
+        merged[section][name] = value
     return merged
 
 
+def _check_keys(merged: dict[str, dict[str, Any]]) -> None:
+    """Reject missing required keys and non-finite floats, naming each key."""
+    missing = [
+        f"{key.section}.{key.name}"
+        for key in _KEYS
+        if key.default is _REQUIRED and key.name not in merged[key.section]
+    ]
+    if "t_eff_k" not in merged["channel"] and "u_eff_v" not in merged["channel"]:
+        missing.append("channel.t_eff_k (or channel.u_eff_v)")
+    if missing:
+        raise ConfigurationError(
+            f"missing required keys: {', '.join(missing)}; give --preset, a config file, or flags"
+        )
+    for key in _KEYS:
+        value = merged[key.section].get(key.name)
+        if key.parse is float and value is not None and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{key.section}.{key.name} ({key.help}) must be finite, got {value}"
+            )
+
+
+@contextmanager
+def _naming(section: str) -> Iterator[None]:
+    """Prefix a library error with the ``section`` keys its message names.
+
+    Library objects name their fields (``f_b``), which are the key names
+    without their unit suffix (``f_b_hz``).
+    """
+    try:
+        yield
+    except ConfigurationError as error:
+        words = set(re.findall(r"\w+", str(error)))
+        named = [
+            f"{section}.{key.name}"
+            for key in _KEYS
+            if key.section == section and {key.name, key.name.rsplit("_", 1)[0]} & words
+        ]
+        if not named:
+            raise
+        raise ConfigurationError(f"{', '.join(named)}: {error}") from None
+
+
 def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSetup:
+    _check_keys(merged)
     channel = dict(merged["channel"])
     attack_section = dict(merged["attack"])
     defense_section = dict(merged["defense"])
     grid_section = dict(merged["grid"])
 
-    missing = [key for key in _REQUIRED_CHANNEL_KEYS if key not in channel]
-    if "t_eff_k" not in channel and "u_eff_v" not in channel:
-        missing.append("t_eff_k (or u_eff_v)")
-    if missing:
-        raise ConfigurationError(
-            "missing required channel keys: "
-            + ", ".join(f"channel.{key}" for key in missing)
-            + "; give --preset, a config file, or flags"
+    with _naming("channel"):
+        resistors = ResistorPair(channel["r_low_ohm"], channel["r_high_ohm"])
+        if "u_eff_v" in channel:
+            channel["t_eff_k"] = teff_of_ueff(channel["u_eff_v"], resistors, channel["f_b_hz"])
+        source = PeriodicSource(
+            amplitude=channel["amplitude_v"],
+            frequency=channel["f_a_hz"],
+            phase=channel["phase_rad"],
         )
-    if "mode" not in attack_section:
-        raise ConfigurationError("missing required key attack.mode")
-
-    if channel["f_b_hz"] <= channel["f_c_hz"]:
-        raise ConfigurationError(
-            "channel.f_b_hz must exceed channel.f_c_hz, got "
-            f"{channel['f_b_hz']} and {channel['f_c_hz']}"
+        config = KljnConfig(
+            resistors=resistors,
+            t_eff=channel["t_eff_k"],
+            f_b=channel["f_b_hz"],
+            f_c=channel["f_c_hz"],
+            source=source,
+            seed=channel["seed"],
+            n_secure_bits=channel["n_secure_bits"],
         )
-
-    resistors = ResistorPair(channel["r_low_ohm"], channel["r_high_ohm"])
-    if "u_eff_v" in channel:
-        t_eff = teff_of_ueff(channel["u_eff_v"], resistors, channel["f_b_hz"])
-        channel["t_eff_k"] = t_eff
-    else:
-        t_eff = channel["t_eff_k"]
-
-    source = PeriodicSource(
-        amplitude=channel["amplitude_v"],
-        frequency=channel["f_a_hz"],
-        phase=channel.get("phase_rad", 0.0),
-    )
-    config = KljnConfig(
-        resistors=resistors,
-        t_eff=t_eff,
-        f_b=channel["f_b_hz"],
-        f_c=channel["f_c_hz"],
-        source=source,
-        seed=channel.get("seed", 42),
-        n_secure_bits=channel["n_secure_bits"],
-    )
 
     try:
         mode = AttackMode(attack_section["mode"])
@@ -313,15 +308,16 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
         )
     if has_lo:
         band = (attack_section["band_lo_hz"], attack_section["band_hi_hz"])
-    attack = AttackConfig(
-        mode=mode,
-        kappa=attack_section.get("kappa", 0.5),
-        ensemble_size=attack_section.get("ensemble_size", 1000),
-        band=band,
-        eve_knows_source=attack_section.get("eve_knows_source", True),
-    )
+    with _naming("attack"):
+        attack = AttackConfig(
+            mode=mode,
+            kappa=attack_section["kappa"],
+            ensemble_size=attack_section["ensemble_size"],
+            band=band,
+            eve_knows_source=attack_section["eve_knows_source"],
+        )
 
-    kind_name = defense_section.get("kind", "none")
+    kind_name = defense_section["kind"]
     if command == "defend" and kind_name == "none":
         kind_name = "notch"  # defend without an explicit kind notches the source
     try:
@@ -334,19 +330,20 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
     halfwidth = defense_section.get("notch_halfwidth_hz")
     if kind is DefenseKind.NOTCH and halfwidth is None:
         halfwidth = config.f_c  # one clock-width each side by default
-    defense = DefenseSpec(
-        kind=kind,
-        notch_center=defense_section.get("notch_center_hz"),
-        notch_halfwidth=halfwidth,
-        target_t_eff=defense_section.get("target_t_eff_k"),
-    )
+    with _naming("defense"):
+        defense = DefenseSpec(
+            kind=kind,
+            notch_center=defense_section.get("notch_center_hz"),
+            notch_halfwidth=halfwidth,
+            target_t_eff=defense_section.get("target_t_eff_k"),
+        )
     defense_section["kind"] = kind_name
     if halfwidth is not None:
         defense_section["notch_halfwidth_hz"] = halfwidth
 
-    u_min = grid_section.get("u_eff_min_v", 0.01)
-    u_max = grid_section.get("u_eff_max_v", 100.0)
-    u_points = grid_section.get("u_eff_points", 25)
+    u_min = grid_section["u_eff_min_v"]
+    u_max = grid_section["u_eff_max_v"]
+    u_points = grid_section["u_eff_points"]
     if u_points < 1:
         raise ConfigurationError(f"grid.u_eff_points must be at least 1, got {u_points}")
     if not 0 < u_min <= u_max:
@@ -361,6 +358,7 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
         float(v) for v in np.logspace(math.log10(u_min), math.log10(u_max), u_points)
     ]
     f_a_list = [float(f) for f in grid_section.get("f_a_list_hz", [source.frequency])]
+    grid_section["f_a_list_hz"] = f_a_list
     default_notch = kind is DefenseKind.NOTCH and defense.notch_center is None
     for f_a in f_a_list if command in ("sweep", "defend") else ():
         context = f"grid.f_a_list_hz holds {f_a:g}"
@@ -377,12 +375,7 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
         "channel": channel,
         "attack": attack_section,
         "defense": defense_section,
-        "grid": {
-            "u_eff_min_v": u_min,
-            "u_eff_max_v": u_max,
-            "u_eff_points": u_points,
-            "f_a_list_hz": f_a_list,
-        },
+        "grid": grid_section,
     }
     return ResolvedSetup(config, attack, defense, u_eff_grid, f_a_list, sections)
 
@@ -401,7 +394,7 @@ def parse_config(
     return _build_setup(_merge_layers(manifest), command)
 
 
-# Sections each command reads; the echo leaves out the rest.
+# Sections each command reads: it echoes their keys and takes their flags.
 _ECHO_SECTIONS = {
     "simulate": ("channel",),
     "attack": ("attack", "channel"),
@@ -412,22 +405,31 @@ _ECHO_SECTIONS = {
 _GRID_KEYS = ("t_eff_k", "u_eff_v", "f_a_hz")
 
 
+def _command_keys(command: str) -> list[Key]:
+    """The keys ``command`` uses: it echoes them and takes their flags."""
+    sweeping = command in ("sweep", "defend")
+    return [
+        key
+        for key in _KEYS
+        if key.section in _ECHO_SECTIONS[command]
+        and not (sweeping and key.section == "channel" and key.name in _GRID_KEYS)
+    ]
+
+
 def _echo_setup(setup: ResolvedSetup, manifest: RunManifest, stream: TextIO) -> None:
     """Echo the values the command uses, as ``# section.key = value`` lines."""
-    sweeping = manifest.command in ("sweep", "defend")
     print(f"# command: {manifest.command}", file=stream)
-    for section in _ECHO_SECTIONS[manifest.command]:
-        for key in sorted(setup.sections[section]):
-            if sweeping and section == "channel" and key in _GRID_KEYS:
-                continue
-            value = setup.sections[section][key]
-            if isinstance(value, list):
-                value = ",".join(f"{v:g}" for v in value)
-            print(f"# {section}.{key} = {value}", file=stream)
+    for key in sorted(_command_keys(manifest.command)):  # by section, then name
+        value = setup.sections[key.section].get(key.name)
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(f"{v:g}" for v in value)
+        print(f"# {key.section}.{key.name} = {value}", file=stream)
     config = setup.config
     print(f"# derived.samples_per_bit = {config.samples_per_bit}", file=stream)
     print(f"# derived.sample_rate_hz = {config.sample_rate:g}", file=stream)
-    if sweeping:
+    if manifest.command in ("sweep", "defend"):
         cells = len(setup.u_eff_grid) * len(setup.f_a_list)
         print(f"# derived.sweep_cells = {cells}", file=stream)
     else:
@@ -508,67 +510,12 @@ def dispatch(manifest: RunManifest) -> int:
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="INI config file")
-    sub.add_argument("--preset", metavar="NAME", help=f"one of: {', '.join(sorted(PRESETS))}")
-    sub.add_argument("--seed", type=int, metavar="U64", help="session seed")
-    sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    sub.add_argument("--force", action="store_true", help="allow overwriting --out")
-    sub.add_argument("--threads", type=int, default=1, metavar="N", help="parallel sweep cells")
-
-
-# flag dest -> (section, key); applied when the flag was given
-_FLAG_MAP: dict[str, tuple[str, str]] = {
-    "u_eff": ("channel", "u_eff_v"),
-    "t_eff": ("channel", "t_eff_k"),
-    "f_a": ("channel", "f_a_hz"),
-    "amplitude": ("channel", "amplitude_v"),
-    "bits": ("channel", "n_secure_bits"),
-    "mode": ("attack", "mode"),
-    "kappa": ("attack", "kappa"),
-    "ensemble_size": ("attack", "ensemble_size"),
-    "band_lo": ("attack", "band_lo_hz"),
-    "band_hi": ("attack", "band_hi_hz"),
-    "defense": ("defense", "kind"),
-    "notch_center": ("defense", "notch_center_hz"),
-    "notch_halfwidth": ("defense", "notch_halfwidth_hz"),
-    "target_t_eff": ("defense", "target_t_eff_k"),
-    "u_eff_min": ("grid", "u_eff_min_v"),
-    "u_eff_max": ("grid", "u_eff_max_v"),
-    "u_eff_points": ("grid", "u_eff_points"),
-    "f_a_list": ("grid", "f_a_list_hz"),
+_COMMAND_HELP = {
+    "simulate": "run one session and dump all samples",
+    "attack": "attack one operating point",
+    "sweep": "attack across a noise-level grid",
+    "defend": "sweep with a countermeasure enabled",
 }
-
-
-def _add_point_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--u-eff", dest="u_eff", type=float, help="wire noise rms in volts")
-    sub.add_argument("--t-eff", dest="t_eff", type=float, help="effective temperature in kelvin")
-    sub.add_argument("--f-a", dest="f_a", type=float, help="source frequency in Hz")
-    sub.add_argument("--amplitude", type=float, help="source amplitude in volts")
-    sub.add_argument("--bits", type=int, help="secure bits per session")
-
-
-def _add_attack_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=[m.value for m in AttackMode], help="attack protocol")
-    sub.add_argument("--kappa", type=float, help="threshold scale")
-    sub.add_argument("--ensemble-size", dest="ensemble_size", type=int, help="rehearsal periods")
-    sub.add_argument("--band-lo", dest="band_lo", type=float, help="band lower edge in Hz")
-    sub.add_argument("--band-hi", dest="band_hi", type=float, help="band upper edge in Hz")
-
-
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--u-eff-min", dest="u_eff_min", type=float, help="grid lower edge in volts")
-    sub.add_argument("--u-eff-max", dest="u_eff_max", type=float, help="grid upper edge in volts")
-    sub.add_argument("--u-eff-points", dest="u_eff_points", type=int, help="grid size")
-    sub.add_argument(
-        "--f-a-list",
-        dest="f_a_list",
-        type=_parse_float_list,
-        metavar="HZ,HZ,...",
-        help="source frequencies to sweep",
-    )
-    sub.add_argument("--bits", type=int, help="secure bits per cell")
-    sub.add_argument("--amplitude", type=float, help="source amplitude in volts")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -577,51 +524,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resistor-switching key exchange simulator and attack toolkit",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = commands.add_parser("simulate", help="run one session and dump all samples")
-    _add_common_flags(sim)
-    _add_point_flags(sim)
-
-    atk = commands.add_parser("attack", help="attack one operating point")
-    _add_common_flags(atk)
-    _add_point_flags(atk)
-    _add_attack_flags(atk)
-
-    swp = commands.add_parser("sweep", help="attack across a noise-level grid")
-    _add_common_flags(swp)
-    _add_attack_flags(swp)
-    _add_grid_flags(swp)
-
-    dfd = commands.add_parser("defend", help="sweep with a countermeasure enabled")
-    _add_common_flags(dfd)
-    _add_attack_flags(dfd)
-    _add_grid_flags(dfd)
-    dfd.add_argument(
-        "--defense",
-        choices=[k.value for k in DefenseKind if k is not DefenseKind.NONE],
-        help="countermeasure kind (default notch)",
-    )
-    dfd.add_argument("--notch-center", dest="notch_center", type=float, help="notch center in Hz")
-    dfd.add_argument(
-        "--notch-halfwidth", dest="notch_halfwidth", type=float, help="notch halfwidth in Hz"
-    )
-    dfd.add_argument(
-        "--target-t-eff", dest="target_t_eff", type=float, help="raised temperature in kelvin"
-    )
+    for command, help_text in _COMMAND_HELP.items():
+        sub = commands.add_parser(command, help=help_text)
+        sub.add_argument("--config", metavar="PATH", help="INI config file")
+        sub.add_argument(
+            "--preset", metavar="NAME", help=f"one of: {', '.join(sorted(PRESETS))}"
+        )
+        sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        sub.add_argument("--force", action="store_true", help="allow overwriting --out")
+        sub.add_argument(
+            "--threads", type=int, default=1, metavar="N", help="parallel sweep columns"
+        )
+        for key in _command_keys(command):
+            if key.flag is not None:
+                sub.add_argument(key.flag, type=key.parse, choices=key.choices, help=key.help)
     return parser
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     overrides: dict[tuple[str, str], Any] = {}
-    for dest, target in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
+    for key in _command_keys(args.command):
+        # argparse names a flag's attribute after the flag: --u-eff is u_eff
+        value = None if key.flag is None else getattr(args, key.flag[2:].replace("-", "_"))
         if value is not None:
-            overrides[target] = value
+            overrides[key.section, key.name] = value
     return RunManifest(
         command=args.command,
         config_path=args.config,
         preset=args.preset,
-        seed=args.seed,
         out=args.out,
         force=args.force,
         threads=args.threads,

@@ -80,21 +80,25 @@ class DefenseSpec:
     target_t_eff: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("notch_center", "notch_halfwidth", "target_t_eff"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.kind is DefenseKind.NOTCH:
             if self.notch_halfwidth is None or not self.notch_halfwidth > 0:
                 raise ConfigurationError(
-                    f"notch defense needs a positive halfwidth, got {self.notch_halfwidth}"
+                    f"notch defense needs a positive notch_halfwidth, got {self.notch_halfwidth}"
                 )
             if self.notch_center is not None and not self.notch_center > 0:
                 raise ConfigurationError(
-                    f"notch center must be positive when given, got {self.notch_center}"
+                    f"notch_center must be positive when given, got {self.notch_center}"
                 )
             if self.target_t_eff is not None:
                 raise ConfigurationError("target_t_eff does not apply to the notch defense")
         if self.kind is DefenseKind.RAISE_TEMPERATURE:
             if self.target_t_eff is None or self.target_t_eff < 0:
                 raise ConfigurationError(
-                    f"raise_temperature needs a non-negative target, got {self.target_t_eff}"
+                    f"raise_temperature needs a non-negative target_t_eff, got {self.target_t_eff}"
                 )
             if self.notch_center is not None or self.notch_halfwidth is not None:
                 raise ConfigurationError(

@@ -53,23 +53,9 @@ def unit_trace(n, rate, seed):
 
 class TestSituation:
     def test_letters_and_security(self):
-        assert Situation.LH.alice == "L"
-        assert Situation.LH.bob == "H"
-        assert Situation.LH.secure and Situation.HL.secure
-        assert not Situation.LL.secure and not Situation.HH.secure
-
-    def test_bit_mapping(self):
-        assert Situation.LH.bit == 0
-        assert Situation.HL.bit == 1
-        for insecure in (Situation.LL, Situation.HH):
-            with pytest.raises(ConfigurationError):
-                insecure.bit
-
-    def test_from_choices(self):
-        assert Situation.from_choices("L", "H") is Situation.LH
-        assert Situation.from_choices("H", "H") is Situation.HH
-        with pytest.raises(ConfigurationError):
-            Situation.from_choices("L", "X")
+        codes = np.array([Situation.LL, Situation.LH, Situation.HL, Situation.HH])
+        assert [Situation(code).name for code in codes] == ["LL", "LH", "HL", "HH"]
+        assert channel.secure_mask(codes).tolist() == [False, True, True, False]
 
 
 class TestResistorPair:

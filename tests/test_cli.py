@@ -1,12 +1,15 @@
 """Tests for config resolution and the command-line entry point."""
 
+import argparse
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kljnsim import AttackMode, DefenseKind, ResistorPair, mix_seed, u_eff_of_teff
-from kljnsim.cli import PRESETS, main, parse_config
+from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, parse_config
 
 
 def run_main(argv, capsys):
@@ -464,12 +467,97 @@ class TestBoundaryValidation:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["sweep", "--preset", "fig5", "--u-eff-max", "inf", "--u-eff-points", "2",
+              "--bits", "10"], "grid.u_eff_max_v"),
+            (["defend", "--preset", "fig5", "--defense", "raise_temperature",
+              "--target-t-eff", "inf", "--u-eff-points", "1", "--bits", "10"],
+             "defense.target_t_eff_k"),
+            (["defend", "--preset", "fig5", "--notch-halfwidth", "inf", "--u-eff-points", "1",
+              "--bits", "10"], "defense.notch_halfwidth_hz"),
+            (["attack", "--preset", "fig6", "--band-hi", "inf"], "attack.band_hi_hz"),
+        ],
+    )
+    def test_non_finite_value_named_before_echo(self, argv, key, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert key in err and "finite" in err
+        assert "# " not in err
+
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (["attack", "--preset", "fig5", "--f-a", "2e5"], ["channel.f_a_hz", "channel.f_b_hz"]),
+            (["attack", "--preset", "fig5", "--bits", "0"], ["channel.n_secure_bits"]),
+            (["attack", "--preset", "fig5", "--kappa", "-1"], ["attack.kappa"]),
+            (["defend", "--preset", "fig5", "--notch-halfwidth", "-1"],
+             ["defense.notch_halfwidth_hz"]),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, argv, keys, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert all(key in err for key in keys)
+        assert "# " not in err
+
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[channel]\nphase_rad = nan\n")
         code, _, err = run_main(["simulate", "--preset", "fig5", "--config", str(path)], capsys)
         assert code == 1
         assert "phase" in err and "finite" in err
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--seed", "--out", "--force", "--threads"}
+ATTACK_FLAGS = {"--mode", "--kappa", "--ensemble-size", "--band-lo", "--band-hi"}
+GRID_FLAGS = {"--u-eff-min", "--u-eff-max", "--u-eff-points", "--f-a-list"}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("simulate", {"--u-eff", "--t-eff", "--f-a", "--amplitude", "--bits"}),
+            ("attack", {"--u-eff", "--t-eff", "--f-a", "--amplitude", "--bits"} | ATTACK_FLAGS),
+            ("sweep", ATTACK_FLAGS | GRID_FLAGS | {"--bits", "--amplitude"}),
+            (
+                "defend",
+                ATTACK_FLAGS | GRID_FLAGS | {"--bits", "--amplitude"}
+                | {"--defense", "--notch-center", "--notch-halfwidth", "--target-t-eff"},
+            ),
+        ],
+    )
+    def test_each_command_accepts_the_same_flags(self, command, flags):
+        commands = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        accepted = {
+            option for action in commands.choices[command]._actions
+            for option in action.option_strings
+        }
+        assert accepted == COMMON_FLAGS | flags
+
+    def test_defend_flag_cannot_choose_no_defense(self, capsys):
+        # A file may say kind = none, which defend reads as notch; the flag may
+        # not.  TestModuleEntryPoint covers --mode warp.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["defend", "--preset", "fig5", "--defense", "none"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+    def test_readme_names_every_key_and_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        for key in _KEYS:
+            # as a line of the example config file, or quoted as code
+            assert re.search(rf"^{key.name} = |`{key.name}`", readme, re.MULTILINE), key.name
+            if key.flag is not None:
+                assert f"`{key.flag}`" in readme, key.flag
 
 
 class TestModuleEntryPoint:

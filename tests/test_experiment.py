@@ -172,6 +172,16 @@ class TestDefenseSpec:
         with pytest.raises(ConfigurationError):
             DefenseSpec(kind=DefenseKind.RAISE_TEMPERATURE, target_t_eff=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_fields(self, value):
+        for kind, field in [
+            (DefenseKind.NOTCH, {"notch_center": value, "notch_halfwidth": 500.0}),
+            (DefenseKind.NOTCH, {"notch_halfwidth": value}),
+            (DefenseKind.RAISE_TEMPERATURE, {"target_t_eff": value}),
+        ]:
+            with pytest.raises(ConfigurationError, match="finite"):
+                DefenseSpec(kind=kind, **field)
+
     def test_none_rejects_leftover_fields(self):
         with pytest.raises(ConfigurationError):
             DefenseSpec(kind=DefenseKind.NONE, notch_halfwidth=500.0)
