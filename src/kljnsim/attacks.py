@@ -22,7 +22,7 @@ she never replays the exact noise she is attacking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import cos, floor, isfinite, pi
 
@@ -31,7 +31,7 @@ import numpy as np
 from .channel import KljnConfig, PeriodicSource, Situation, divider_ac
 from .channel import period_batches, source_basis
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import Spectrum, johnson_rms, mix_seed, power_spectrum
+from .noise import johnson_rms, mix_seed, unit_band_noise
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "lf_decide",
     "lf_gamma",
     "lf_threshold",
+    "resolve_band",
 ]
 
 _STREAM_EAVESDROPPER = 3  # rehearsal noise, disjoint from the victim's streams
@@ -77,15 +78,12 @@ class AttackConfig:
         band: Optional explicit spectral window (f_lo, f_hi) in Hz; when
             omitted the window is centered on the source frequency, see
             :func:`default_band`.
-        eve_knows_source: Whether Eve knows the source waveform exactly.
-            The low-frequency protocol requires it.
     """
 
     mode: AttackMode
     kappa: float = 0.5
     ensemble_size: int = 1000
     band: tuple[float, float] | None = None
-    eve_knows_source: bool = True
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0 and isfinite(self.kappa)):
@@ -97,7 +95,7 @@ class AttackConfig:
         if self.band is not None:
             lo, hi = self.band
             if not 0 < lo < hi:
-                raise ConfigurationError(f"band must satisfy 0 < lo < hi, got {self.band}")
+                raise ConfigurationError(f"band needs 0 < band_lo < band_hi, got {self.band}")
             object.__setattr__(self, "band", (float(lo), float(hi)))
 
 
@@ -116,47 +114,33 @@ class LfDecision:
     threshold: np.ndarray
 
 
-def _band_mask(freqs: np.ndarray, band: tuple[float, float]) -> np.ndarray:
-    lo, hi = band
-    mask = (freqs >= lo) & (freqs <= hi)
-    mask[0] = False  # DC bin never contributes to band averages
-    if not np.any(mask):
-        raise ConfigurationError(f"band [{lo}, {hi}] contains no spectrum bins")
-    return mask
-
-
 @dataclass(frozen=True)
 class HfPreparation:
     """Eve's rehearsed spectral reference.
 
     Attributes:
-        noise_background: Ensemble-averaged periodogram of the noise-only
-            wire voltage over one bit period, at unit temperature (1 K);
-            noise power is proportional to t_eff.
+        noise_background: Ensemble-averaged power of the noise-only wire
+            voltage in each band bin of one bit period, at unit temperature
+            (1 K); noise power is proportional to t_eff.
         ac_threshold: Midpoint of the band-averaged source power in the
             two secure situations.
         band: Spectral window (f_lo, f_hi) used for band averages.
         ensemble_size: Number of rehearsal periods averaged.
         samples_per_bit: Period length the rehearsal ran at; measured
             periods must match it.
-        mask: Derived selection of the background bins inside ``band``.
+        mask: The rfft bins of such a period inside ``band``, DC excluded.
     """
 
-    noise_background: Spectrum
+    noise_background: np.ndarray
     ac_threshold: float
     band: tuple[float, float]
     ensemble_size: int
     samples_per_bit: int
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
+    mask: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.noise_background) != self.samples_per_bit // 2 + 1:
-            raise ShapeMismatchError(
-                f"background has {len(self.noise_background)} bins, a "
-                f"{self.samples_per_bit}-sample period has {self.samples_per_bit // 2 + 1}"
-            )
-        mask = _band_mask(self.noise_background.frequencies(), self.band)
-        object.__setattr__(self, "mask", mask)
+        if np.shape(self.noise_background) != (np.count_nonzero(self.mask),):
+            raise ShapeMismatchError("the background needs one value per band bin of the mask")
 
 
 def lf_threshold(
@@ -250,61 +234,67 @@ def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float
     return (lo, hi)
 
 
-def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
-    """Rehearse the spectral attack offline.
-
-    Simulates ``attack.ensemble_size`` secure periods from one rehearsal
-    stream disjoint from the session's, batch by batch like a session.  LH
-    and HL share the same wire noise, one Johnson noise of r_low and r_high
-    in parallel, so each member draws that once.  Produces the
-    ensemble-averaged noise periodogram and the midpoint threshold between
-    the band-averaged source power with the divider the two situations
-    would apply.  The divider only scales the source, so each member needs
-    one source band power, scaled by both squared divider ratios.  Noise
-    is rehearsed at unit temperature, so ``config.t_eff`` is not used and
-    one rehearsal serves every temperature (see :func:`hf_ac_power`).
+def resolve_band(
+    config: KljnConfig, attack: AttackConfig
+) -> tuple[tuple[float, float], np.ndarray]:
+    """The band (``attack.band``, else :func:`default_band`) and its rfft bins, DC excluded.
 
     Raises:
         ConfigurationError: If the band reaches outside (0, f_b] or holds
             no bins.
     """
     spb = config.samples_per_bit
-    f_s = config.sample_rate
-    bin_width = f_s / spb
-    if attack.band is not None:
-        lo, hi = attack.band
-        if hi > config.f_b:
-            raise ConfigurationError(
-                f"band upper edge {hi} exceeds noise bandwidth {config.f_b}"
-            )
-        band = attack.band
-    else:
+    bin_width = config.sample_rate / spb
+    band = attack.band
+    if band is None:
         band = default_band(config.source.frequency, bin_width, config.f_b)
-    mask = _band_mask(np.arange(spb // 2 + 1) * bin_width, band)
+    elif band[1] > config.f_b:
+        raise ConfigurationError(f"band_hi {band[1]} exceeds noise bandwidth {config.f_b}")
+    freqs = np.arange(spb // 2 + 1) * bin_width
+    mask = (freqs >= band[0]) & (freqs <= band[1])
+    mask[0] = False  # DC bin never contributes to band averages
+    if not np.any(mask):
+        raise ConfigurationError(f"band_lo..band_hi [{band[0]}, {band[1]}] holds no spectrum bins")
+    return band, mask
 
-    rng = np.random.Generator(
-        np.random.Philox(key=mix_seed(config.seed, _STREAM_EAVESDROPPER))
-    )
+
+def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
+    """Rehearse the spectral attack offline.
+
+    Simulates ``attack.ensemble_size`` secure periods from one rehearsal
+    stream disjoint from the session's, batch by batch like a session.  LH
+    and HL share the same wire noise, one Johnson noise of r_low and r_high
+    in parallel, so each member draws its band bins once, as a session
+    period does.  Produces the ensemble-averaged noise power per band bin
+    and the midpoint threshold between the band-averaged source power with
+    the divider the two situations would apply.  The divider only scales
+    the source, so each member needs one source band power, scaled by both
+    squared divider ratios.  Noise is rehearsed at unit temperature, so
+    ``config.t_eff`` is not used and one rehearsal serves every temperature
+    (see :func:`hf_ac_power`).
+
+    Raises:
+        ConfigurationError: As :func:`resolve_band`.
+    """
+    spb = config.samples_per_bit
+    band, mask = resolve_band(config, attack)
+    rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, _STREAM_EAVESDROPPER)))
     rms = johnson_rms(config.resistors.parallel, 1.0, config.f_b)
     m_count = attack.ensemble_size
-    background_sum = np.zeros(spb // 2 + 1)
+    background_sum = np.zeros(np.count_nonzero(mask))
     source_power = np.empty(m_count)
     for members in period_batches(np.arange(m_count)):
+        noise = rms * unit_band_noise(rng, members.size, spb, mask)
         # Add member by member so the sum does not depend on the batching.
-        for bins in power_spectrum(rms * rng.standard_normal((members.size, spb))):
+        for bins in noise.real**2 + noise.imag**2:
             background_sum += bins
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
 
-    background = Spectrum(
-        bins=background_sum / m_count,
-        bin_width=bin_width,
-        band=(0.0, f_s / 2.0),
-    )
     r_low, r_high = config.resistors.r_low, config.resistors.r_high
     lh_gain, hl_gain = divider_ac(np.array([r_low, r_high]), np.array([r_high, r_low]), 1.0)
     ac_threshold = float(0.5 * (lh_gain**2 + hl_gain**2) * np.mean(source_power))
-    return HfPreparation(background, ac_threshold, band, m_count, spb)
+    return HfPreparation(background_sum / m_count, ac_threshold, band, m_count, spb, mask)
 
 
 def hf_band(samples: np.ndarray, prep: HfPreparation) -> np.ndarray:
@@ -346,7 +336,7 @@ def hf_ac_power(coeffs: np.ndarray, prep: HfPreparation, t_eff: float) -> np.nda
     noise average.
     """
     coeffs = np.asarray(coeffs)
-    bins = prep.noise_background.bins[prep.mask]
+    bins = prep.noise_background
     if coeffs.shape[-1] != bins.size:
         raise ShapeMismatchError(
             f"got {coeffs.shape[-1]} coefficients per period, the band holds "

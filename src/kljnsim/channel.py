@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import johnson_rms, mix_seed
+from .noise import johnson_rms, mix_seed, unit_band_noise
 from .noise import generate_unit_gbwn  # noqa: F401  (bench/child.py traces it here)
 
 __all__ = [
@@ -323,8 +323,7 @@ class Session:
             np.random.Generator(np.random.Philox(key=mix_seed(config.seed, label)))
             for label in (_STREAM_SECURE_WIRE, _STREAM_PUBLIC_WIRE, _STREAM_DIFFERENCE)
         )
-        periods = np.flatnonzero(self.secure) if secure_only else np.arange(len(self))
-        for index in period_batches(periods):
+        for index in self._batches(secure_only):
             codes = self.situations[index]
             if secure_only:
                 unit = secure_rng.standard_normal((index.size, spb))
@@ -357,29 +356,32 @@ class Session:
             else:
                 yield SessionChunk(index, codes, wire, ac)
 
+    def _batches(self, secure_only: bool) -> Iterator[np.ndarray]:
+        """Period indices in full runs of ``CHUNK_PERIODS``, found block by block."""
+        pending = np.empty(0, dtype=np.intp)
+        for start in range(0, len(self), CHUNK_PERIODS):
+            block = np.arange(start, min(start + CHUNK_PERIODS, len(self)))
+            if secure_only:
+                block = block[secure_mask(self.situations[start : start + CHUNK_PERIODS])]
+            pending = np.concatenate([pending, block])
+            if pending.size >= CHUNK_PERIODS:  # a block adds at most one run
+                yield pending[:CHUNK_PERIODS]
+                pending = pending[CHUNK_PERIODS:]
+        if pending.size:
+            yield pending
+
     def secure_bands(self, mask: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (period index, codes, unit band noise) like ``chunks(secure_only=True)``.
 
-        The 1/N-normalized DFT of N standard normals has independent complex
-        bins of variance 1/(2N) per component strictly between DC and
-        Nyquist, and a real Nyquist bin of variance 1/N (Kay 1998).  So each
-        period draws its ``mask`` bins directly, two normals per bin from a
-        stream of its own in period order: alike in law to the band of what
-        :meth:`chunks` samples, not equal to it.
+        Each period draws its ``mask`` bins by :func:`unit_band_noise`, from
+        a stream of its own in period order: alike in law to the band of
+        what :meth:`chunks` samples, not equal to it.
         """
         spb = self.config.samples_per_bit
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (spb // 2 + 1,) or mask[0]:
-            raise ShapeMismatchError(f"band mask must span {spb // 2 + 1} rfft bins, DC excluded")
-        nyquist = spb % 2 == 0 and mask[-1]
         key = mix_seed(self.config.seed, _STREAM_SECURE_BAND)
         rng = np.random.Generator(np.random.Philox(key=key))
-        for index in period_batches(np.flatnonzero(self.secure)):
-            draws = rng.standard_normal((index.size, 2 * np.count_nonzero(mask)))
-            band = math.sqrt(0.5 / spb) * draws.view(np.complex128)
-            if nyquist:  # real, carrying the variance of both parts
-                band[:, -1] = math.sqrt(2.0) * band[:, -1].real
-            yield index, self.situations[index], band
+        for index in self._batches(secure_only=True):
+            yield index, self.situations[index], unit_band_noise(rng, index.size, spb, mask)
 
 
 def simulate_session(config: KljnConfig) -> Session:

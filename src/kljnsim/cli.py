@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .attacks import AttackConfig, AttackMode
+from .attacks import AttackConfig, AttackMode, resolve_band
 from .channel import KljnConfig, PeriodicSource, ResistorPair, dump_session_csv, simulate_session
 from .errors import ConfigurationError, ShapeMismatchError
 from .experiment import (
@@ -47,15 +47,6 @@ from .experiment import (
 )
 
 __all__ = ["PRESETS", "RunManifest", "dispatch", "main", "parse_config"]
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -98,7 +89,6 @@ _KEYS = (
     Key("attack", "ensemble_size", int, "--ensemble-size", "rehearsal periods", 1000),
     Key("attack", "band_lo_hz", float, "--band-lo", "band lower edge in Hz"),
     Key("attack", "band_hi_hz", float, "--band-hi", "band upper edge in Hz"),
-    Key("attack", "eve_knows_source", _parse_bool, None, "attacker knows the source", True),
     Key("defense", "kind", str.strip, "--defense", "countermeasure kind (default notch)", "none",
         tuple(k.value for k in DefenseKind if k is not DefenseKind.NONE)),
     Key("defense", "notch_center_hz", float, "--notch-center", "notch center in Hz"),
@@ -299,23 +289,21 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
             f"attack.mode must be one of {[m.value for m in AttackMode]}, "
             f"got {attack_section['mode']!r}"
         ) from None
-    band = None
-    has_lo = "band_lo_hz" in attack_section
-    has_hi = "band_hi_hz" in attack_section
-    if has_lo != has_hi:
-        raise ConfigurationError(
-            "attack.band_lo_hz and attack.band_hi_hz must be given together"
-        )
-    if has_lo:
-        band = (attack_section["band_lo_hz"], attack_section["band_hi_hz"])
+    edges = [attack_section.get(name) for name in ("band_lo_hz", "band_hi_hz")]
+    if (edges[0] is None) != (edges[1] is None):
+        raise ConfigurationError("attack.band_lo_hz and attack.band_hi_hz must be given together")
+    band = None if edges[0] is None else tuple(edges)
     with _naming("attack"):
         attack = AttackConfig(
             mode=mode,
             kappa=attack_section["kappa"],
             ensemble_size=attack_section["ensemble_size"],
             band=band,
-            eve_knows_source=attack_section["eve_knows_source"],
         )
+        # An explicit band is the same in every sweep column; a default one is not.
+        sweeping = command in ("sweep", "defend")
+        if mode is AttackMode.HIGH_FREQ and (command == "attack" or (sweeping and band)):
+            resolve_band(config, attack)
 
     kind_name = defense_section["kind"]
     if command == "defend" and kind_name == "none":
@@ -360,10 +348,12 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
     f_a_list = [float(f) for f in grid_section.get("f_a_list_hz", [source.frequency])]
     grid_section["f_a_list_hz"] = f_a_list
     default_notch = kind is DefenseKind.NOTCH and defense.notch_center is None
-    for f_a in f_a_list if command in ("sweep", "defend") else ():
+    for f_a in f_a_list if sweeping else ():
         context = f"grid.f_a_list_hz holds {f_a:g}"
         try:
-            replace(config, source=replace(source, frequency=f_a))
+            column = replace(config, source=replace(source, frequency=f_a))
+            if mode is AttackMode.HIGH_FREQ and band is None:
+                resolve_band(column, attack)
             if command == "defend" and default_notch:
                 context += (" and the notch center defaults to the source frequency"
                             " (set defense.notch_center_hz)")

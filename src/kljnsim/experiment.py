@@ -238,11 +238,6 @@ def run_point(
         defense = DefenseSpec()
     lowfreq = attack.mode is AttackMode.LOW_FREQ
     notched = defense.kind is DefenseKind.NOTCH
-    if lowfreq and not attack.eve_knows_source:
-        raise ConfigurationError(
-            "the threshold protocol needs the source waveform; "
-            "set eve_knows_source or use the spectral mode"
-        )
     config = replace(config, t_eff=defense.applied_t_eff(config.t_eff))
     notch_center = defense.notch_center
     if notch_center is None:
@@ -260,7 +255,7 @@ def run_point(
         r_low, r_high = config.resistors.r_low, config.resistors.r_high
         gains = divider_ac(np.array([r_low, r_high]), np.array([r_high, r_low]), 1.0)[:, None]
         if notched:
-            band_freqs = prep.noise_background.frequencies()[prep.mask]
+            band_freqs = np.flatnonzero(prep.mask) * (config.sample_rate / config.samples_per_bit)
             cut = np.abs(band_freqs - notch_center) <= halfwidth
         chunks = session.secure_bands(prep.mask)
     tau = config.period_duration
@@ -280,16 +275,17 @@ def run_point(
             coeffs = gains[codes - 1] * hf_source_band(config, index, prep.mask) + sigma * observed
             if notched:
                 coeffs[..., cut] = 0.0
-            if not np.all(np.isfinite(coeffs)):
+            power = hf_ac_power(coeffs, prep, config.t_eff)
+            if not (np.all(np.isfinite(power)) and math.isfinite(prep.ac_threshold)):
                 raise ConfigurationError(
-                    "wire voltage overflows float64; lower t_eff or the source amplitude"
+                    "band power overflows float64; lower t_eff or the source amplitude"
                 )
-            guess = hf_decide(hf_ac_power(coeffs, prep, config.t_eff), prep)
+            guess = hf_decide(power, prep)
         n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
         n_correct += int(np.count_nonzero(guess == codes))
 
-    n_secure = int(np.count_nonzero(session.secure))
-    return AttackOutcome.from_counts(n_secure, n_guessed, n_correct)
+    # The session ends at the period that completes its secure bits.
+    return AttackOutcome.from_counts(config.n_secure_bits, n_guessed, n_correct)
 
 
 def run_column(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeMismatchError
 
 __all__ = [
     "BOLTZMANN",
@@ -32,6 +32,7 @@ __all__ = [
     "mix_seed",
     "periodogram",
     "power_spectrum",
+    "unit_band_noise",
 ]
 
 BOLTZMANN = 1.380649e-23  # J/K, exact SI value
@@ -232,6 +233,25 @@ def power_spectrum(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     coeffs = np.fft.rfft(samples, axis=-1) / samples.shape[-1]
     return coeffs.real**2 + coeffs.imag**2
+
+
+def unit_band_noise(rng, count: int, samples_per_bit: int, mask: np.ndarray) -> np.ndarray:
+    """The ``mask`` bins of the 1/N DFT of ``count`` periods of N standard normals.
+
+    Those bins are independent and complex with variance 1/(2N) per
+    component strictly between DC and Nyquist; a Nyquist bin is real with
+    variance 1/N (Kay 1998).  So each period draws two normals per bin,
+    in order, instead of N samples and an FFT: alike in law, not equal.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    bins = samples_per_bit // 2 + 1
+    if mask.shape != (bins,) or mask[0]:
+        raise ShapeMismatchError(f"band mask must span {bins} rfft bins, DC excluded")
+    draws = rng.standard_normal((count, 2 * np.count_nonzero(mask)))
+    band = np.sqrt(0.5 / samples_per_bit) * draws.view(np.complex128)
+    if samples_per_bit % 2 == 0 and mask[-1]:  # real, carrying both parts' variance
+        band[:, -1] = np.sqrt(2.0) * band[:, -1].real
+    return band
 
 
 def periodogram(trace: SampledTrace) -> Spectrum:

@@ -1,6 +1,14 @@
 """Shared pytest plumbing for the test suite."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+# Tests that run ``python -m kljnsim`` in a subprocess import the checkout's
+# package too, as the tests themselves do through ``pythonpath``.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from kljnsim import (
     SampledTrace,
     ShapeMismatchError,
     Situation,
-    Spectrum,
     default_band,
     divider_ac,
     hf_ac_power,
@@ -32,6 +31,7 @@ from kljnsim import (
     periodogram,
     simulate_session,
 )
+from kljnsim.attacks import resolve_band
 from kljnsim.channel import secure_mask
 
 # Period-average of a unit cosine at 318.30 Hz over the first 1 ms clock
@@ -61,7 +61,6 @@ class TestAttackConfig:
         assert attack.kappa == 0.5
         assert attack.ensemble_size == 1000
         assert attack.band is None
-        assert attack.eve_knows_source
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -248,11 +247,15 @@ class TestHfPrepare:
         config = make_config(t_eff=9.0e15)
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=1000)
         prep = hf_prepare(config, attack)
-        freqs = prep.noise_background.frequencies()
+        spb = config.samples_per_bit
+        freqs = np.arange(spb // 2 + 1) * (config.sample_rate / spb)
         mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
         mask[0] = False
+        # The background holds the band bins only.
+        assert np.array_equal(prep.mask, mask)
+        assert prep.noise_background.shape == (np.count_nonzero(mask),)
         # The rehearsal is at unit temperature; noise power scales with t_eff.
-        measured = config.t_eff * float(np.mean(prep.noise_background.bins[mask]))
+        measured = config.t_eff * float(np.mean(prep.noise_background))
         parallel = 1.0e3 * 1.0e4 / 1.1e4
         sigma_sq = 4.0 * 1.380649e-23 * 9.0e15 * parallel * config.f_b
         assert measured == pytest.approx(sigma_sq / config.samples_per_bit, rel=0.05)
@@ -262,7 +265,7 @@ class TestHfPrepare:
         a = hf_prepare(make_config(), attack)
         b = hf_prepare(make_config(), attack)
         assert a.ac_threshold == b.ac_threshold
-        assert np.array_equal(a.noise_background.bins, b.noise_background.bins)
+        assert np.array_equal(a.noise_background, b.noise_background)
 
     def test_explicit_band_respected(self):
         attack = AttackConfig(
@@ -281,18 +284,14 @@ class TestHfPrepare:
 
 def silent_preparation(config, band, ac_threshold=0.0):
     """Preparation with a zero background, for noise-free checks."""
-    spb = config.samples_per_bit
-    background = Spectrum(
-        bins=np.zeros(spb // 2 + 1),
-        bin_width=config.sample_rate / spb,
-        band=(0.0, config.f_b),
-    )
+    _, mask = resolve_band(config, AttackConfig(mode=AttackMode.HIGH_FREQ, band=band))
     return HfPreparation(
-        noise_background=background,
+        noise_background=np.zeros(np.count_nonzero(mask)),
         ac_threshold=ac_threshold,
         band=band,
         ensemble_size=100,
-        samples_per_bit=spb,
+        samples_per_bit=config.samples_per_bit,
+        mask=mask,
     )
 
 
@@ -356,11 +355,8 @@ class TestHfAcPower:
             )
         )
         values = hf_ac_power(hf_band(wire[secure_mask(situations)], prep), prep, config.t_eff)
-        freqs = prep.noise_background.frequencies()
-        mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
-        mask[0] = False
-        bin_level = config.t_eff * float(np.mean(prep.noise_background.bins[mask]))
-        n_bins = int(np.count_nonzero(mask))
+        bin_level = config.t_eff * float(np.mean(prep.noise_background))
+        n_bins = prep.noise_background.size
         tolerance = 6.0 * bin_level / math.sqrt(n_bins * len(values))
         assert abs(float(np.mean(values))) < tolerance
 

@@ -165,15 +165,16 @@ class TestSimulateCommand:
         assert target.read_text().startswith("period_index")
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestFailedRunOutput:
-    # The band check fails inside the run, after the output was chosen.
-    FAILING = ["attack", "--preset", "fig6", "--bits", "10", "--band-lo", "10", "--band-hi", "2e5"]
+    # The band power overflows inside the run, after the output was chosen.
+    FAILING = ["attack", "--preset", "fig6", "--bits", "10", "--amplitude", "1e160", "--u-eff", "1"]
 
     def test_leaves_no_file_behind(self, tmp_path, capsys):
         target = tmp_path / "x.csv"
         code, _, err = run_main(self.FAILING + ["--out", str(target)], capsys)
         assert code == 1
-        assert "exceeds noise bandwidth" in err
+        assert "overflows float64" in err
         assert list(tmp_path.iterdir()) == []
         code, _, _ = run_main(
             ["attack", "--preset", "fig6", "--bits", "10", "--out", str(target)], capsys
@@ -495,6 +496,15 @@ class TestBoundaryValidation:
             (["attack", "--preset", "fig5", "--kappa", "-1"], ["attack.kappa"]),
             (["defend", "--preset", "fig5", "--notch-halfwidth", "-1"],
              ["defense.notch_halfwidth_hz"]),
+        ] + [
+            ([command, "--preset", "fig6", "--band-lo", lo, "--band-hi", hi, "--bits", "10"],
+             keys)
+            for command in ("attack", "sweep")
+            for lo, hi, keys in [
+                ("10", "5", ["attack.band_lo_hz", "attack.band_hi_hz"]),
+                ("10", "2e5", ["attack.band_hi_hz"]),
+                ("100", "200", ["attack.band_lo_hz", "attack.band_hi_hz"]),  # between bins
+            ]
         ],
     )
     def test_out_of_range_value_names_key(self, argv, keys, capsys):
@@ -503,6 +513,17 @@ class TestBoundaryValidation:
         assert out == ""
         assert all(key in err for key in keys)
         assert "# " not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_rehearsal_threshold_fails(self, capsys):
+        # Each period's band power is finite here, but the rehearsed mean
+        # overflows; TestFailedRunOutput covers a period power that does.
+        argv = ["attack", "--preset", "fig6", "--amplitude", "1e154", "--bits", "50",
+                "--u-eff", "1"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "band power overflows float64" in err
 
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

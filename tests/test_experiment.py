@@ -205,12 +205,6 @@ class TestRunPoint:
         assert outcome.n_guessed == 0
         assert outcome.p == 0.5
 
-    def test_lf_requires_source_knowledge(self):
-        config = make_config()
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ, eve_knows_source=False)
-        with pytest.raises(ConfigurationError):
-            run_point(config, attack)
-
     def test_hf_guesses_every_secure_bit(self):
         config = make_config(
             f_c=500.0,
@@ -416,16 +410,19 @@ class TestColumnAlgebra:
     def test_unit_rehearsal_scales_to_direct_rehearsal(self):
         config = hf_config(t_eff=9.0e15)
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=150)
-        # Reference: the rehearsal stream drawn straight at the cell's sigma.
+        prep = hf_prepare(config, attack)
+        # Reference: the rehearsal stream's band bins drawn straight at the
+        # cell's sigma, two normals per bin (the band stops short of Nyquist).
+        assert not prep.mask[-1]
         rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, 3)))
         sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
-        noise = sigma * rng.standard_normal((150, config.samples_per_bit))
-        direct = np.mean(power_spectrum(noise), axis=0)
-        prep = hf_prepare(config, attack)
-        np.testing.assert_allclose(config.t_eff * prep.noise_background.bins, direct, rtol=1e-12)
+        draws = rng.standard_normal((150, 2 * np.count_nonzero(prep.mask)))
+        noise = sigma * math.sqrt(0.5 / config.samples_per_bit) * draws.view(complex)
+        direct = np.mean(np.abs(noise) ** 2, axis=0)
+        np.testing.assert_allclose(config.t_eff * prep.noise_background, direct, rtol=1e-12)
         # One rehearsal serves every temperature.
         other = hf_prepare(dataclasses.replace(config, t_eff=1.0), attack)
-        assert np.array_equal(other.noise_background.bins, prep.noise_background.bins)
+        assert np.array_equal(other.noise_background, prep.noise_background)
         assert other.ac_threshold == prep.ac_threshold
 
     def test_closed_form_source_band_matches_sampled_source(self):
