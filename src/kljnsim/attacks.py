@@ -28,8 +28,7 @@ from math import cos, floor, isfinite, pi
 
 import numpy as np
 
-from .channel import KljnConfig, PeriodicSource, Situation, divider_ac
-from .channel import period_batches, source_basis
+from .channel import KljnConfig, PeriodicSource, Situation, period_batches, source_basis
 from .errors import ConfigurationError, ShapeMismatchError
 from .noise import johnson_rms, mix_seed, unit_band_noise
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
@@ -222,9 +221,7 @@ def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float
     spectral protocol near the clock frequency.
     """
     if not 0 < f_a <= f_b:
-        raise ConfigurationError(
-            f"source frequency must lie in (0, f_b], got {f_a} with f_b={f_b}"
-        )
+        raise ConfigurationError(f"source frequency f_a must lie in (0, {f_b:g}], got {f_a}")
     lo = max(f_a - 5.0 * bin_width, bin_width)
     hi = min(f_b, f_a + 5.0 * bin_width)
     if not lo < hi:
@@ -258,6 +255,7 @@ def resolve_band(
     return band, mask
 
 
+@np.errstate(over="ignore")  # a source that overflows gives an infinite ac_threshold
 def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     """Rehearse the spectral attack offline.
 
@@ -286,14 +284,11 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     for members in period_batches(np.arange(m_count)):
         noise = rms * unit_band_noise(rng, members.size, spb, mask)
         # Add member by member so the sum does not depend on the batching.
-        for bins in noise.real**2 + noise.imag**2:
-            background_sum += bins
+        stacked = np.vstack([background_sum, noise.real**2 + noise.imag**2])
+        background_sum = np.add.accumulate(stacked)[-1]
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
-
-    r_low, r_high = config.resistors.r_low, config.resistors.r_high
-    lh_gain, hl_gain = divider_ac(np.array([r_low, r_high]), np.array([r_high, r_low]), 1.0)
-    ac_threshold = float(0.5 * (lh_gain**2 + hl_gain**2) * np.mean(source_power))
+    ac_threshold = float(np.mean(config.resistors.secure_gains**2) * np.mean(source_power))
     return HfPreparation(background_sum / m_count, ac_threshold, band, m_count, spb, mask)
 
 

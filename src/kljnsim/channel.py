@@ -53,6 +53,7 @@ __all__ = [
     "secure_mask",
     "simulate_session",
     "source_basis",
+    "source_samples",
     "wire_current",
     "wire_noise",
 ]
@@ -111,6 +112,12 @@ class ResistorPair:
     def parallel(self) -> float:
         """Parallel combination r_low * r_high / (r_low + r_high)."""
         return self.r_low * self.r_high / (self.r_low + self.r_high)
+
+    @property
+    def secure_gains(self) -> np.ndarray:
+        """Divider ratios of LH and HL, so entry ``code - 1`` is that situation's."""
+        low_high = np.array([self.r_low, self.r_high])
+        return divider_ac(low_high, low_high[::-1], 1.0)
 
 
 @dataclass(frozen=True)
@@ -209,6 +216,12 @@ def source_basis(config: KljnConfig, index: np.ndarray) -> tuple[np.ndarray, ...
     return a * np.cos(theta), a * np.sin(theta), np.cos(steps), np.sin(steps)
 
 
+def source_samples(config: KljnConfig, index: np.ndarray) -> np.ndarray:
+    """The source's samples over the 0-based periods ``index``, one row each."""
+    a_cos, a_sin, c, s = source_basis(config, index)
+    return a_cos * c - a_sin * s
+
+
 # The loop algebra below works on arrays of any shape that broadcast
 # together: scalars for one configuration, or a column of per-period
 # resistances against one row of samples per period.
@@ -226,6 +239,11 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeMismatchError(
             f"sample arrays disagree: {np.shape(a)} vs {np.shape(b)}"
         )
+
+
+def _check_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{what} overflows float64; lower t_eff or the source amplitude")
 
 
 def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
@@ -263,18 +281,16 @@ def wire_current(
 class SessionChunk:
     """Consecutive bit periods as arrays, one row per period.
 
-    ``wire_voltage`` is what an eavesdropper can tap: ``ac_part`` plus the
-    Johnson noise of the period's parallel resistance.  ``noise_part`` and
-    ``wire_current`` complete the ground-truth decomposition, filled in
-    only when the chunk was asked for its parts.
+    ``wire_voltage``, what an eavesdropper can tap, is ``ac_part`` plus ``noise_part``, the
+    Johnson noise of the period's parallel resistance; ``wire_current`` is the loop current.
     """
 
     index: np.ndarray  # 0-based period numbers
     situations: np.ndarray  # Situation codes
     wire_voltage: np.ndarray
     ac_part: np.ndarray
-    noise_part: np.ndarray | None = None
-    wire_current: np.ndarray | None = None
+    noise_part: np.ndarray
+    wire_current: np.ndarray
 
     @property
     def secure(self) -> np.ndarray:
@@ -301,21 +317,16 @@ class Session:
     def secure(self) -> np.ndarray:
         return secure_mask(self.situations)
 
-    def chunks(self, parts: bool = False, secure_only: bool = False) -> Iterator[SessionChunk]:
-        """Yield the session's periods in order, ``CHUNK_PERIODS`` at a time.
+    def chunks(self) -> Iterator[SessionChunk]:
+        """Yield every period in order, ``CHUNK_PERIODS`` at a time, with its parts.
 
         Each period draws fresh wire noise (independent across periods,
         emulating generators re-seeded per clock cycle): one Johnson noise
         segment of the period's parallel resistance.  Secure and LL/HH
         periods draw from separate streams, each in its own period order,
-        so ``secure_only``, which yields the secure periods alone and never
-        synthesizes the others, gives the same secure rows as iterating
-        every period.  The source's phase runs on from the session's start,
-        so it never resets.  ``parts`` also fills in the noise part and the
-        loop current; it needs every period.
+        so the secure rows are those :meth:`secure_noise` builds.  The
+        source's phase runs on from the session's start, so it never resets.
         """
-        if parts and secure_only:
-            raise ConfigurationError("parts are synthesized for every period")
         config = self.config
         spb = config.samples_per_bit
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
@@ -323,65 +334,62 @@ class Session:
             np.random.Generator(np.random.Philox(key=mix_seed(config.seed, label)))
             for label in (_STREAM_SECURE_WIRE, _STREAM_PUBLIC_WIRE, _STREAM_DIFFERENCE)
         )
-        for index in self._batches(secure_only):
+        for index in period_batches(np.arange(len(self))):
             codes = self.situations[index]
-            if secure_only:
-                unit = secure_rng.standard_normal((index.size, spb))
-            else:
-                secure = secure_mask(codes)
-                unit = np.empty((index.size, spb))
-                for rows, rng in ((secure, secure_rng), (~secure, public_rng)):
-                    unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
+            secure = secure_mask(codes)
+            unit = np.empty((index.size, spb))
+            for rows, rng in ((secure, secure_rng), (~secure, public_rng)):
+                unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
             r_alice = resistors[codes[:, None] >> 1]
             r_bob = resistors[codes[:, None] & 1]
             r_sum = r_alice + r_bob
             noise = johnson_rms(r_alice * r_bob / r_sum, config.t_eff, config.f_b) * unit
-            a_cos, a_sin, c, s = source_basis(config, index)
-            source = a_cos * c - a_sin * s
+            source = source_samples(config, index)
             ac = divider_ac(r_alice, r_bob, source)
             wire = ac + noise
-            if not np.all(np.isfinite(wire)):
-                raise ConfigurationError(
-                    "wire voltage overflows float64; lower t_eff or the source amplitude"
-                )
-            if parts:
-                # Ends that superpose to ``noise`` and differ by ``difference``.
-                difference = johnson_rms(r_sum, config.t_eff, config.f_b) * (
-                    difference_rng.standard_normal((index.size, spb))
-                )
-                alice_noise = noise + r_alice / r_sum * difference
-                bob_noise = noise - r_bob / r_sum * difference
-                current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
-                yield SessionChunk(index, codes, wire, ac, noise, current)
-            else:
-                yield SessionChunk(index, codes, wire, ac)
+            _check_finite(wire, "wire voltage")
+            # Ends that superpose to ``noise`` and differ by ``difference``.
+            difference = johnson_rms(r_sum, config.t_eff, config.f_b) * (
+                difference_rng.standard_normal((index.size, spb))
+            )
+            alice_noise = noise + r_alice / r_sum * difference
+            bob_noise = noise - r_bob / r_sum * difference
+            current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
+            yield SessionChunk(index, codes, wire, ac, noise, current)
 
-    def _batches(self, secure_only: bool) -> Iterator[np.ndarray]:
-        """Period indices in full runs of ``CHUNK_PERIODS``, found block by block."""
-        pending = np.empty(0, dtype=np.intp)
-        for start in range(0, len(self), CHUNK_PERIODS):
-            block = np.arange(start, min(start + CHUNK_PERIODS, len(self)))
-            if secure_only:
-                block = block[secure_mask(self.situations[start : start + CHUNK_PERIODS])]
-            pending = np.concatenate([pending, block])
-            if pending.size >= CHUNK_PERIODS:  # a block adds at most one run
-                yield pending[:CHUNK_PERIODS]
-                pending = pending[CHUNK_PERIODS:]
-        if pending.size:
-            yield pending
+    def secure_noise(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """Yield (period index, codes, unit wire noise) of the secure periods.
+
+        Times the Johnson rms of r_low and r_high in parallel, the unit
+        noise is what :meth:`chunks` adds to those periods.
+        """
+        spb = self.config.samples_per_bit
+        return self._secure_draws(_STREAM_SECURE_WIRE, lambda rng, n: rng.standard_normal((n, spb)))
 
     def secure_bands(self, mask: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-        """Yield (period index, codes, unit band noise) like ``chunks(secure_only=True)``.
+        """Yield (period index, codes, unit band noise) like :meth:`secure_noise`.
 
         Each period draws its ``mask`` bins by :func:`unit_band_noise`, from
         a stream of its own in period order: alike in law to the band of
-        what :meth:`chunks` samples, not equal to it.
+        what :meth:`secure_noise` draws, not equal to it.
         """
         spb = self.config.samples_per_bit
-        key = mix_seed(self.config.seed, _STREAM_SECURE_BAND)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        for index in self._batches(secure_only=True):
-            yield index, self.situations[index], unit_band_noise(rng, index.size, spb, mask)
+        return self._secure_draws(
+            _STREAM_SECURE_BAND, lambda rng, n: unit_band_noise(rng, n, spb, mask)
+        )
+
+    def _secure_draws(self, label: int, draw) -> Iterator[tuple[np.ndarray, ...]]:
+        """Runs of up to ``CHUNK_PERIODS`` secure periods, each drawn by ``draw(rng, count)``."""
+        rng = np.random.Generator(np.random.Philox(key=mix_seed(self.config.seed, label)))
+        pending = np.empty(0, dtype=np.intp)
+        for start in range(0, len(self), CHUNK_PERIODS):
+            block = secure_mask(self.situations[start : start + CHUNK_PERIODS])
+            pending = np.concatenate([pending, start + np.flatnonzero(block)])
+            if pending.size >= CHUNK_PERIODS:  # a block adds at most one run
+                index, pending = pending[:CHUNK_PERIODS], pending[CHUNK_PERIODS:]
+                yield index, self.situations[index], draw(rng, index.size)
+        if pending.size:
+            yield pending, self.situations[pending], draw(rng, pending.size)
 
 
 def simulate_session(config: KljnConfig) -> Session:
@@ -430,7 +438,7 @@ def dump_session_csv(session: Session, destination) -> None:
     def emit(handle) -> None:
         writer = csv.writer(handle)
         writer.writerow(SESSION_CSV_COLUMNS)
-        for chunk in session.chunks(parts=True):
+        for chunk in session.chunks():
             for row, (index, code) in enumerate(zip(chunk.index.tolist(), chunk.situations)):
                 name = Situation(code).name
                 samples = zip(

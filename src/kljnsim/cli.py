@@ -303,7 +303,8 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
         # An explicit band is the same in every sweep column; a default one is not.
         sweeping = command in ("sweep", "defend")
         if mode is AttackMode.HIGH_FREQ and (command == "attack" or (sweeping and band)):
-            resolve_band(config, attack)
+            with _naming("channel"):  # a default band sits on the source frequency
+                resolve_band(config, attack)
 
     kind_name = defense_section["kind"]
     if command == "defend" and kind_name == "none":

@@ -17,6 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,7 +36,7 @@ from .attacks import (
     lf_gamma,
     lf_threshold,
 )
-from .channel import KljnConfig, ResistorPair, divider_ac, simulate_session
+from .channel import KljnConfig, ResistorPair, _check_finite, simulate_session, source_samples
 from .errors import ConfigurationError
 from .noise import BOLTZMANN, johnson_rms, mix_seed
 
@@ -247,39 +248,35 @@ def run_point(
         _check_notch(config.sample_rate, notch_center, halfwidth)
 
     session = simulate_session(config)
+    # Both attacks observe gain * source + sigma * unit noise, as samples or as band bins.
+    sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
+    gains = config.resistors.secure_gains[:, None]  # codes 1 and 2 are LH and HL
     if lowfreq:
-        chunks = ((c.index, c.situations, c.wire_voltage) for c in session.chunks(secure_only=True))
+        draws, source_of = session.secure_noise(), partial(source_samples, config)
     else:
         prep = rehearsal if rehearsal is not None else hf_prepare(config, attack)
-        sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
-        r_low, r_high = config.resistors.r_low, config.resistors.r_high
-        gains = divider_ac(np.array([r_low, r_high]), np.array([r_high, r_low]), 1.0)[:, None]
+        _check_finite(prep.ac_threshold, "band power")
         if notched:
             band_freqs = np.flatnonzero(prep.mask) * (config.sample_rate / config.samples_per_bit)
             cut = np.abs(band_freqs - notch_center) <= halfwidth
-        chunks = session.secure_bands(prep.mask)
-    tau = config.period_duration
+        draws = session.secure_bands(prep.mask)
+        source_of = partial(hf_source_band, config, mask=prep.mask)
 
-    n_guessed = 0
-    n_correct = 0
-    for index, codes, observed in chunks:
+    n_guessed = n_correct = 0
+    for index, codes, unit in draws:
+        observed = gains[codes - 1] * source_of(index) + sigma * unit
         if lowfreq:
-            wire = observed
+            _check_finite(observed, "wire voltage")
             if notched:
-                wire = notch_filter(wire, config.sample_rate, notch_center, halfwidth)
-            threshold = lf_threshold(config.source, index + 1, tau, attack.kappa)
-            guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
+                observed = notch_filter(observed, config.sample_rate, notch_center, halfwidth)
+            threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
+            guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess
         else:
-            # The wire's band: gain * source band (closed form) + sigma *
-            # unit noise band (drawn); codes 1 and 2 are LH and HL.
-            coeffs = gains[codes - 1] * hf_source_band(config, index, prep.mask) + sigma * observed
             if notched:
-                coeffs[..., cut] = 0.0
-            power = hf_ac_power(coeffs, prep, config.t_eff)
-            if not (np.all(np.isfinite(power)) and math.isfinite(prep.ac_threshold)):
-                raise ConfigurationError(
-                    "band power overflows float64; lower t_eff or the source amplitude"
-                )
+                observed[..., cut] = 0.0
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                power = hf_ac_power(observed, prep, config.t_eff)
+            _check_finite(power, "band power")
             guess = hf_decide(power, prep)
         n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
         n_correct += int(np.count_nonzero(guess == codes))

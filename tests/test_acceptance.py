@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from kljnsim import (
     AttackConfig,
@@ -32,6 +33,8 @@ from kljnsim import (
     hf_band,
     hf_decide,
     hf_prepare,
+    hf_source_band,
+    johnson_rms,
     lf_gamma,
     lf_threshold,
     periodogram,
@@ -167,34 +170,60 @@ def test_spectral_attack_endpoints(acceptance_log, spectral_sweep):
     )
 
 
-def test_spectral_crossover_ordering(acceptance_log, spectral_sweep):
-    crossovers = {}
+def spectral_oracle(config, prep):
+    """Closed-form p of the spectral attack, conditioned on the rehearsal ``prep``.
+
+    Over the M band bins, sum |W_m|^2 / v with v = sigma^2 / (2N) is
+    noncentral chi-square with 2M degrees of freedom and noncentrality
+    lambda = gain^2 sum |A_m|^2 / v (Kay 1998), for source band A_m.  The
+    attack says LH when that sum exceeds x = (M ac_threshold + t_eff sum
+    background) / v; LH and HL are equally likely.
+    """
+    assert not prep.mask[-1]  # no real Nyquist bin, which would add a chi-square_1 term
+    m = np.count_nonzero(prep.mask)
+    sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+    v = sigma**2 / (2 * config.samples_per_bit)
+    band = hf_source_band(config, np.arange(1000), prep.mask)
+    power = np.sum(np.abs(band) ** 2, axis=1)
+    # The sources sit on a bin, so lambda is the same in every period.
+    assert np.ptp(power) <= 1e-9 * power.mean()
+    x = (m * prep.ac_threshold + config.t_eff * np.sum(prep.noise_background)) / v
+    lam_lh, lam_hl = PAIR.secure_gains**2 * power.mean() / v
+    return 0.5 * (stats.ncx2.sf(x, 2 * m, lam_lh) + stats.ncx2.cdf(x, 2 * m, lam_hl))
+
+
+def test_spectral_crossover_ordering(acceptance_log):
+    # Near p = 0.75, 4 V.  The 2 kHz default band is clipped at the first
+    # non-DC bin to 9 bins against 11 at 16 and 32 kHz; fewer noise bins
+    # make 2 kHz the stronger attack, so its p must be the higher one.
+    attack = AttackConfig(mode=AttackMode.HIGH_FREQ)
+    base = at_noise_level(hf_base(seed=3, n_secure_bits=40_000), 4.0)
+    measured, details, ok = {}, [], True
     for f_a in (2000.0, 16000.0, 32000.0):
-        curve = [pt for pt in spectral_sweep if pt.f_a == f_a]
-        crossovers[f_a] = next(
-            i for i, pt in enumerate(curve) if pt.outcome.p < 0.75
-        )
-    ordered = (
-        crossovers[2000.0] <= crossovers[16000.0] <= crossovers[32000.0]
-    )
+        config = dataclasses.replace(base, source=PeriodicSource(amplitude=1.0, frequency=f_a))
+        prep = hf_prepare(config, attack)
+        outcome = run_point(config, attack, rehearsal=prep)
+        predicted = spectral_oracle(config, prep)
+        sd = math.sqrt(predicted * (1.0 - predicted) / outcome.n_guessed)
+        ok &= abs(outcome.p - predicted) <= 4.0 * sd
+        measured[f_a] = outcome.p
+        details.append(f"{f_a/1000:g} kHz p={outcome.p:.4f} vs {predicted:.4f}")
+    ok &= measured[2000.0] > measured[16000.0]
     verdict(
         acceptance_log,
-        "spectral crossover ordering over source frequency",
-        ordered,
-        "first grid index with p < 0.75: "
-        + ", ".join(f"{f/1000:g} kHz -> {i}" for f, i in crossovers.items()),
+        "spectral attack at 4 V against the closed form",
+        ok,
+        ", ".join(details) + " (4 binomial sd), and 2 kHz above 16 kHz",
     )
 
 
-def secure_rows(session, name, parts=False):
+def secure_rows(session, name):
     """One array per chunk of the session, secure periods only, stacked."""
-    return np.concatenate(
-        [getattr(chunk, name)[chunk.secure] for chunk in session.chunks(parts=parts)]
-    )
+    return np.concatenate([getattr(chunk, name)[chunk.secure] for chunk in session.chunks()])
 
 
 def test_wire_noise_level_matches_formula(acceptance_log):
-    secure = secure_rows(simulate_session(lf_base(n_secure_bits=600)), "noise_part", parts=True)
+    secure = secure_rows(simulate_session(lf_base(n_secure_bits=600)), "noise_part")
     assert len(secure) >= 500
     measured = float(np.sqrt(np.mean(secure**2)))
     ok = abs(measured / WIRE_RMS_9E15 - 1.0) < 0.02
@@ -210,7 +239,7 @@ def test_loop_current_spectrum_level(acceptance_log):
     config = lf_base(
         source=PeriodicSource(amplitude=0.0, frequency=318.30), n_secure_bits=300
     )
-    secure = secure_rows(simulate_session(config), "wire_current", parts=True)
+    secure = secure_rows(simulate_session(config), "wire_current")
     interior = np.mean(power_spectrum(secure)[:, 1:-1], axis=1)
     density = float(np.mean(interior)) * config.samples_per_bit / config.f_b
     expected = 4.0 * BOLTZMANN * config.t_eff / 1.1e4
@@ -225,7 +254,7 @@ def test_loop_current_spectrum_level(acceptance_log):
 
 def test_wire_voltage_superposition(acceptance_log):
     worst = 0.0
-    for chunk in simulate_session(lf_base(n_secure_bits=200)).chunks(parts=True):
+    for chunk in simulate_session(lf_base(n_secure_bits=200)).chunks():
         residual = np.max(
             np.abs(chunk.wire_voltage - (chunk.ac_part + chunk.noise_part)), axis=1
         )

@@ -1,0 +1,41 @@
+"""The contract between the CLI and the benchmark's span tracer.
+
+``bench/child.py trace`` patches module-level names of the package and
+derives its per-cell metrics from one ``experiment.run_point`` span per
+sweep cell.  This runs it on a small sweep, writing only under pytest's
+temporary directory.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+
+
+def test_sweep_traces_one_run_point_span_per_cell(tmp_path):
+    spans_path, csv_path = tmp_path / "spans.json", tmp_path / "sweep.csv"
+    argv = ["sweep", "--preset", "fig5", "--u-eff-points", "2", "--bits", "20", "--seed", "1",
+            "--out", str(csv_path)]
+    result = subprocess.run(
+        [sys.executable, str(CHILD), "trace", str(spans_path), "--", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # (id, parent, name, start_ns, end_ns, cell, info)
+    spans = json.loads(spans_path.read_text())
+    parents = {span[0]: span[1] for span in spans}
+    (sweep,) = [span for span in spans if span[2] == "experiment.sweep"]
+    cells = [span for span in spans if span[2] == "experiment.run_point"]
+    rows = len(csv_path.read_text().splitlines()) - 1
+    assert rows == 6  # three preset source frequencies at two noise levels
+    assert len(cells) == rows
+    for span_id, parent, _, start, end, cell, _ in cells:
+        assert cell == span_id
+        while parent not in (None, sweep[0]):
+            parent = parents[parent]
+        assert parent == sweep[0]
+        assert sweep[3] <= start <= end <= sweep[4]

@@ -96,7 +96,7 @@ class TestKljnConfig:
 
 def session_arrays(session):
     """Every period of a session, with its decomposition, as whole arrays."""
-    chunks = list(session.chunks(parts=True))
+    chunks = list(session.chunks())
     return {
         name: np.concatenate([getattr(chunk, name) for chunk in chunks])
         for name in ("index", "situations", "wire_voltage", "ac_part", "noise_part", "wire_current")
@@ -237,13 +237,11 @@ class TestSimulateSession:
         config = make_config(source=PeriodicSource(amplitude=0.0, frequency=318.30))
         assert np.all(session_arrays(simulate_session(config))["ac_part"] == 0.0)
 
-    def test_current_included_on_request(self):
+    def test_every_chunk_carries_its_parts(self):
         session = simulate_session(make_config(n_secure_bits=5))
-        for chunk in session.chunks(parts=True):
-            assert chunk.wire_current.shape == chunk.wire_voltage.shape
         for chunk in session.chunks():
-            assert chunk.wire_current is None
-            assert chunk.noise_part is None
+            assert chunk.noise_part.shape == chunk.wire_voltage.shape
+            assert chunk.wire_current.shape == chunk.wire_voltage.shape
 
     def test_noise_level_tracks_parallel_resistance(self):
         arrays = session_arrays(simulate_session(make_config(n_secure_bits=300)))

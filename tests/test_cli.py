@@ -514,7 +514,26 @@ class TestBoundaryValidation:
         assert all(key in err for key in keys)
         assert "# " not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_zero_source_frequency_names_key_before_echo(self, capsys):
+        argv = ["attack", "--preset", "fig6", "--f-a", "0", "--bits", "10"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "channel.f_a_hz" in err
+        assert "# " not in err
+
+    def test_band_power_overflow_prints_only_the_error(self):
+        # A subprocess, so numpy's warnings reach stderr as a user sees them.
+        argv = ["attack", "--preset", "fig6", "--amplitude", "1e160", "--bits", "50",
+                "--u-eff", "1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "kljnsim", *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith("error: band power overflows float64")
+
     def test_overflowing_rehearsal_threshold_fails(self, capsys):
         # Each period's band power is finite here, but the rehearsed mean
         # overflows; TestFailedRunOutput covers a period power that does.

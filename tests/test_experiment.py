@@ -44,8 +44,9 @@ from kljnsim import (
     u_eff_of_teff,
     write_sweep_csv,
 )
+import kljnsim.channel as channel
 import kljnsim.experiment as experiment
-from kljnsim.noise import NoiseSpec
+from kljnsim.noise import NoiseSpec, unit_band_noise
 
 # rms of the wire noise at T_eff = 9e15 K over a 100 kHz band with the
 # 1 kOhm / 10 kOhm pair (909.09 ohm in parallel), frozen from
@@ -369,40 +370,51 @@ def band_noise(band, mask, spb):
     return spb * np.fft.irfft(full, spb, axis=-1)
 
 
+def secure_parts(session):
+    """Index, codes, wire and source part of every secure period, from ``chunks()``."""
+    chunks = list(session.chunks())
+    return [
+        np.concatenate([getattr(chunk, name)[chunk.secure] for chunk in chunks])
+        for name in ("index", "situations", "wire_voltage", "ac_part")
+    ]
+
+
+def secure_band_noise(session, mask):
+    """The unit band noise of every secure period, stacked."""
+    index, _, bands = (np.concatenate(a) for a in zip(*session.secure_bands(mask)))
+    assert np.array_equal(index, np.flatnonzero(session.secure))
+    return bands
+
+
 def sampled_wires(config, prep):
-    """Each secure chunk's period index, codes and sampled wire.
+    """Every secure period's index, codes and sampled wire, from ``chunks()``.
 
     For the spectral attack the noise is synthesized from the band the
     session draws, so the reference sees the engine's random numbers.
     """
     session = simulate_session(config)
-    chunks = session.chunks(secure_only=True)
+    index, codes, wire, ac = secure_parts(session)
     if prep is None:
-        for chunk in chunks:
-            yield chunk.index, chunk.situations, chunk.wire_voltage
-        return
+        return index, codes, wire
     sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
-    for chunk, (index, codes, band) in zip(chunks, session.secure_bands(prep.mask)):
-        assert np.array_equal(index, chunk.index)
-        noise = band_noise(band, prep.mask, config.samples_per_bit)
-        yield index, codes, chunk.ac_part + sigma * noise
+    noise = band_noise(secure_band_noise(session, prep.mask), prep.mask, config.samples_per_bit)
+    return index, codes, ac + sigma * noise
 
 
 def sampled_cell(config, attack, defense):
     """Reference: classify each period's sampled wire, notched if the defense is a notch."""
     prep = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
-    guessed = correct = 0
-    for index, codes, wire in sampled_wires(config, prep):
-        if defense.kind is DefenseKind.NOTCH:
-            wire = notch_filter(wire, config.sample_rate, config.source.frequency,
-                                defense.notch_halfwidth)
-        if prep is None:
-            threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
-            guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
-        else:
-            guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)
-        guessed += int(np.count_nonzero(guess != UNDETERMINED))
-        correct += int(np.count_nonzero(guess == codes))
+    index, codes, wire = sampled_wires(config, prep)
+    if defense.kind is DefenseKind.NOTCH:
+        wire = notch_filter(wire, config.sample_rate, config.source.frequency,
+                            defense.notch_halfwidth)
+    if prep is None:
+        threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
+        guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
+    else:
+        guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)
+    guessed = int(np.count_nonzero(guess != UNDETERMINED))
+    correct = int(np.count_nonzero(guess == codes))
     return AttackOutcome.from_counts(config.n_secure_bits, guessed, correct)
 
 
@@ -425,18 +437,33 @@ class TestColumnAlgebra:
         assert np.array_equal(other.noise_background, prep.noise_background)
         assert other.ac_threshold == prep.ac_threshold
 
+    def test_background_is_the_member_by_member_sum(self, monkeypatch):
+        config = hf_config()
+        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=300)
+        prep = hf_prepare(config, attack)
+        rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, 3)))
+        rms = johnson_rms(PAIR.parallel, 1.0, config.f_b)
+        noise = rms * unit_band_noise(rng, 300, config.samples_per_bit, prep.mask)
+        total = np.zeros(noise.shape[1])
+        for bins in noise.real**2 + noise.imag**2:
+            total += bins
+        assert np.array_equal(prep.noise_background, total / 300)
+        for size in (1, 7):
+            monkeypatch.setattr(channel, "CHUNK_PERIODS", size)
+            assert np.array_equal(hf_prepare(config, attack).noise_background, total / 300)
+
     def test_closed_form_source_band_matches_sampled_source(self):
         config = make_config(f_c=500.0, source=PeriodicSource(0.7, 16000.0, 0.3), n_secure_bits=150)
         prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
         gains = divider_ac(np.array([1.0e3, 1.0e4]), np.array([1.0e4, 1.0e3]), 1.0)[:, None]
         spb = config.samples_per_bit
-        for chunk in simulate_session(config).chunks(secure_only=True):
-            closed = gains[chunk.situations - 1] * hf_source_band(config, chunk.index, prep.mask)
-            times = (chunk.index[:, None] * spb + np.arange(spb)) / config.sample_rate
+        for index, codes, _ in simulate_session(config).secure_noise():
+            closed = gains[codes - 1] * hf_source_band(config, index, prep.mask)
+            times = (index[:, None] * spb + np.arange(spb)) / config.sample_rate
             source = 0.7 * np.cos(2.0 * math.pi * 16000.0 * times + 0.3)
-            sampled = hf_band(gains[chunk.situations - 1] * source, prep)
+            sampled = hf_band(gains[codes - 1] * source, prep)
             # Both round the phase omega * t + phi to within an ulp of itself.
-            theta = 2.0 * math.pi * 16000.0 * (chunk.index[-1] + 1) * config.period_duration
+            theta = 2.0 * math.pi * 16000.0 * (index[-1] + 1) * config.period_duration
             peak = np.max(np.abs(sampled), axis=1, keepdims=True)
             assert np.all(np.abs(closed - sampled) <= 4.0 * np.finfo(float).eps * theta * peak)
 
@@ -451,22 +478,21 @@ class TestColumnAlgebra:
         cut = (np.abs(freqs - center) <= halfwidth)[prep.mask]
         assert 0 < np.count_nonzero(cut) < cut.size
         session = simulate_session(config)
-        chunks = session.chunks(secure_only=True)
-        for chunk, (_, _, z) in zip(chunks, session.secure_bands(prep.mask)):
-            noise = band_noise(z, prep.mask, spb)
-            np.testing.assert_allclose(hf_band(noise, prep), z, rtol=0, atol=1e-12 * np.abs(z).max())
-            ac = hf_band(chunk.ac_part, prep)
-            wire = chunk.ac_part + sigma * noise
-            if notched:
-                ac[..., cut] = 0.0
-                z = z.copy()
-                z[..., cut] = 0.0
-                wire = notch_filter(wire, config.sample_rate, center, halfwidth)
-            coeffs = ac + sigma * z
-            expected = power_spectrum(wire)[..., prep.mask]
-            np.testing.assert_allclose(
-                coeffs.real**2 + coeffs.imag**2, expected, rtol=1e-12, atol=1e-12 * expected.max()
-            )
+        ac_part = secure_parts(session)[3]
+        z = secure_band_noise(session, prep.mask)
+        noise = band_noise(z, prep.mask, spb)
+        np.testing.assert_allclose(hf_band(noise, prep), z, rtol=0, atol=1e-12 * np.abs(z).max())
+        ac = hf_band(ac_part, prep)
+        wire = ac_part + sigma * noise
+        if notched:
+            ac[..., cut] = 0.0
+            z[..., cut] = 0.0
+            wire = notch_filter(wire, config.sample_rate, center, halfwidth)
+        coeffs = ac + sigma * z
+        expected = power_spectrum(wire)[..., prep.mask]
+        np.testing.assert_allclose(
+            coeffs.real**2 + coeffs.imag**2, expected, rtol=1e-12, atol=1e-12 * expected.max()
+        )
 
     @pytest.mark.parametrize("mode", list(AttackMode))
     @pytest.mark.parametrize("notched", [False, True])
@@ -485,7 +511,7 @@ class TestColumnAlgebra:
 
     def test_zero_temperature_runs_on_the_bare_source(self):
         config = hf_config(t_eff=0.0, n_secure_bits=60)
-        for chunk in simulate_session(config).chunks(secure_only=True):
+        for chunk in simulate_session(config).chunks():
             assert np.array_equal(chunk.wire_voltage, chunk.ac_part)
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
         cold, warm = run_column(config, attack, [0.0, teff_of_ueff(10.0, PAIR, config.f_b)])

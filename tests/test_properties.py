@@ -31,6 +31,7 @@ from kljnsim import (
     ResistorPair,
     Situation,
     hf_decide,
+    johnson_rms,
     lf_decide,
     lf_gamma,
     lf_threshold,
@@ -197,13 +198,26 @@ def test_memory_bounded_in_secure_bits():
         assert peak_many <= 1.10 * peak_one, (preset, factor, peak_one, peak_many)
 
 
-def secure_rows(session, **iteration):
-    """Index, situation and wire voltage of the secure periods, as bytes."""
-    chunks = list(session.chunks(**iteration))
+def chunk_secure_rows(session):
+    """Index, situation and wire voltage of the secure rows of ``chunks()``, as bytes."""
+    chunks = list(session.chunks())
     return [
         np.concatenate([getattr(chunk, name)[chunk.secure] for chunk in chunks]).tobytes()
         for name in ("index", "situations", "wire_voltage")
     ]
+
+
+def secure_noise_rows(session):
+    """The same rows built as gain * source + sigma * unit from ``secure_noise()``."""
+    config = session.config
+    r_low, r_high = PAIR.r_low, PAIR.r_high
+    gains = np.array([[r_high / (r_low + r_high)], [r_low / (r_high + r_low)]])  # LH, HL
+    sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+    rows = []
+    for index, codes, unit in session.secure_noise():
+        a_cos, a_sin, c, s = channel.source_basis(config, index)
+        rows.append((index, codes, gains[codes - 1] * (a_cos * c - a_sin * s) + sigma * unit))
+    return [np.concatenate(column).tobytes() for column in zip(*rows)]
 
 
 @settings(max_examples=6, deadline=None)
@@ -212,14 +226,14 @@ def test_secure_rows_do_not_depend_on_iteration(seed, mode, bits):
     config = make_config(mode, seed, bits)
     session = simulate_session(config)
     assert np.array_equal(session.situations, period_by_period_situations(config))
-    reference = secure_rows(session, secure_only=True)
+    reference = secure_noise_rows(session)
     assert reference[0] == np.flatnonzero(session.secure).tobytes()
     default = channel.CHUNK_PERIODS
     try:
         for size in (1, 7, default):
             channel.CHUNK_PERIODS = size
-            for iteration in ({"secure_only": True}, {}, {"parts": True}):
-                assert secure_rows(session, **iteration) == reference, (size, iteration)
+            assert secure_noise_rows(session) == reference, size
+            assert chunk_secure_rows(session) == reference, size
     finally:
         channel.CHUNK_PERIODS = default
 
