@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import KljnConfig, PeriodicSource, Situation, period_batches, source_basis
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import johnson_rms, mix_seed, unit_band_noise
+from .noise import Stream, johnson_rms, mix_seed, stream, unit_band_noise
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "resolve_band",
 ]
 
-_STREAM_EAVESDROPPER = 3  # rehearsal noise, disjoint from the victim's streams
 _TIE_SALT = 0x7E5EEDC011  # fixed salt for the exact-tie coin
 
 UNDETERMINED = -1  # lowfreq guess for a period the test cannot call
@@ -276,7 +275,7 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     """
     spb = config.samples_per_bit
     band, mask = resolve_band(config, attack)
-    rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, _STREAM_EAVESDROPPER)))
+    rng = stream(config.seed, Stream.EAVESDROPPER)
     rms = johnson_rms(config.resistors.parallel, 1.0, config.f_b)
     m_count = attack.ensemble_size
     background_sum = np.zeros(np.count_nonzero(mask))

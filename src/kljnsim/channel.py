@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import johnson_rms, mix_seed, unit_band_noise
+from .noise import Stream, johnson_rms, stream, unit_band_noise
 from .noise import generate_unit_gbwn  # noqa: F401  (bench/child.py traces it here)
 
 __all__ = [
@@ -62,13 +62,6 @@ __all__ = [
 # result: coins and noise come from sequential streams, so any batching
 # draws the same numbers in the same order.
 CHUNK_PERIODS = 128
-
-# Disjoint sub-stream labels under one session seed.
-_STREAM_CHOICES = 1  # resistor coin flips
-_STREAM_SECURE_WIRE = 2  # wire noise of the LH/HL periods, in their order
-_STREAM_PUBLIC_WIRE = 4  # wire noise of the LL/HH periods, in their order
-_STREAM_DIFFERENCE = 5  # end-to-end noise difference, all periods in order
-_STREAM_SECURE_BAND = 6  # band noise of the LH/HL periods, in their order
 
 
 class Situation(IntEnum):
@@ -330,10 +323,8 @@ class Session:
         config = self.config
         spb = config.samples_per_bit
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
-        secure_rng, public_rng, difference_rng = (
-            np.random.Generator(np.random.Philox(key=mix_seed(config.seed, label)))
-            for label in (_STREAM_SECURE_WIRE, _STREAM_PUBLIC_WIRE, _STREAM_DIFFERENCE)
-        )
+        labels = (Stream.SECURE_WIRE, Stream.PUBLIC_WIRE, Stream.DIFFERENCE)
+        secure_rng, public_rng, difference_rng = (stream(config.seed, label) for label in labels)
         for index in period_batches(np.arange(len(self))):
             codes = self.situations[index]
             secure = secure_mask(codes)
@@ -364,7 +355,7 @@ class Session:
         noise is what :meth:`chunks` adds to those periods.
         """
         spb = self.config.samples_per_bit
-        return self._secure_draws(_STREAM_SECURE_WIRE, lambda rng, n: rng.standard_normal((n, spb)))
+        return self._secure_draws(Stream.SECURE_WIRE, lambda rng, n: rng.standard_normal((n, spb)))
 
     def secure_bands(self, mask: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (period index, codes, unit band noise) like :meth:`secure_noise`.
@@ -375,12 +366,12 @@ class Session:
         """
         spb = self.config.samples_per_bit
         return self._secure_draws(
-            _STREAM_SECURE_BAND, lambda rng, n: unit_band_noise(rng, n, spb, mask)
+            Stream.SECURE_BAND, lambda rng, n: unit_band_noise(rng, n, spb, mask)
         )
 
-    def _secure_draws(self, label: int, draw) -> Iterator[tuple[np.ndarray, ...]]:
+    def _secure_draws(self, label: Stream, draw) -> Iterator[tuple[np.ndarray, ...]]:
         """Runs of up to ``CHUNK_PERIODS`` secure periods, each drawn by ``draw(rng, count)``."""
-        rng = np.random.Generator(np.random.Philox(key=mix_seed(self.config.seed, label)))
+        rng = stream(self.config.seed, label)
         pending = np.empty(0, dtype=np.intp)
         for start in range(0, len(self), CHUNK_PERIODS):
             block = secure_mask(self.situations[start : start + CHUNK_PERIODS])
@@ -400,9 +391,7 @@ def simulate_session(config: KljnConfig) -> Session:
     as flipping period by period, and the session ends at the period that
     completes ``config.n_secure_bits`` secure bits.
     """
-    chooser = np.random.Generator(
-        np.random.Philox(key=mix_seed(config.seed, _STREAM_CHOICES))
-    )
+    chooser = stream(config.seed, Stream.COINS)
     blocks = []
     needed = config.n_secure_bits
     while needed > 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -248,7 +247,7 @@ def run_point(
         _check_notch(config.sample_rate, notch_center, halfwidth)
 
     session = simulate_session(config)
-    # Both attacks observe gain * source + sigma * unit noise, as samples or as band bins.
+    # Both attacks observe gains[codes - 1] * source + sigma * unit, as samples or band bins.
     sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
     gains = config.resistors.secure_gains[:, None]  # codes 1 and 2 are LH and HL
     if lowfreq:
@@ -264,11 +263,15 @@ def run_point(
 
     n_guessed = n_correct = 0
     for index, codes, unit in draws:
-        observed = gains[codes - 1] * source_of(index) + sigma * unit
+        source = source_of(index)  # both fresh arrays, so the chunk is built in place
+        source *= gains[codes - 1]
+        observed = np.multiply(unit, sigma, out=unit)
+        observed += source
         if lowfreq:
-            _check_finite(observed, "wire voltage")
             if notched:
-                observed = notch_filter(observed, config.sample_rate, notch_center, halfwidth)
+                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                    observed = notch_filter(observed, config.sample_rate, notch_center, halfwidth)
+            _check_finite(observed, "wire voltage")
             threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess
         else:
@@ -348,6 +351,7 @@ def sweep(
         return [SweepPoint(t, u, f_a, attack.mode, o) for (t, u), o in zip(labels, outcomes)]
 
     if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # so one thread never pays its import
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(evaluate, columns))
     else:

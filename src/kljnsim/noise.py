@@ -9,13 +9,14 @@ independent observations.
 
 Everything here is deterministic: a 64-bit seed plus a ``NoiseSpec`` fixes
 the output exactly, independent of platform.  Sub-streams for different
-consumers are derived with :func:`mix_seed` rather than by sharing one
+consumers are opened by :func:`stream` rather than by sharing one
 generator, which keeps parallel execution byte-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -26,12 +27,14 @@ __all__ = [
     "NoiseSpec",
     "SampledTrace",
     "Spectrum",
+    "Stream",
     "generate_unit_gbwn",
     "johnson_rms",
     "johnson_scale",
     "mix_seed",
     "periodogram",
     "power_spectrum",
+    "stream",
     "unit_band_noise",
 ]
 
@@ -65,6 +68,22 @@ def mix_seed(base: int, *parts: int) -> int:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         z ^= z >> 31
     return z
+
+
+class Stream(IntEnum):
+    """Disjoint stream labels under one session seed, one per consumer of draws."""
+
+    COINS = 1  # resistor coin flips
+    SECURE_WIRE = 2  # wire noise of the LH/HL periods, in their order
+    EAVESDROPPER = 3  # rehearsal band noise, disjoint from the victim's streams
+    PUBLIC_WIRE = 4  # wire noise of the LL/HH periods, in their order
+    DIFFERENCE = 5  # end-to-end noise difference, all periods in order
+    SECURE_BAND = 6  # band noise of the LH/HL periods, in their order
+
+
+def stream(seed: int, label: Stream) -> np.random.Generator:
+    """SFC64 keyed by ``mix_seed(seed, label)``; streams are read in order, never by offset."""
+    return np.random.Generator(np.random.SFC64(mix_seed(seed, label)))
 
 
 @dataclass(frozen=True)

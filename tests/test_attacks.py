@@ -33,6 +33,7 @@ from kljnsim import (
 )
 from kljnsim.attacks import resolve_band
 from kljnsim.channel import secure_mask
+from kljnsim.noise import Stream
 
 # Period-average of a unit cosine at 318.30 Hz over the first 1 ms clock
 # period, frozen from adaptive quadrature (absolute error ~6e-18).
@@ -393,7 +394,7 @@ class TestHfDecide:
 class TestSeedSeparation:
     def test_rehearsal_stream_disjoint_from_session(self):
         # The eavesdropper must not consume the victims' random numbers:
-        # stream tags 1..6 with any index never collide.
+        # no two stream labels key the same generator.
         base = 42
-        tagged = {mix_seed(base, tag) for tag in (1, 2, 3, 4, 5, 6)}
-        assert len(tagged) == 6
+        tagged = {mix_seed(base, label) for label in Stream.__members__.values()}
+        assert len(tagged) == len(Stream.__members__) == 6

@@ -255,8 +255,8 @@ class TestSimulateSession:
 
 @pytest.fixture(scope="module")
 def silent_source_session():
-    """Parts of a source-free session, long enough for ~3e5 samples per situation."""
-    config = make_config(source=PeriodicSource(amplitude=0.0, frequency=318.30), n_secure_bits=3200)
+    """Parts of a source-free session, long enough for over 3e5 samples per situation."""
+    config = make_config(source=PeriodicSource(amplitude=0.0, frequency=318.30), n_secure_bits=3600)
     return config, session_arrays(simulate_session(config))
 
 

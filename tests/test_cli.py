@@ -534,6 +534,19 @@ class TestBoundaryValidation:
         assert "RuntimeWarning" not in result.stderr
         assert result.stderr.splitlines()[-1].startswith("error: band power overflows float64")
 
+    def test_notch_overflow_prints_only_the_error(self):
+        # The wire is finite, but its spectrum overflows inside the lowfreq notch.
+        argv = ["defend", "--preset", "fig5", "--amplitude", "1.7e308", "--u-eff-points", "1",
+                "--bits", "10"]
+        result = subprocess.run(
+            [sys.executable, "-m", "kljnsim", *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: wire voltage overflows float64; lower t_eff or the source amplitude"]
+
     def test_overflowing_rehearsal_threshold_fails(self, capsys):
         # Each period's band power is finite here, but the rehearsed mean
         # overflows; TestFailedRunOutput covers a period power that does.
@@ -621,6 +634,18 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("mode,")
+
+    def test_sweep_stdout_equals_the_out_file(self, tmp_path):
+        # The entry point freezes the collector before it exits; stdout must
+        # still reach the reader in full.
+        argv = [sys.executable, "-m", "kljnsim", "sweep", "--preset", "fig5",
+                "--u-eff-points", "2", "--bits", "20"]
+        piped = subprocess.run(argv, capture_output=True, timeout=120)
+        target = tmp_path / "out.csv"
+        written = subprocess.run([*argv, "--out", str(target)], capture_output=True, timeout=120)
+        assert piped.returncode == written.returncode == 0
+        assert piped.stdout.startswith(b"mode,") and piped.stdout.count(b"\n") == 7
+        assert piped.stdout == target.read_bytes()
 
     def test_usage_error_exit_code(self):
         result = subprocess.run(

@@ -46,7 +46,7 @@ from kljnsim import (
 )
 import kljnsim.channel as channel
 import kljnsim.experiment as experiment
-from kljnsim.noise import NoiseSpec, unit_band_noise
+from kljnsim.noise import NoiseSpec, Stream, stream, unit_band_noise
 
 # rms of the wire noise at T_eff = 9e15 K over a 100 kHz band with the
 # 1 kOhm / 10 kOhm pair (909.09 ohm in parallel), frozen from
@@ -426,7 +426,7 @@ class TestColumnAlgebra:
         # Reference: the rehearsal stream's band bins drawn straight at the
         # cell's sigma, two normals per bin (the band stops short of Nyquist).
         assert not prep.mask[-1]
-        rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, 3)))
+        rng = stream(config.seed, Stream.EAVESDROPPER)
         sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
         draws = rng.standard_normal((150, 2 * np.count_nonzero(prep.mask)))
         noise = sigma * math.sqrt(0.5 / config.samples_per_bit) * draws.view(complex)
@@ -441,7 +441,7 @@ class TestColumnAlgebra:
         config = hf_config()
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=300)
         prep = hf_prepare(config, attack)
-        rng = np.random.Generator(np.random.Philox(key=mix_seed(config.seed, 3)))
+        rng = stream(config.seed, Stream.EAVESDROPPER)
         rms = johnson_rms(PAIR.parallel, 1.0, config.f_b)
         noise = rms * unit_band_noise(rng, 300, config.samples_per_bit, prep.mask)
         total = np.zeros(noise.shape[1])

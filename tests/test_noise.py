@@ -15,6 +15,7 @@ from kljnsim import (
     mix_seed,
     periodogram,
 )
+from kljnsim.noise import Stream, stream
 
 # rms of Johnson noise across 1 kOhm at T_eff = 9e15 K over a 100 kHz band,
 # computed once from sqrt(4 k T R B) with k = 1.380649e-23.
@@ -104,6 +105,18 @@ class TestMixSeed:
     def test_distinct_streams_diverge(self):
         seen = {mix_seed(42, tag, idx) for tag in range(4) for idx in range(64)}
         assert len(seen) == 4 * 64
+
+
+class TestStreams:
+    def test_labels_are_distinct(self):
+        # A repeated value in an IntEnum is an alias: two consumers would
+        # silently read one stream.
+        values = [int(label) for label in Stream.__members__.values()]
+        assert len(set(values)) == len(values) == 6
+
+    def test_stream_is_sfc64_keyed_by_mix_seed(self):
+        expected = np.random.Generator(np.random.SFC64(mix_seed(9, 2))).standard_normal(5)
+        assert np.array_equal(stream(9, Stream.SECURE_WIRE).standard_normal(5), expected)
 
 
 class TestUnitGbwn:
