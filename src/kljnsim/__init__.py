@@ -54,15 +54,10 @@ from .experiment import (
 )
 from .noise import (
     BOLTZMANN,
-    NoiseSpec,
-    SampledTrace,
-    Spectrum,
     generate_unit_gbwn,
     johnson_rms,
-    johnson_scale,
     mix_seed,
     periodogram,
-    power_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -78,17 +73,14 @@ __all__ = [
     "HfPreparation",
     "KljnConfig",
     "LfDecision",
-    "NoiseSpec",
     "PeriodicSource",
     "ResistorPair",
     "SESSION_CSV_COLUMNS",
     "SWEEP_CSV_COLUMNS",
-    "SampledTrace",
     "Session",
     "SessionChunk",
     "ShapeMismatchError",
     "Situation",
-    "Spectrum",
     "SweepPoint",
     "UNDETERMINED",
     "default_band",
@@ -102,14 +94,12 @@ __all__ = [
     "hf_prepare",
     "hf_source_band",
     "johnson_rms",
-    "johnson_scale",
     "lf_decide",
     "lf_gamma",
     "lf_threshold",
     "mix_seed",
     "notch_filter",
     "periodogram",
-    "power_spectrum",
     "run_column",
     "run_point",
     "simulate_session",

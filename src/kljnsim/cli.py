@@ -326,6 +326,11 @@ def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSet
             notch_halfwidth=halfwidth,
             target_t_eff=defense_section.get("target_t_eff_k"),
         )
+    if command == "defend" and kind is DefenseKind.NOTCH and defense.notch_center is not None:
+        try:
+            _check_notch(config.sample_rate, defense.notch_center, halfwidth)
+        except ConfigurationError as error:
+            raise ConfigurationError(f"defense.notch_center_hz: {error}") from None
     defense_section["kind"] = kind_name
     if halfwidth is not None:
         defense_section["notch_halfwidth_hz"] = halfwidth

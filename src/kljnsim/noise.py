@@ -1,21 +1,22 @@
-"""Band-limited Gaussian noise synthesis and single-window spectral estimation.
+"""Band-limited Gaussian noise: Johnson levels, random streams and band draws.
 
 The emulated thermal sources are Gaussian band-limited white noise (GBWN):
 zero mean, flat one-sided spectrum from DC to the noise bandwidth, and no
-power above it.  Traces are generated at the Nyquist rate of that band
+power above it.  Wire noise is sampled at the Nyquist rate of that band
 (sample rate equal to twice the noise bandwidth), so consecutive samples
 are statistically independent and a bit period of N samples carries N
 independent observations.
 
-Everything here is deterministic: a 64-bit seed plus a ``NoiseSpec`` fixes
-the output exactly, independent of platform.  Sub-streams for different
-consumers are opened by :func:`stream` rather than by sharing one
-generator, which keeps parallel execution byte-reproducible.
+Everything here is deterministic: a session seed and a :class:`Stream`
+label fix a generator's output exactly, independent of platform.  Each
+consumer of draws opens its own stream with :func:`stream` rather than
+sharing one generator, which keeps parallel execution byte-reproducible.
+:func:`generate_unit_gbwn` and :func:`periodogram` are plain-array
+reference helpers for the tests; runs use neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -24,16 +25,11 @@ from .errors import ConfigurationError, ShapeMismatchError
 
 __all__ = [
     "BOLTZMANN",
-    "NoiseSpec",
-    "SampledTrace",
-    "Spectrum",
     "Stream",
     "generate_unit_gbwn",
     "johnson_rms",
-    "johnson_scale",
     "mix_seed",
     "periodogram",
-    "power_spectrum",
     "stream",
     "unit_band_noise",
 ]
@@ -86,128 +82,14 @@ def stream(seed: int, label: Stream) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(mix_seed(seed, label)))
 
 
-@dataclass(frozen=True)
-class SampledTrace:
-    """A uniformly sampled real-valued signal.
+def generate_unit_gbwn(n_samples: int, seed: int) -> np.ndarray:
+    """``n_samples`` unit-variance GBWN samples from Philox keyed by ``seed``.
 
-    Attributes:
-        samples: float64 array of sample values (volts or amperes).
-        sample_rate: Sampling rate in Hz, strictly positive.
+    At the pinned rate i.i.d. standard Gaussians already are band-limited
+    white noise with every DFT bin inside the band.  Runs draw through
+    :func:`stream`; this is the tests' reference generator.
     """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ConfigurationError("trace must be a non-empty 1-D array")
-        if not np.all(np.isfinite(samples)):
-            raise ConfigurationError("trace contains non-finite samples")
-        if not self.sample_rate > 0:
-            raise ConfigurationError(
-                f"sample_rate must be positive, got {self.sample_rate}"
-            )
-        samples.flags.writeable = False  # traces are immutable values
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        """Trace length in seconds."""
-        return self.samples.size / self.sample_rate
-
-    def rms(self) -> float:
-        """Root mean square of the samples."""
-        return float(np.sqrt(np.mean(np.square(self.samples))))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Recipe for one GBWN trace.
-
-    The sample rate must equal exactly twice the noise bandwidth; the
-    band-limited model only holds on that grid.
-    """
-
-    n_samples: int
-    sample_rate: float
-    noise_bandwidth: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ConfigurationError(
-                f"n_samples must be at least 2, got {self.n_samples}"
-            )
-        if not self.noise_bandwidth > 0:
-            raise ConfigurationError(
-                f"noise_bandwidth must be positive, got {self.noise_bandwidth}"
-            )
-        if self.sample_rate != 2.0 * self.noise_bandwidth:
-            raise ConfigurationError(
-                "sample_rate must equal twice the noise bandwidth exactly: "
-                f"got {self.sample_rate} vs 2 * {self.noise_bandwidth}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError("seed must fit in 64 bits")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided periodogram of a real trace.
-
-    ``bins[m]`` holds ``|(1/N) * sum_n x[n] exp(-2j*pi*m*n/N)|**2`` for
-    m = 0 .. N//2, i.e. squared magnitudes of the normalized DFT.  Summing
-    the bins with interior bins counted twice returns the mean square of
-    the trace (Parseval).
-    """
-
-    bins: np.ndarray
-    bin_width: float
-    band: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        bins = np.asarray(self.bins, dtype=np.float64)
-        if bins.ndim != 1 or bins.size == 0:
-            raise ConfigurationError("spectrum bins must be a non-empty 1-D array")
-        if not self.bin_width > 0:
-            raise ConfigurationError(
-                f"bin_width must be positive, got {self.bin_width}"
-            )
-        bins.flags.writeable = False
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
-
-    def __len__(self) -> int:
-        return self.bins.size
-
-    def frequencies(self) -> np.ndarray:
-        """Center frequency of each bin in Hz."""
-        return np.arange(self.bins.size) * self.bin_width
-
-
-def generate_unit_gbwn(spec: NoiseSpec) -> SampledTrace:
-    """Generate one unit-variance GBWN trace.
-
-    At the pinned rate the represented band ends exactly at the noise
-    bandwidth, so i.i.d. standard Gaussians drawn at that rate already are
-    band-limited white noise with every DFT bin inside the band; no
-    frequency-domain shaping is needed.  The sample variance keeps its
-    natural chi-square fluctuation; consumers that need a fixed power must
-    average over enough samples.
-
-    Args:
-        spec: Trace length, grid, and seed.
-
-    Returns:
-        A ``SampledTrace`` of ``spec.n_samples`` values at ``spec.sample_rate``.
-    """
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    return SampledTrace(rng.standard_normal(spec.n_samples), spec.sample_rate)
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal(n_samples)
 
 
 def johnson_rms(resistance, t_eff: float, bandwidth: float):
@@ -229,25 +111,13 @@ def johnson_rms(resistance, t_eff: float, bandwidth: float):
     return np.sqrt(4.0 * BOLTZMANN * t_eff * resistance * bandwidth)
 
 
-def johnson_scale(
-    trace: SampledTrace, resistance: float, t_eff: float, bandwidth: float
-) -> SampledTrace:
-    """Scale a unit-variance trace to a thermal-noise amplitude.
-
-    The target rms is :func:`johnson_rms` of the resistor over the band;
-    zero temperature yields an all-zero trace (generator switched off).
-    """
-    return SampledTrace(
-        trace.samples * johnson_rms(resistance, t_eff, bandwidth), trace.sample_rate
-    )
-
-
-def power_spectrum(samples: np.ndarray) -> np.ndarray:
+def periodogram(samples: np.ndarray) -> np.ndarray:
     """One-sided rectangular-window periodogram bins along the last axis.
 
-    No tapering and no averaging: single window, 1/N-normalized DFT,
-    squared magnitudes.  For an array of periods (one per row) this is one
-    batched FFT.
+    Bin m holds ``|(1/N) * sum_n x[n] exp(-2j*pi*m*n/N)|**2`` and covers
+    frequency m * sample_rate / N, for m = 0 .. N//2.  Summing the bins
+    with interior bins counted twice returns the mean square (Parseval).
+    For an array of periods (one per row) this is one batched FFT.
     """
     samples = np.asarray(samples, dtype=np.float64)
     coeffs = np.fft.rfft(samples, axis=-1) / samples.shape[-1]
@@ -271,13 +141,3 @@ def unit_band_noise(rng, count: int, samples_per_bit: int, mask: np.ndarray) -> 
     if samples_per_bit % 2 == 0 and mask[-1]:  # real, carrying both parts' variance
         band[:, -1] = np.sqrt(2.0) * band[:, -1].real
     return band
-
-
-def periodogram(trace: SampledTrace) -> Spectrum:
-    """Periodogram of one trace; bin m covers frequency m * sample_rate / N."""
-    n = len(trace)
-    return Spectrum(
-        bins=power_spectrum(trace.samples),
-        bin_width=trace.sample_rate / n,
-        band=(0.0, trace.sample_rate / 2.0),
-    )

@@ -23,12 +23,10 @@ from kljnsim import (
     DefenseKind,
     DefenseSpec,
     KljnConfig,
-    NoiseSpec,
     PeriodicSource,
     ResistorPair,
     default_u_eff_grid,
     divider_ac,
-    generate_unit_gbwn,
     hf_ac_power,
     hf_band,
     hf_decide,
@@ -38,7 +36,6 @@ from kljnsim import (
     lf_gamma,
     lf_threshold,
     periodogram,
-    power_spectrum,
     run_point,
     simulate_session,
     sweep,
@@ -240,7 +237,7 @@ def test_loop_current_spectrum_level(acceptance_log):
         source=PeriodicSource(amplitude=0.0, frequency=318.30), n_secure_bits=300
     )
     secure = secure_rows(simulate_session(config), "wire_current")
-    interior = np.mean(power_spectrum(secure)[:, 1:-1], axis=1)
+    interior = np.mean(periodogram(secure)[:, 1:-1], axis=1)
     density = float(np.mean(interior)) * config.samples_per_bit / config.f_b
     expected = 4.0 * BOLTZMANN * config.t_eff / 1.1e4
     ok = abs(density / expected - 1.0) < 0.05
@@ -270,31 +267,29 @@ def test_wire_voltage_superposition(acceptance_log):
 
 
 def test_noise_generator_quality(acceptance_log):
-    spec = NoiseSpec(n_samples=1 << 20, sample_rate=2.0e5, noise_bandwidth=1.0e5, seed=1)
-    trace = generate_unit_gbwn(spec)
-    x = trace.samples - trace.samples.mean()
+    # The unit wire noise runs draw: 2^20 samples of a fig5-geometry
+    # session's secure periods, 200 samples each, read as one trace.
+    n, f_b = 1 << 20, 1.0e5
+    session = simulate_session(lf_base(seed=1, n_secure_bits=5243))
+    x = np.concatenate([unit.ravel() for _, _, unit in session.secure_noise()])[:n]
+    assert x.size == n
+    bins = periodogram(x)
+    x = x - x.mean()
     kurtosis = float(np.mean(x**4) / np.mean(x**2) ** 2 - 3.0)
 
-    spectrum = periodogram(trace)
-    freqs = spectrum.frequencies()
-    out_fraction = float(
-        spectrum.bins[freqs > spec.noise_bandwidth].sum() / spectrum.bins.sum()
-    )
+    freqs = np.arange(bins.size) * (2.0 * f_b) / n
+    out_fraction = float(bins[freqs > f_b].sum() / bins.sum())
 
-    keep = (freqs >= spec.noise_bandwidth / 1000.0) & (freqs <= spec.noise_bandwidth)
-    level = spectrum.bins[keep].mean()
+    keep = (freqs >= f_b / 1000.0) & (freqs <= f_b)
+    level = bins[keep].mean()
     flatness = max(
-        abs(spectrum.bins[(freqs >= lo) & (freqs <= hi)].mean() / level - 1.0)
-        for lo, hi in [
-            (spec.noise_bandwidth / 1000.0, spec.noise_bandwidth / 100.0),
-            (spec.noise_bandwidth / 100.0, spec.noise_bandwidth / 10.0),
-            (spec.noise_bandwidth / 10.0, spec.noise_bandwidth),
-        ]
+        abs(bins[(freqs >= lo) & (freqs <= hi)].mean() / level - 1.0)
+        for lo, hi in [(f_b / 1000.0, f_b / 100.0), (f_b / 100.0, f_b / 10.0), (f_b / 10.0, f_b)]
     )
     ok = abs(kurtosis) < 0.05 and out_fraction < 1e-3 and flatness < 0.05
     verdict(
         acceptance_log,
-        "noise generator quality at 2^20 samples",
+        "secure-period unit noise quality at 2^20 samples",
         ok,
         f"excess kurtosis {kurtosis:+.4f} (|.|<0.05), out-of-band {out_fraction:.1e} (<1e-3), "
         f"flatness {flatness:.3f} (<0.05)",

@@ -15,7 +15,6 @@ from kljnsim import (
     PeriodicSource,
     ResistorPair,
     UNDETERMINED,
-    SampledTrace,
     ShapeMismatchError,
     Situation,
     default_band,
@@ -232,9 +231,8 @@ class TestHfPrepare:
         for m in range(attack.ensemble_size):
             times = (m * spb + np.arange(spb)) / config.sample_rate
             source = np.cos(2.0 * math.pi * config.source.frequency * times)
-            rate = config.sample_rate
-            lh = periodogram(SampledTrace(divider_ac(1.0e3, 1.0e4, source), rate)).bins
-            hl = periodogram(SampledTrace(divider_ac(1.0e4, 1.0e3, source), rate)).bins
+            lh = periodogram(divider_ac(1.0e3, 1.0e4, source))
+            hl = periodogram(divider_ac(1.0e4, 1.0e3, source))
             lh_means.append(np.mean(lh[mask]))
             hl_means.append(np.mean(hl[mask]))
         lh_mean = float(np.mean(lh_means))

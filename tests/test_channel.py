@@ -13,7 +13,6 @@ from kljnsim import (
     ConfigurationError,
     ShapeMismatchError,
     KljnConfig,
-    NoiseSpec,
     PeriodicSource,
     ResistorPair,
     SESSION_CSV_COLUMNS,
@@ -21,8 +20,8 @@ from kljnsim import (
     divider_ac,
     dump_session_csv,
     generate_unit_gbwn,
-    johnson_scale,
-    power_spectrum,
+    johnson_rms,
+    periodogram,
     simulate_session,
     wire_current,
     wire_noise,
@@ -43,12 +42,6 @@ def make_config(**overrides):
     )
     defaults.update(overrides)
     return KljnConfig(**defaults)
-
-
-def unit_trace(n, rate, seed):
-    return generate_unit_gbwn(
-        NoiseSpec(n_samples=n, sample_rate=rate, noise_bandwidth=rate / 2.0, seed=seed)
-    )
 
 
 class TestSituation:
@@ -123,7 +116,7 @@ class TestDividerAc:
 
 class TestWireNoise:
     def test_identical_sources_pass_through(self):
-        x = unit_trace(512, 2.0e5, seed=31).samples
+        x = generate_unit_gbwn(512, seed=31)
         out = wire_noise(1.0e3, 1.0e4, x, x)
         np.testing.assert_allclose(out, x, rtol=1e-15)
 
@@ -139,9 +132,9 @@ class TestWireNoise:
         n = 1 << 18
         t_eff = 9.0e15
         f_b = 1.0e5
-        alice = johnson_scale(unit_trace(n, 2.0 * f_b, 32), 1.0e3, t_eff, f_b)
-        bob = johnson_scale(unit_trace(n, 2.0 * f_b, 33), 1.0e4, t_eff, f_b)
-        mixed = wire_noise(1.0e3, 1.0e4, alice.samples, bob.samples)
+        alice = johnson_rms(1.0e3, t_eff, f_b) * generate_unit_gbwn(n, seed=32)
+        bob = johnson_rms(1.0e4, t_eff, f_b) * generate_unit_gbwn(n, seed=33)
+        mixed = wire_noise(1.0e3, 1.0e4, alice, bob)
         parallel = 1.0e3 * 1.0e4 / 1.1e4
         expected = math.sqrt(4.0 * BOLTZMANN * t_eff * parallel * f_b)
         assert math.sqrt(np.mean(mixed**2)) == pytest.approx(expected, rel=0.02)
@@ -168,10 +161,10 @@ class TestWireCurrent:
         n = 1 << 18
         t_eff = 9.0e15
         f_b = 1.0e5
-        alice = johnson_scale(unit_trace(n, 2.0 * f_b, 34), 1.0e3, t_eff, f_b)
-        bob = johnson_scale(unit_trace(n, 2.0 * f_b, 35), 1.0e4, t_eff, f_b)
-        current = wire_current(1.0e3, 1.0e4, np.zeros(n), alice.samples, bob.samples)
-        bins = power_spectrum(current)
+        alice = johnson_rms(1.0e3, t_eff, f_b) * generate_unit_gbwn(n, seed=34)
+        bob = johnson_rms(1.0e4, t_eff, f_b) * generate_unit_gbwn(n, seed=35)
+        current = wire_current(1.0e3, 1.0e4, np.zeros(n), alice, bob)
+        bins = periodogram(current)
         # Interior bins each carry sigma^2/N, so the one-sided density is
         # bin * N / f_b on this grid.
         density = float(np.mean(bins[1:-1])) * n / f_b

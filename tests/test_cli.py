@@ -468,6 +468,15 @@ class TestBoundaryValidation:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_explicit_notch_center_above_f_b_names_key_before_echo(self, capsys):
+        argv = ["defend", "--preset", "fig6", "--bits", "50", "--u-eff-points", "1",
+                "--notch-center", "1e6"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "defense.notch_center_hz" in err
+        assert "# command:" not in err
+
     @pytest.mark.parametrize(
         "argv,key",
         [

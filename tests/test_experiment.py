@@ -35,7 +35,6 @@ from kljnsim import (
     mix_seed,
     notch_filter,
     periodogram,
-    power_spectrum,
     run_column,
     run_point,
     simulate_session,
@@ -46,7 +45,7 @@ from kljnsim import (
 )
 import kljnsim.channel as channel
 import kljnsim.experiment as experiment
-from kljnsim.noise import NoiseSpec, Stream, stream, unit_band_noise
+from kljnsim.noise import Stream, stream, unit_band_noise
 
 # rms of the wire noise at T_eff = 9e15 K over a 100 kHz band with the
 # 1 kOhm / 10 kOhm pair (909.09 ohm in parallel), frozen from
@@ -118,21 +117,21 @@ class TestNotchFilter:
         assert rms(batch[1]) < 1e-12
 
     def test_energy_bookkeeping_on_noise(self):
-        spec = NoiseSpec(n_samples=1 << 16, sample_rate=self.RATE, noise_bandwidth=1.0e5, seed=3)
-        trace = generate_unit_gbwn(spec)
-        out = notch_filter(trace.samples, self.RATE, center=2000.0, halfwidth=500.0)
-        spectrum = periodogram(trace)
-        freqs = spectrum.frequencies()
-        weights = np.full(len(spectrum), 2.0)
+        n = 1 << 16
+        trace = generate_unit_gbwn(n, seed=3)
+        out = notch_filter(trace, self.RATE, center=2000.0, halfwidth=500.0)
+        bins = periodogram(trace)
+        freqs = np.arange(bins.size) * self.RATE / n
+        weights = np.full(bins.size, 2.0)
         weights[0] = 1.0
         weights[-1] = 1.0
         removed = (np.abs(freqs - 2000.0) <= 500.0)
-        removed_power = float(np.sum((weights * spectrum.bins)[removed]))
-        in_ms = float(np.mean(trace.samples**2))
+        removed_power = float(np.sum((weights * bins)[removed]))
+        in_ms = float(np.mean(trace**2))
         out_ms = float(np.mean(out**2))
         assert out_ms == pytest.approx(in_ms - removed_power, rel=1e-10)
         # A 1 kHz notch out of 100 kHz removes ~1% of the power.
-        assert rms(out) / trace.rms() == pytest.approx(math.sqrt(0.99), rel=0.02)
+        assert rms(out) / rms(trace) == pytest.approx(math.sqrt(0.99), rel=0.02)
 
     def test_rejects_center_outside_band(self):
         trace = self.tone(cycles=20)
@@ -489,7 +488,7 @@ class TestColumnAlgebra:
             z[..., cut] = 0.0
             wire = notch_filter(wire, config.sample_rate, center, halfwidth)
         coeffs = ac + sigma * z
-        expected = power_spectrum(wire)[..., prep.mask]
+        expected = periodogram(wire)[..., prep.mask]
         np.testing.assert_allclose(
             coeffs.real**2 + coeffs.imag**2, expected, rtol=1e-12, atol=1e-12 * expected.max()
         )

@@ -1,5 +1,6 @@
 """Tests for the band-limited Gaussian noise generator and spectral helpers."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,10 +9,8 @@ import pytest
 from kljnsim import (
     BOLTZMANN,
     ConfigurationError,
-    NoiseSpec,
-    SampledTrace,
     generate_unit_gbwn,
-    johnson_scale,
+    johnson_rms,
     mix_seed,
     periodogram,
 )
@@ -22,49 +21,21 @@ from kljnsim.noise import Stream, stream
 JOHNSON_RMS_1K = 7.050061276329449
 
 
-def make_spec(n=4096, rate=2.0e5, seed=1):
-    return NoiseSpec(n_samples=n, sample_rate=rate, noise_bandwidth=rate / 2.0, seed=seed)
+MODULES = ["kljnsim"] + [
+    f"kljnsim.{name}" for name in ("attacks", "channel", "cli", "errors", "experiment", "noise")
+]
+# The sampled-trace wrappers that plain arrays replaced; none may come back.
+DELETED = {"NoiseSpec", "SampledTrace", "Spectrum", "johnson_scale", "power_spectrum"}
 
 
-class TestSampledTrace:
-    def test_basic_properties(self):
-        trace = SampledTrace(samples=[1.0, -1.0, 1.0, -1.0], sample_rate=8.0)
-        assert len(trace) == 4
-        assert trace.duration == pytest.approx(0.5)
-        assert trace.rms() == pytest.approx(1.0)
-
-    def test_samples_are_read_only(self):
-        trace = SampledTrace(samples=[0.0, 1.0], sample_rate=2.0)
-        with pytest.raises(ValueError):
-            trace.samples[0] = 5.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            SampledTrace(samples=[], sample_rate=1.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigurationError):
-            SampledTrace(samples=[0.0, math.nan], sample_rate=1.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            SampledTrace(samples=[0.0], sample_rate=0.0)
-
-
-class TestNoiseSpec:
-    def test_rejects_rate_not_twice_bandwidth(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(n_samples=16, sample_rate=1.0e5, noise_bandwidth=1.0e5, seed=0)
-
-    def test_rejects_tiny_length(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(n_samples=1, sample_rate=2.0, noise_bandwidth=1.0, seed=0)
-
-    def test_rejects_out_of_range_seed(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(n_samples=16, sample_rate=2.0, noise_bandwidth=1.0, seed=-1)
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(n_samples=16, sample_rate=2.0, noise_bandwidth=1.0, seed=1 << 64)
+class TestPublicNames:
+    @pytest.mark.parametrize("module_name", MODULES)
+    def test_every_exported_name_resolves(self, module_name):
+        module = importlib.import_module(module_name)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []
+        assert DELETED.isdisjoint(module.__all__)
+        assert not any(hasattr(module, name) for name in DELETED)
 
 
 class TestMixSeed:
@@ -120,24 +91,21 @@ class TestStreams:
 
 
 class TestUnitGbwn:
+    RATE = 2.0e5  # the pinned grid: twice the 100 kHz noise bandwidth
+
     def test_deterministic_for_same_spec(self):
-        a = generate_unit_gbwn(make_spec(seed=9))
-        b = generate_unit_gbwn(make_spec(seed=9))
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(generate_unit_gbwn(4096, seed=9), generate_unit_gbwn(4096, seed=9))
 
     def test_different_seeds_differ(self):
-        a = generate_unit_gbwn(make_spec(seed=9))
-        b = generate_unit_gbwn(make_spec(seed=10))
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(generate_unit_gbwn(4096, seed=9), generate_unit_gbwn(4096, seed=10))
 
     def test_moments_near_standard_normal(self):
-        trace = generate_unit_gbwn(make_spec(n=1 << 20, seed=11))
-        x = trace.samples
+        x = generate_unit_gbwn(1 << 20, seed=11)
         assert abs(x.mean()) < 5e-3
         assert abs(x.var() - 1.0) < 1e-2
 
     def test_excess_kurtosis_small(self):
-        x = generate_unit_gbwn(make_spec(n=1 << 20, seed=12)).samples
+        x = generate_unit_gbwn(1 << 20, seed=12)
         x = x - x.mean()
         kurt = np.mean(x**4) / np.mean(x**2) ** 2 - 3.0
         assert abs(kurt) < 0.05
@@ -145,70 +113,68 @@ class TestUnitGbwn:
     def test_no_power_above_noise_bandwidth(self):
         # At the pinned rate the represented band ends exactly at the noise
         # bandwidth, so every bin above it must be empty.
-        spec = make_spec(n=1 << 14, seed=13)
-        spectrum = periodogram(generate_unit_gbwn(spec))
-        freqs = spectrum.frequencies()
-        in_band = spectrum.bins[freqs <= spec.noise_bandwidth].sum()
-        out_band = spectrum.bins[freqs > spec.noise_bandwidth].sum()
+        n, f_b = 1 << 14, self.RATE / 2.0
+        bins = periodogram(generate_unit_gbwn(n, seed=13))
+        freqs = np.arange(bins.size) * self.RATE / n
+        in_band = bins[freqs <= f_b].sum()
+        out_band = bins[freqs > f_b].sum()
         assert out_band < 1e-3 * in_band
 
     def test_spectrum_flat_across_three_decades(self):
-        spec = make_spec(n=1 << 20, seed=14)
-        spectrum = periodogram(generate_unit_gbwn(spec))
-        freqs = spectrum.frequencies()
-        f_b = spec.noise_bandwidth
+        n, f_b = 1 << 20, self.RATE / 2.0
+        bins = periodogram(generate_unit_gbwn(n, seed=14))
+        freqs = np.arange(bins.size) * self.RATE / n
         keep = (freqs >= f_b / 1000.0) & (freqs <= f_b)
-        level = spectrum.bins[keep].mean()
+        level = bins[keep].mean()
         for lo, hi in [(f_b / 1000.0, f_b / 100.0), (f_b / 100.0, f_b / 10.0), (f_b / 10.0, f_b)]:
             band = (freqs >= lo) & (freqs <= hi)
-            assert abs(spectrum.bins[band].mean() / level - 1.0) < 0.05
+            assert abs(bins[band].mean() / level - 1.0) < 0.05
 
     def test_per_trace_power_fluctuates_naturally(self):
         # The gain is deterministic (ensemble normalization), so short traces
         # must keep the chi-square spread of their total power rather than
         # being standardized to exactly unit variance one by one.
         n = 200
-        powers = np.array(
-            [np.mean(generate_unit_gbwn(make_spec(n=n, seed=s)).samples ** 2) for s in range(400)]
-        )
+        powers = np.array([np.mean(generate_unit_gbwn(n, seed=s) ** 2) for s in range(400)])
         assert abs(powers.mean() - 1.0) < 0.02
         expected_sd = math.sqrt(2.0 / n)
         assert 0.5 * expected_sd < powers.std() < 1.5 * expected_sd
 
-    def test_sample_rate_carried_through(self):
-        trace = generate_unit_gbwn(make_spec(rate=2.0e5))
-        assert trace.sample_rate == 2.0e5
-
 
 class TestJohnsonScale:
+    # Unit noise times johnson_rms is thermal noise at the Johnson level.
     def test_rms_matches_closed_form(self):
-        trace = generate_unit_gbwn(make_spec(n=1 << 20, seed=21))
-        scaled = johnson_scale(trace, resistance=1.0e3, t_eff=9.0e15, bandwidth=1.0e5)
-        assert scaled.rms() == pytest.approx(JOHNSON_RMS_1K, rel=0.01)
+        scaled = johnson_rms(1.0e3, t_eff=9.0e15, bandwidth=1.0e5) * generate_unit_gbwn(
+            1 << 20, seed=21
+        )
+        assert math.sqrt(np.mean(scaled**2)) == pytest.approx(JOHNSON_RMS_1K, rel=0.01)
 
     def test_frozen_value_matches_formula(self):
         formula = math.sqrt(4.0 * BOLTZMANN * 9.0e15 * 1.0e3 * 1.0e5)
         assert formula == pytest.approx(JOHNSON_RMS_1K, rel=1e-12)
 
     def test_resistance_scaling_is_sqrt(self):
-        trace = generate_unit_gbwn(make_spec(seed=22))
-        low = johnson_scale(trace, resistance=1.0e3, t_eff=9.0e15, bandwidth=1.0e5)
-        high = johnson_scale(trace, resistance=1.0e4, t_eff=9.0e15, bandwidth=1.0e5)
-        np.testing.assert_allclose(high.samples, math.sqrt(10.0) * low.samples, rtol=1e-12)
+        unit = generate_unit_gbwn(4096, seed=22)
+        low = johnson_rms(1.0e3, t_eff=9.0e15, bandwidth=1.0e5) * unit
+        high = johnson_rms(1.0e4, t_eff=9.0e15, bandwidth=1.0e5) * unit
+        np.testing.assert_allclose(high, math.sqrt(10.0) * low, rtol=1e-12)
+        # An array of resistors gives one level each.
+        levels = johnson_rms(np.array([1.0e3, 1.0e4]), t_eff=9.0e15, bandwidth=1.0e5)
+        np.testing.assert_allclose(levels, [JOHNSON_RMS_1K, math.sqrt(10.0) * JOHNSON_RMS_1K])
 
     def test_zero_temperature_gives_silence(self):
-        trace = generate_unit_gbwn(make_spec(seed=23))
-        scaled = johnson_scale(trace, resistance=1.0e3, t_eff=0.0, bandwidth=1.0e5)
-        assert np.all(scaled.samples == 0.0)
+        scaled = johnson_rms(1.0e3, t_eff=0.0, bandwidth=1.0e5) * generate_unit_gbwn(4096, seed=23)
+        assert np.all(scaled == 0.0)
 
     def test_rejects_negative_parameters(self):
-        trace = generate_unit_gbwn(make_spec(seed=24))
         with pytest.raises(ConfigurationError):
-            johnson_scale(trace, resistance=-1.0, t_eff=300.0, bandwidth=1.0e5)
+            johnson_rms(-1.0, t_eff=300.0, bandwidth=1.0e5)
         with pytest.raises(ConfigurationError):
-            johnson_scale(trace, resistance=1.0e3, t_eff=-1.0, bandwidth=1.0e5)
+            johnson_rms(np.array([1.0e3, -1.0]), t_eff=300.0, bandwidth=1.0e5)
         with pytest.raises(ConfigurationError):
-            johnson_scale(trace, resistance=1.0e3, t_eff=300.0, bandwidth=0.0)
+            johnson_rms(1.0e3, t_eff=-1.0, bandwidth=1.0e5)
+        with pytest.raises(ConfigurationError):
+            johnson_rms(1.0e3, t_eff=300.0, bandwidth=0.0)
 
 
 class TestPeriodogram:
@@ -217,34 +183,40 @@ class TestPeriodogram:
         rate = 1024.0
         times = np.arange(n) / rate
         cycles = 37
-        trace = SampledTrace(samples=np.cos(2.0 * np.pi * cycles * times), sample_rate=rate)
-        spectrum = periodogram(trace)
-        assert spectrum.bins[cycles] == pytest.approx(0.25, abs=1e-12)
-        others = np.delete(spectrum.bins, cycles)
+        bins = periodogram(np.cos(2.0 * np.pi * cycles * times))
+        assert bins[cycles] == pytest.approx(0.25, abs=1e-12)
+        others = np.delete(bins, cycles)
         assert np.all(others < 1e-20)
 
     def test_constant_goes_to_dc_bin(self):
-        trace = SampledTrace(samples=np.full(256, 3.0), sample_rate=256.0)
-        spectrum = periodogram(trace)
-        assert spectrum.bins[0] == pytest.approx(9.0, abs=1e-12)
-        assert np.all(spectrum.bins[1:] < 1e-20)
+        bins = periodogram(np.full(256, 3.0))
+        assert bins[0] == pytest.approx(9.0, abs=1e-12)
+        assert np.all(bins[1:] < 1e-20)
 
     def test_bin_width_and_band(self):
-        spectrum = periodogram(SampledTrace(samples=np.zeros(200), sample_rate=2.0e5))
-        assert spectrum.bin_width == pytest.approx(1.0e3)
-        assert spectrum.band == (0.0, 1.0e5)
-        assert len(spectrum) == 101
-        assert spectrum.frequencies()[-1] == pytest.approx(1.0e5)
+        # Bin m of N samples at rate R sits at m * R / N, up to R / 2.
+        n, rate = 200, 2.0e5
+        bins = periodogram(np.zeros(n))
+        freqs = np.arange(bins.size) * rate / n
+        assert bins.size == 101
+        assert freqs[1] == pytest.approx(1.0e3)
+        assert freqs[-1] == pytest.approx(1.0e5)
+
+    def test_batches_along_the_last_axis(self):
+        x = np.random.default_rng(5).standard_normal((3, 64))
+        batch = periodogram(x)
+        assert batch.shape == (3, 33)
+        for row, bins in zip(x, batch):
+            np.testing.assert_allclose(bins, periodogram(row), rtol=1e-14)
 
     @pytest.mark.parametrize("n,seed", [(256, 1), (257, 2), (1024, 3), (4097, 4)])
     def test_parseval_energy_accounting(self, n, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
-        trace = SampledTrace(samples=x, sample_rate=float(n))
-        spectrum = periodogram(trace)
-        weights = np.full(len(spectrum), 2.0)
+        bins = periodogram(x)
+        weights = np.full(bins.size, 2.0)
         weights[0] = 1.0
         if n % 2 == 0:
             weights[-1] = 1.0
-        total = float(np.sum(weights * spectrum.bins))
+        total = float(np.sum(weights * bins))
         assert total == pytest.approx(np.mean(x**2), rel=1e-10)
