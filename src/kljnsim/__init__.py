@@ -43,7 +43,6 @@ from .experiment import (
     DefenseKind,
     DefenseSpec,
     SweepPoint,
-    default_u_eff_grid,
     notch_filter,
     run_column,
     run_point,
@@ -84,7 +83,6 @@ __all__ = [
     "SweepPoint",
     "UNDETERMINED",
     "default_band",
-    "default_u_eff_grid",
     "divider_ac",
     "dump_session_csv",
     "generate_unit_gbwn",

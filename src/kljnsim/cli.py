@@ -8,9 +8,10 @@ Four subcommands share one configuration model:
 * ``defend``: the same sweep with a countermeasure enabled.
 
 Every configuration key is declared once, as a row of ``_KEYS``: its type,
-flag, help text and default (or that it is required).  Values resolve in
-four layers, later wins: those defaults, compiled-in preset, config file,
-command-line flags.  Unknown config keys are hard errors.  Output files
+flag, help text and default (or that it is required).  Each command reads
+the sections ``_ECHO_SECTIONS`` lists, and checks, builds, echoes and
+takes flags for only their keys.  Values resolve in four layers, later
+wins: those defaults, compiled-in preset, config file, command-line flags.  Unknown config keys are hard errors.  Output files
 are never overwritten without ``--force``.  The effective configuration is
 echoed to stderr before the run; results go to ``--out`` or stdout.
 """
@@ -46,7 +47,7 @@ from .experiment import (
     write_sweep_csv,
 )
 
-__all__ = ["PRESETS", "RunManifest", "dispatch", "main", "parse_config"]
+__all__ = ["PRESETS", "RunManifest", "dispatch", "main", "resolve"]
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -56,7 +57,7 @@ def _parse_float_list(raw: str) -> list[float]:
     return values
 
 
-_REQUIRED: Any = object()  # the default of a key every run must set
+_REQUIRED: Any = object()  # the default of a key every command reading it must set
 
 
 class Key(NamedTuple):
@@ -74,19 +75,20 @@ class Key(NamedTuple):
 _KEYS = (
     Key("channel", "r_low_ohm", float, None, "low resistance in ohms", _REQUIRED),
     Key("channel", "r_high_ohm", float, None, "high resistance in ohms", _REQUIRED),
-    Key("channel", "t_eff_k", float, "--t-eff", "effective temperature in kelvin"),
+    Key("channel", "t_eff_k", float, "--t-eff", "effective temperature in kelvin", _REQUIRED),
     Key("channel", "u_eff_v", float, "--u-eff", "wire noise rms in volts; sets t_eff_k"),
     Key("channel", "f_b_hz", float, None, "noise bandwidth in Hz", _REQUIRED),
     Key("channel", "f_c_hz", float, None, "clock frequency in Hz", _REQUIRED),
     Key("channel", "amplitude_v", float, "--amplitude", "source amplitude in volts", _REQUIRED),
     Key("channel", "f_a_hz", float, "--f-a", "source frequency in Hz", _REQUIRED),
-    Key("channel", "phase_rad", float, None, "source phase in radians", 0.0),
+    Key("channel", "phase_rad", float, None, "source phase in radians", PeriodicSource.phase),
     Key("channel", "n_secure_bits", int, "--bits", "secure bits per session", _REQUIRED),
     Key("channel", "seed", int, "--seed", "session seed", 42),
     Key("attack", "mode", str.strip, "--mode", "attack protocol", _REQUIRED,
         tuple(m.value for m in AttackMode)),
-    Key("attack", "kappa", float, "--kappa", "threshold scale", 0.5),
-    Key("attack", "ensemble_size", int, "--ensemble-size", "rehearsal periods", 1000),
+    Key("attack", "kappa", float, "--kappa", "threshold scale", AttackConfig.kappa),
+    Key("attack", "ensemble_size", int, "--ensemble-size", "rehearsal periods",
+        AttackConfig.ensemble_size),
     Key("attack", "band_lo_hz", float, "--band-lo", "band lower edge in Hz"),
     Key("attack", "band_hi_hz", float, "--band-hi", "band upper edge in Hz"),
     Key("defense", "kind", str.strip, "--defense", "countermeasure kind (default notch)", "none",
@@ -98,10 +100,37 @@ _KEYS = (
     Key("grid", "u_eff_max_v", float, "--u-eff-max", "grid upper edge in volts", 100.0),
     Key("grid", "u_eff_points", int, "--u-eff-points", "grid size", 25),
     Key("grid", "f_a_list_hz", _parse_float_list, "--f-a-list",
-        "source frequencies to sweep, in Hz, comma-separated"),
+        "source frequencies to sweep, in Hz, comma-separated", _REQUIRED),
 )
 _LOOKUP = {(key.section, key.name): key for key in _KEYS}
 _SECTIONS = tuple(dict.fromkeys(key.section for key in _KEYS))
+# Required keys another key may set instead: u_eff_v sets t_eff_k, and a
+# sweep over one source frequency may give it as f_a_hz.
+_STAND_INS = {
+    ("channel", "t_eff_k"): ("channel", "u_eff_v"),
+    ("grid", "f_a_list_hz"): ("channel", "f_a_hz"),
+}
+# Sections each command reads: only these are checked, built and echoed,
+# and only their keys take flags.
+_ECHO_SECTIONS = {
+    "simulate": ("channel",),
+    "attack": ("attack", "channel"),
+    "sweep": ("attack", "channel", "grid"),
+    "defend": ("attack", "channel", "defense", "grid"),
+}
+# Channel keys a sweep grid overrides cell by cell.
+_GRID_KEYS = ("t_eff_k", "u_eff_v", "f_a_hz")
+
+
+def _command_keys(command: str) -> list[Key]:
+    """The keys ``command`` reads: it checks and echoes them and takes their flags."""
+    sections = _ECHO_SECTIONS[command]
+    return [
+        key
+        for key in _KEYS
+        if key.section in sections
+        and not ("grid" in sections and key.section == "channel" and key.name in _GRID_KEYS)
+    ]
 
 
 def _preset(f_c_hz: float, f_a_list_hz: list[float], mode: str) -> dict[str, dict[str, Any]]:
@@ -147,11 +176,15 @@ class RunManifest:
 
 @dataclass
 class ResolvedSetup:
-    """Typed objects built from the merged configuration layers."""
+    """The typed objects a command reads; None or empty for a section it does not.
+
+    ``config`` is the first cell the run executes, and ``sections`` holds
+    the values the command reads.
+    """
 
     config: KljnConfig
-    attack: AttackConfig
-    defense: DefenseSpec
+    attack: AttackConfig | None
+    defense: DefenseSpec | None
     u_eff_grid: list[float]
     f_a_list: list[float]
     sections: dict[str, dict[str, Any]]
@@ -214,20 +247,22 @@ def _merge_layers(manifest: RunManifest) -> dict[str, dict[str, Any]]:
     return merged
 
 
-def _check_keys(merged: dict[str, dict[str, Any]]) -> None:
-    """Reject missing required keys and non-finite floats, naming each key."""
-    missing = [
-        f"{key.section}.{key.name}"
-        for key in _KEYS
-        if key.default is _REQUIRED and key.name not in merged[key.section]
-    ]
-    if "t_eff_k" not in merged["channel"] and "u_eff_v" not in merged["channel"]:
-        missing.append("channel.t_eff_k (or channel.u_eff_v)")
+def _check_keys(merged: dict[str, dict[str, Any]], keys: list[Key]) -> None:
+    """Reject missing required keys and non-finite floats among ``keys``, naming each."""
+    missing = []
+    for key in keys:
+        if key.default is not _REQUIRED or key.name in merged[key.section]:
+            continue
+        stand_in = _STAND_INS.get((key.section, key.name))
+        if stand_in is None:
+            missing.append(f"{key.section}.{key.name}")
+        elif stand_in[1] not in merged[stand_in[0]]:
+            missing.append(f"{key.section}.{key.name} (or {'.'.join(stand_in)})")
     if missing:
         raise ConfigurationError(
             f"missing required keys: {', '.join(missing)}; give --preset, a config file, or flags"
         )
-    for key in _KEYS:
+    for key in keys:
         value = merged[key.section].get(key.name)
         if key.parse is float and value is not None and not math.isfinite(value):
             raise ConfigurationError(
@@ -236,186 +271,141 @@ def _check_keys(merged: dict[str, dict[str, Any]]) -> None:
 
 
 @contextmanager
-def _naming(section: str) -> Iterator[None]:
-    """Prefix a library error with the ``section`` keys its message names.
+def _naming(keys: list[Key], *sections: str) -> Iterator[None]:
+    """Prefix a library error with the keys of ``sections`` its message names.
 
     Library objects name their fields (``f_b``), which are the key names
-    without their unit suffix (``f_b_hz``).
+    without their unit suffix (``f_b_hz``).  Only ``keys``, the keys the
+    command reads, are named.
     """
     try:
         yield
     except ConfigurationError as error:
         words = set(re.findall(r"\w+", str(error)))
         named = [
-            f"{section}.{key.name}"
-            for key in _KEYS
-            if key.section == section and {key.name, key.name.rsplit("_", 1)[0]} & words
+            f"{key.section}.{key.name}"
+            for key in keys
+            if key.section in sections and {key.name, key.name.rsplit("_", 1)[0]} & words
         ]
         if not named:
             raise
         raise ConfigurationError(f"{', '.join(named)}: {error}") from None
 
 
-def _build_setup(merged: dict[str, dict[str, Any]], command: str) -> ResolvedSetup:
-    _check_keys(merged)
-    channel = dict(merged["channel"])
-    attack_section = dict(merged["attack"])
-    defense_section = dict(merged["defense"])
-    grid_section = dict(merged["grid"])
+def resolve(manifest: RunManifest) -> ResolvedSetup:
+    """Resolve the configuration layers into the objects the command reads.
 
-    with _naming("channel"):
+    Only the sections of ``_ECHO_SECTIONS[manifest.command]`` are checked
+    and built.  Every column the run executes is checked here, so bad
+    input fails before the echo, naming its key.
+    """
+    if manifest.command not in _ECHO_SECTIONS:
+        raise ConfigurationError(f"unknown command {manifest.command!r}")
+    keys = _command_keys(manifest.command)
+    merged = _merge_layers(manifest)
+    _check_keys(merged, keys)
+    sections = {section: merged[section] for section in _ECHO_SECTIONS[manifest.command]}
+    channel, grid = sections["channel"], sections.get("grid")
+
+    u_eff_grid: list[float] = []
+    f_a_list = [channel.get("f_a_hz")]  # the one column of a point
+    if grid is not None:
+        u_min, u_max, u_points = grid["u_eff_min_v"], grid["u_eff_max_v"], grid["u_eff_points"]
+        if u_points < 1:
+            raise ConfigurationError(f"grid.u_eff_points must be at least 1, got {u_points}")
+        if not 0 < u_min <= u_max:
+            raise ConfigurationError(
+                f"need 0 < grid.u_eff_min_v <= grid.u_eff_max_v, got {u_min}, {u_max}"
+            )
+        if u_min == u_max and u_points > 1:
+            raise ConfigurationError(
+                f"grid.u_eff_points must be 1 when the grid edges coincide, got {u_points}"
+            )
+        u_eff_grid = np.logspace(math.log10(u_min), math.log10(u_max), u_points).tolist()
+        f_a_list = grid["f_a_list_hz"] = [float(f) for f in grid.get("f_a_list_hz", f_a_list)]
+        channel["u_eff_v"] = u_eff_grid[0]  # a sweep's base is its first cell
+
+    with _naming(keys, "channel"):
         resistors = ResistorPair(channel["r_low_ohm"], channel["r_high_ohm"])
         if "u_eff_v" in channel:
             channel["t_eff_k"] = teff_of_ueff(channel["u_eff_v"], resistors, channel["f_b_hz"])
-        source = PeriodicSource(
-            amplitude=channel["amplitude_v"],
-            frequency=channel["f_a_hz"],
-            phase=channel["phase_rad"],
-        )
-        config = KljnConfig(
-            resistors=resistors,
-            t_eff=channel["t_eff_k"],
-            f_b=channel["f_b_hz"],
-            f_c=channel["f_c_hz"],
-            source=source,
-            seed=channel["seed"],
-            n_secure_bits=channel["n_secure_bits"],
+        base = KljnConfig(  # at source frequency 0; each column sets its own below
+            resistors, channel["t_eff_k"], channel["f_b_hz"], channel["f_c_hz"],
+            PeriodicSource(channel["amplitude_v"], 0.0, channel["phase_rad"]),
+            channel["seed"], channel["n_secure_bits"],
         )
 
-    try:
-        mode = AttackMode(attack_section["mode"])
-    except ValueError:
-        raise ConfigurationError(
-            f"attack.mode must be one of {[m.value for m in AttackMode]}, "
-            f"got {attack_section['mode']!r}"
-        ) from None
-    edges = [attack_section.get(name) for name in ("band_lo_hz", "band_hi_hz")]
-    if (edges[0] is None) != (edges[1] is None):
-        raise ConfigurationError("attack.band_lo_hz and attack.band_hi_hz must be given together")
-    band = None if edges[0] is None else tuple(edges)
-    with _naming("attack"):
-        attack = AttackConfig(
-            mode=mode,
-            kappa=attack_section["kappa"],
-            ensemble_size=attack_section["ensemble_size"],
-            band=band,
-        )
-        # An explicit band is the same in every sweep column; a default one is not.
-        sweeping = command in ("sweep", "defend")
-        if mode is AttackMode.HIGH_FREQ and (command == "attack" or (sweeping and band)):
-            with _naming("channel"):  # a default band sits on the source frequency
-                resolve_band(config, attack)
-
-    kind_name = defense_section["kind"]
-    if command == "defend" and kind_name == "none":
-        kind_name = "notch"  # defend without an explicit kind notches the source
-    try:
-        kind = DefenseKind(kind_name)
-    except ValueError:
-        raise ConfigurationError(
-            f"defense.kind must be one of {[k.value for k in DefenseKind]}, "
-            f"got {kind_name!r}"
-        ) from None
-    halfwidth = defense_section.get("notch_halfwidth_hz")
-    if kind is DefenseKind.NOTCH and halfwidth is None:
-        halfwidth = config.f_c  # one clock-width each side by default
-    with _naming("defense"):
-        defense = DefenseSpec(
-            kind=kind,
-            notch_center=defense_section.get("notch_center_hz"),
-            notch_halfwidth=halfwidth,
-            target_t_eff=defense_section.get("target_t_eff_k"),
-        )
-    if command == "defend" and kind is DefenseKind.NOTCH and defense.notch_center is not None:
+    attack = None
+    if "attack" in sections:
+        section = sections["attack"]
         try:
-            _check_notch(config.sample_rate, defense.notch_center, halfwidth)
-        except ConfigurationError as error:
-            raise ConfigurationError(f"defense.notch_center_hz: {error}") from None
-    defense_section["kind"] = kind_name
-    if halfwidth is not None:
-        defense_section["notch_halfwidth_hz"] = halfwidth
+            mode = AttackMode(section["mode"])
+        except ValueError:
+            raise ConfigurationError(
+                f"attack.mode must be one of {[m.value for m in AttackMode]}, "
+                f"got {section['mode']!r}"
+            ) from None
+        edges = [section.get(name) for name in ("band_lo_hz", "band_hi_hz")]
+        if (edges[0] is None) != (edges[1] is None):
+            raise ConfigurationError(
+                "attack.band_lo_hz and attack.band_hi_hz must be given together"
+            )
+        band = None if edges[0] is None else tuple(edges)
+        with _naming(keys, "attack"):
+            attack = AttackConfig(mode, section["kappa"], section["ensemble_size"], band)
+            if mode is AttackMode.HIGH_FREQ and band is not None:
+                resolve_band(base, attack)  # an explicit band is the same in every column
 
-    u_min = grid_section["u_eff_min_v"]
-    u_max = grid_section["u_eff_max_v"]
-    u_points = grid_section["u_eff_points"]
-    if u_points < 1:
-        raise ConfigurationError(f"grid.u_eff_points must be at least 1, got {u_points}")
-    if not 0 < u_min <= u_max:
-        raise ConfigurationError(
-            f"need 0 < grid.u_eff_min_v <= grid.u_eff_max_v, got {u_min}, {u_max}"
-        )
-    if u_min == u_max and u_points > 1:
-        raise ConfigurationError(
-            f"grid.u_eff_points must be 1 when the grid edges coincide, got {u_points}"
-        )
-    u_eff_grid = [
-        float(v) for v in np.logspace(math.log10(u_min), math.log10(u_max), u_points)
-    ]
-    f_a_list = [float(f) for f in grid_section.get("f_a_list_hz", [source.frequency])]
-    grid_section["f_a_list_hz"] = f_a_list
-    default_notch = kind is DefenseKind.NOTCH and defense.notch_center is None
-    for f_a in f_a_list if sweeping else ():
-        context = f"grid.f_a_list_hz holds {f_a:g}"
+    defense = None
+    if "defense" in sections:
+        section = sections["defense"]
+        if section["kind"] == "none":
+            section["kind"] = "notch"  # a defended run without an explicit kind notches the source
         try:
-            column = replace(config, source=replace(source, frequency=f_a))
-            if mode is AttackMode.HIGH_FREQ and band is None:
-                resolve_band(column, attack)
-            if command == "defend" and default_notch:
+            kind = DefenseKind(section["kind"])
+        except ValueError:
+            raise ConfigurationError(
+                f"defense.kind must be one of {[k.value for k in DefenseKind]}, "
+                f"got {section['kind']!r}"
+            ) from None
+        if kind is DefenseKind.NOTCH:
+            section.setdefault("notch_halfwidth_hz", base.f_c)  # one clock-width each side
+        with _naming(keys, "defense"):
+            defense = DefenseSpec(kind, section.get("notch_center_hz"),
+                                  section.get("notch_halfwidth_hz"), section.get("target_t_eff_k"))
+        if kind is DefenseKind.NOTCH and defense.notch_center is not None:
+            try:  # an explicit center is the same in every column
+                _check_notch(base.sample_rate, defense.notch_center, defense.notch_halfwidth)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"defense.notch_center_hz: {error}") from None
+
+    # Check each column the run executes: the source frequency, and the
+    # band and notch center that default to it.
+    notched = defense is not None and defense.kind is DefenseKind.NOTCH
+    columns = []
+    for f_a in f_a_list:
+        context = f"grid.f_a_list_hz holds {f_a:g}"  # what names a sweep column
+        try:
+            with _naming(keys, "attack", "channel"):
+                column = replace(base, source=replace(base.source, frequency=f_a))
+                if attack is not None and attack.mode is AttackMode.HIGH_FREQ:
+                    resolve_band(column, attack)
+            if notched and defense.notch_center is None:
                 context += (" and the notch center defaults to the source frequency"
                             " (set defense.notch_center_hz)")
-                _check_notch(config.sample_rate, f_a, halfwidth)
+                _check_notch(column.sample_rate, f_a, defense.notch_halfwidth)
         except ConfigurationError as error:
+            if grid is None:
+                raise
             raise ConfigurationError(f"{context}: {error}") from None
-
-    sections = {
-        "channel": channel,
-        "attack": attack_section,
-        "defense": defense_section,
-        "grid": grid_section,
-    }
-    return ResolvedSetup(config, attack, defense, u_eff_grid, f_a_list, sections)
+        columns.append(column)
+    return ResolvedSetup(columns[0], attack, defense, u_eff_grid, f_a_list, sections)
 
 
-def parse_config(
-    path: str | Path | None,
-    preset: str | None = None,
-    command: str = "sweep",
-) -> ResolvedSetup:
-    """Resolve a config file and/or preset into typed run objects."""
-    manifest = RunManifest(
-        command=command,
-        config_path=None if path is None else str(path),
-        preset=preset,
-    )
-    return _build_setup(_merge_layers(manifest), command)
-
-
-# Sections each command reads: it echoes their keys and takes their flags.
-_ECHO_SECTIONS = {
-    "simulate": ("channel",),
-    "attack": ("attack", "channel"),
-    "sweep": ("attack", "channel", "grid"),
-    "defend": ("attack", "channel", "defense", "grid"),
-}
-# Channel keys a sweep grid overrides cell by cell.
-_GRID_KEYS = ("t_eff_k", "u_eff_v", "f_a_hz")
-
-
-def _command_keys(command: str) -> list[Key]:
-    """The keys ``command`` uses: it echoes them and takes their flags."""
-    sweeping = command in ("sweep", "defend")
-    return [
-        key
-        for key in _KEYS
-        if key.section in _ECHO_SECTIONS[command]
-        and not (sweeping and key.section == "channel" and key.name in _GRID_KEYS)
-    ]
-
-
-def _echo_setup(setup: ResolvedSetup, manifest: RunManifest, stream: TextIO) -> None:
+def _echo_setup(setup: ResolvedSetup, command: str, stream: TextIO) -> None:
     """Echo the values the command uses, as ``# section.key = value`` lines."""
-    print(f"# command: {manifest.command}", file=stream)
-    for key in sorted(_command_keys(manifest.command)):  # by section, then name
+    print(f"# command: {command}", file=stream)
+    for key in sorted(_command_keys(command)):  # by section, then name
         value = setup.sections[key.section].get(key.name)
         if value is None:
             continue
@@ -425,7 +415,7 @@ def _echo_setup(setup: ResolvedSetup, manifest: RunManifest, stream: TextIO) -> 
     config = setup.config
     print(f"# derived.samples_per_bit = {config.samples_per_bit}", file=stream)
     print(f"# derived.sample_rate_hz = {config.sample_rate:g}", file=stream)
-    if manifest.command in ("sweep", "defend"):
+    if setup.u_eff_grid:
         cells = len(setup.u_eff_grid) * len(setup.f_a_list)
         print(f"# derived.sweep_cells = {cells}", file=stream)
     else:
@@ -463,11 +453,9 @@ def dispatch(manifest: RunManifest) -> int:
     """Resolve, run, and write one invocation.  Returns the exit code."""
     if manifest.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, got {manifest.threads}")
-    if manifest.command not in _ECHO_SECTIONS:
-        raise ConfigurationError(f"unknown command {manifest.command!r}")
     start = time.perf_counter()
-    setup = _build_setup(_merge_layers(manifest), manifest.command)
-    _echo_setup(setup, manifest, sys.stderr)
+    setup = resolve(manifest)
+    _echo_setup(setup, manifest.command, sys.stderr)
 
     with _output(manifest) as handle:
         if manifest.command == "simulate":
@@ -486,13 +474,12 @@ def dispatch(manifest: RunManifest) -> int:
             write_sweep_csv([point], setup.config, handle)
             secure_bits = outcome.n_secure
         else:
-            defense = setup.defense if manifest.command == "defend" else None
             points = sweep(
                 setup.config,
                 setup.attack,
-                u_eff_grid=setup.u_eff_grid,
-                f_a_list=setup.f_a_list,
-                defense=defense,
+                setup.u_eff_grid,
+                setup.f_a_list,
+                defense=setup.defense,
                 max_workers=manifest.threads,
             )
             write_sweep_csv(points, setup.config, handle)

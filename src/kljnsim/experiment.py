@@ -45,7 +45,6 @@ __all__ = [
     "DefenseSpec",
     "SWEEP_CSV_COLUMNS",
     "SweepPoint",
-    "default_u_eff_grid",
     "notch_filter",
     "run_column",
     "run_point",
@@ -304,16 +303,11 @@ def run_column(
     return [run_point(replace(config, t_eff=t), attack, defense, rehearsal) for t in t_effs]
 
 
-def default_u_eff_grid(n_points: int = 25) -> np.ndarray:
-    """Logarithmic noise-level grid from 0.01 to 100 V rms."""
-    return np.logspace(-2.0, 2.0, n_points)
-
-
 def sweep(
     base: KljnConfig,
     attack: AttackConfig,
-    u_eff_grid: Sequence[float] | None = None,
-    f_a_list: Sequence[float] | None = None,
+    u_eff_grid: Sequence[float],
+    f_a_list: Sequence[float],
     defense: DefenseSpec | None = None,
     max_workers: int = 1,
 ) -> list[SweepPoint]:
@@ -328,8 +322,8 @@ def sweep(
     u_eff it actually ran at.  The pool runs whole columns, and results
     are ordered by (f_a, u_eff) and identical whatever ``max_workers``.
     """
-    grid = [float(u) for u in (u_eff_grid if u_eff_grid is not None else default_u_eff_grid())]
-    frequencies = [float(f) for f in (f_a_list if f_a_list is not None else [base.source.frequency])]
+    grid = [float(u) for u in u_eff_grid]
+    frequencies = [float(f) for f in f_a_list]
     if not grid or not frequencies:
         raise ConfigurationError("sweep needs at least one u_eff and one f_a")
     if defense is None:

@@ -25,7 +25,6 @@ from kljnsim import (
     KljnConfig,
     PeriodicSource,
     ResistorPair,
-    default_u_eff_grid,
     divider_ac,
     hf_ac_power,
     hf_band,
@@ -95,7 +94,7 @@ def spectral_sweep():
     return sweep(
         hf_base(),
         AttackConfig(mode=AttackMode.HIGH_FREQ),
-        u_eff_grid=[float(u) for u in default_u_eff_grid()],
+        u_eff_grid=[float(u) for u in np.logspace(-2.0, 2.0, 25)],
         f_a_list=[2000.0, 16000.0, 32000.0],
         max_workers=4,
     )
@@ -342,7 +341,7 @@ def test_attack_micro_oracles(acceptance_log):
 
 
 def test_notch_defense_restores_security(acceptance_log):
-    grid = [float(u) for u in default_u_eff_grid()[6:]]
+    grid = [float(u) for u in np.logspace(-2.0, 2.0, 25)[6:]]
     assert grid[0] == pytest.approx(0.1)
     lf_points = sweep(
         lf_base(),

@@ -3,13 +3,17 @@
 ``bench/child.py trace`` patches module-level names of the package and
 derives its per-cell metrics from one ``experiment.run_point`` span per
 sweep cell.  This runs it on a small sweep, writing only under pytest's
-temporary directory.
+temporary directory.  ``bench/child.py setup`` times configuration
+resolution by stubbing the cell entry points the CLI binds by import, and
+exits 0 only if a command reaches its first cell.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
@@ -39,3 +43,24 @@ def test_sweep_traces_one_run_point_span_per_cell(tmp_path):
             parent = parents[parent]
         assert parent == sweep[0]
         assert sweep[3] <= start <= end <= sweep[4]
+
+
+@pytest.mark.parametrize("preset", ["fig5", "fig6"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--bits", "2"],
+        ["attack", "--bits", "10"],
+        ["sweep", "--u-eff-points", "1", "--bits", "10"],
+        ["defend", "--u-eff-points", "1", "--bits", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_setup_probe_reaches_the_first_cell(argv, preset):
+    result = subprocess.run(
+        [sys.executable, str(CHILD), "setup", "--", *argv, "--preset", preset],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr  # 3: no cell was reached

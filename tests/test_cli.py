@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import AttackMode, DefenseKind, ResistorPair, mix_seed, u_eff_of_teff
-from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, parse_config
+from kljnsim import AttackMode, DefenseKind, ResistorPair, mix_seed, teff_of_ueff, u_eff_of_teff
+from kljnsim.cli import _KEYS, PRESETS, RunManifest, _build_parser, main, resolve
 
 
 def run_main(argv, capsys):
@@ -18,9 +18,13 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
+def resolved(command, path=None, preset=None):
+    return resolve(RunManifest(command, None if path is None else str(path), preset))
+
+
 class TestPresets:
     def test_low_frequency_preset(self):
-        setup = parse_config(None, preset="fig5")
+        setup = resolved("attack", preset="fig5")
         config = setup.config
         assert config.resistors.r_low == 1.0e3
         assert config.resistors.r_high == 1.0e4
@@ -33,13 +37,14 @@ class TestPresets:
         assert config.seed == 42
         assert setup.attack.mode is AttackMode.LOW_FREQ
         assert setup.attack.kappa == 0.5
+        setup = resolved("sweep", preset="fig5")
         assert len(setup.u_eff_grid) == 25
         assert setup.u_eff_grid[0] == pytest.approx(0.01)
         assert setup.u_eff_grid[-1] == pytest.approx(100.0)
         assert setup.f_a_list == [318.30, 101.32, 32.25]
 
     def test_spectral_preset(self):
-        setup = parse_config(None, preset="fig6")
+        setup = resolved("sweep", preset="fig6")
         assert setup.config.f_c == 500.0
         assert setup.config.source.frequency == 2000.0
         assert setup.config.samples_per_bit == 400
@@ -62,7 +67,7 @@ class TestConfigFile:
         path.write_text(
             "[channel]\nf_c_hz = 2000\nn_secure_bits = 7\n\n[attack]\nkappa = 0.25\n"
         )
-        setup = parse_config(path, preset="fig5")
+        setup = resolved("sweep", path, preset="fig5")
         assert setup.config.f_c == 2000.0
         assert setup.config.n_secure_bits == 7
         assert setup.attack.kappa == 0.25
@@ -78,7 +83,7 @@ class TestConfigFile:
             "n_secure_bits = 12\nseed = 7\n"
             "[attack]\nmode = lowfreq\n"
         )
-        setup = parse_config(path)
+        setup = resolved("sweep", path)
         assert setup.config.seed == 7
         assert setup.config.n_secure_bits == 12
 
@@ -91,7 +96,7 @@ class TestConfigFile:
             "n_secure_bits = 12\nseed = 7\n"
             "[attack]\nmode = lowfreq\n"
         )
-        setup = parse_config(path)
+        setup = resolved("attack", path)
         assert setup.config.t_eff == pytest.approx(9.0e15, rel=1e-9)
 
     def test_unknown_key_is_named(self, tmp_path, capsys):
@@ -126,6 +131,91 @@ class TestConfigFile:
         code, _, err = run_main(["sweep", "--config", "/nonexistent.ini"], capsys)
         assert code == 1
         assert "error" in err
+
+
+# A channel section without the point a sweep sets cell by cell.
+CHANNEL_BASE = (
+    "[channel]\nr_low_ohm = 1e3\nr_high_ohm = 1e4\nf_b_hz = 1e5\nf_c_hz = 1e3\n"
+    "amplitude_v = 1.0\nn_secure_bits = 20\n"
+)
+
+
+class TestCommandSections:
+    """Each command checks, builds and echoes only the sections it reads."""
+
+    def test_simulate_needs_only_the_channel(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(CHANNEL_BASE + "t_eff_k = 9e15\nf_a_hz = 318.3\n")
+        code, out, err = run_main(["simulate", "--config", str(path)], capsys)
+        assert code == 0
+        assert out.startswith("period_index,")
+        assert set(re.findall(r"^# (\w+)\.\w+ = ", err, re.MULTILINE)) == {"channel", "derived"}
+
+    def test_simulate_ignores_the_grid_section(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[grid]\nu_eff_points = 0\n")
+        argv = ["simulate", "--preset", "fig5", "--bits", "2", "--config", str(path)]
+        code, _, err = run_main(argv, capsys)
+        assert code == 0
+        assert "grid." not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["attack", "--bits", "10"], ["sweep", "--bits", "10", "--u-eff-points", "1"]]
+    )
+    def test_undefended_commands_ignore_the_defense_section(self, argv, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[defense]\nkind = none\nnotch_halfwidth_hz = 5\n")
+        code, out, err = run_main(argv + ["--preset", "fig5", "--config", str(path)], capsys)
+        assert code == 0
+        assert out.startswith("mode,")
+        assert "defense." not in err
+
+    def test_sweep_needs_no_channel_temperature_or_frequency(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            CHANNEL_BASE + "[attack]\nmode = lowfreq\n"
+            "[grid]\nu_eff_points = 2\nf_a_list_hz = 318.3, 101.32\n"
+        )
+        code, out, _ = run_main(["sweep", "--config", str(path)], capsys)
+        assert code == 0
+        _, from_preset, _ = run_main(
+            ["sweep", "--preset", "fig5", "--bits", "20", "--u-eff-points", "2",
+             "--f-a-list", "318.3,101.32"],
+            capsys,
+        )
+        assert len(out.splitlines()) == 5
+        assert out == from_preset
+
+    def test_sweep_without_any_frequency_names_both_keys(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(CHANNEL_BASE + "[attack]\nmode = lowfreq\n")
+        code, out, err = run_main(["sweep", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "grid.f_a_list_hz" in err and "channel.f_a_hz" in err
+        assert "t_eff" not in err
+
+    def test_sweep_base_is_its_first_cell(self):
+        setup = resolved("sweep", preset="fig5")
+        config = setup.config
+        assert config.source.frequency == setup.f_a_list[0]
+        assert config.t_eff == teff_of_ueff(setup.u_eff_grid[0], config.resistors, config.f_b)
+        assert setup.defense is None
+
+    def test_unread_sections_build_nothing(self):
+        setup = resolved("simulate", preset="fig6")
+        assert setup.attack is None and setup.defense is None and setup.u_eff_grid == []
+        assert set(setup.sections) == {"channel"}
+
+    @pytest.mark.parametrize("command", ["simulate", "attack", "sweep", "defend"])
+    def test_readme_config_example_resolves(self, command, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        path = tmp_path / "run.ini"
+        path.write_text(example)
+        setup = resolved(command, path)
+        assert setup.config.source.frequency == 318.30
+        assert setup.config.n_secure_bits == 1000
 
 
 class TestSimulateCommand:

@@ -20,7 +20,6 @@ from kljnsim import (
     ResistorPair,
     SWEEP_CSV_COLUMNS,
     UNDETERMINED,
-    default_u_eff_grid,
     divider_ac,
     generate_unit_gbwn,
     hf_ac_power,
@@ -347,13 +346,6 @@ class TestSweep:
                 assert point.t_eff == defense.applied_t_eff(t_eff)
         if kind is DefenseKind.RAISE_TEMPERATURE:
             assert [pt.u_eff for pt in points[:3]] == pytest.approx([1.0, 1.0, 5.0], rel=1e-12)
-
-    def test_default_grid(self):
-        grid = default_u_eff_grid()
-        assert len(grid) == 25
-        assert grid[0] == pytest.approx(0.01, rel=1e-12)
-        assert grid[-1] == pytest.approx(100.0, rel=1e-12)
-        assert np.all(np.diff(np.log(grid)) > 0)
 
 
 def hf_config(**overrides):

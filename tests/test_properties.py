@@ -42,7 +42,7 @@ from kljnsim import (
     teff_of_ueff,
     write_sweep_csv,
 )
-from kljnsim.cli import parse_config
+from kljnsim.cli import RunManifest, resolve
 from kljnsim.noise import Stream, stream
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
@@ -190,7 +190,7 @@ def traced_peak(config, attack):
 def test_memory_bounded_in_secure_bits():
     # fig5's chunk buffers dwarf its per-period state, so it needs more bits to show growth.
     for preset, factor in (("fig6", 4), ("fig5", 32)):
-        setup = parse_config(None, preset=preset)
+        setup = resolve(RunManifest("attack", preset=preset))
         one = setup.config
         many = dataclasses.replace(one, n_secure_bits=factor * one.n_secure_bits)
         traced_peak(one, setup.attack)  # first call pays one-off allocations
