@@ -40,8 +40,8 @@ from .errors import ConfigurationError, ShapeMismatchError
 from .experiment import (
     SWEEP_CSV_COLUMNS,
     AttackOutcome,
-    DefenseKind,
-    DefenseSpec,
+    Notch,
+    RaiseTemperature,
     SweepPoint,
     notch_filter,
     run_column,
@@ -67,12 +67,12 @@ __all__ = [
     "AttackOutcome",
     "BOLTZMANN",
     "ConfigurationError",
-    "DefenseKind",
-    "DefenseSpec",
     "HfPreparation",
     "KljnConfig",
     "LfDecision",
+    "Notch",
     "PeriodicSource",
+    "RaiseTemperature",
     "ResistorPair",
     "SESSION_CSV_COLUMNS",
     "SWEEP_CSV_COLUMNS",

@@ -29,8 +29,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -417,29 +416,21 @@ SESSION_CSV_COLUMNS = (
 )
 
 
-def dump_session_csv(session: Session, destination) -> None:
-    """Write one row per sample with the wire voltage and its decomposition.
+def dump_session_csv(session: Session, handle: TextIO) -> None:
+    """Write one row per sample to a text handle: the wire voltage and its decomposition.
 
     Voltages are printed with 17 significant digits, enough to reconstruct
-    the exact float64 values.  ``destination`` is a path or a text handle.
+    the exact float64 values.
     """
-
-    def emit(handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(SESSION_CSV_COLUMNS)
-        for chunk in session.chunks():
-            for row, (index, code) in enumerate(zip(chunk.index.tolist(), chunk.situations)):
-                name = Situation(code).name
-                samples = zip(
-                    chunk.wire_voltage[row].tolist(),
-                    chunk.ac_part[row].tolist(),
-                    chunk.noise_part[row].tolist(),
-                )
-                for k, (wire, ac, noise) in enumerate(samples):
-                    writer.writerow((index, name, k, f"{wire:.17g}", f"{ac:.17g}", f"{noise:.17g}"))
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            emit(handle)
-    else:
-        emit(destination)
+    writer = csv.writer(handle)
+    writer.writerow(SESSION_CSV_COLUMNS)
+    for chunk in session.chunks():
+        for row, (index, code) in enumerate(zip(chunk.index.tolist(), chunk.situations)):
+            name = Situation(code).name
+            samples = zip(
+                chunk.wire_voltage[row].tolist(),
+                chunk.ac_part[row].tolist(),
+                chunk.noise_part[row].tolist(),
+            )
+            for k, (wire, ac, noise) in enumerate(samples):
+                writer.writerow((index, name, k, f"{wire:.17g}", f"{ac:.17g}", f"{noise:.17g}"))

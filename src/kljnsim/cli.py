@@ -26,7 +26,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
@@ -36,8 +36,8 @@ from .attacks import AttackConfig, AttackMode, resolve_band
 from .channel import KljnConfig, PeriodicSource, ResistorPair, dump_session_csv, simulate_session
 from .errors import ConfigurationError, ShapeMismatchError
 from .experiment import (
-    DefenseKind,
-    DefenseSpec,
+    Notch,
+    RaiseTemperature,
     SweepPoint,
     _check_notch,
     run_point,
@@ -58,6 +58,12 @@ def _parse_float_list(raw: str) -> list[float]:
 
 
 _REQUIRED: Any = object()  # the default of a key every command reading it must set
+# Each defense kind: the type defend builds and the [defense] keys it takes,
+# in the order of that type's fields, each key its field plus a unit.
+_DEFENSES: dict[str, tuple[type, tuple[str, ...]]] = {
+    "notch": (Notch, ("notch_halfwidth_hz", "notch_center_hz")),
+    "raise_temperature": (RaiseTemperature, ("target_t_eff_k",)),
+}
 
 
 class Key(NamedTuple):
@@ -91,8 +97,8 @@ _KEYS = (
         AttackConfig.ensemble_size),
     Key("attack", "band_lo_hz", float, "--band-lo", "band lower edge in Hz"),
     Key("attack", "band_hi_hz", float, "--band-hi", "band upper edge in Hz"),
-    Key("defense", "kind", str.strip, "--defense", "countermeasure kind (default notch)", "none",
-        tuple(k.value for k in DefenseKind if k is not DefenseKind.NONE)),
+    Key("defense", "kind", str.strip, "--defense", "countermeasure kind", "notch",
+        tuple(_DEFENSES)),
     Key("defense", "notch_center_hz", float, "--notch-center", "notch center in Hz"),
     Key("defense", "notch_halfwidth_hz", float, "--notch-halfwidth", "notch halfwidth in Hz"),
     Key("defense", "target_t_eff_k", float, "--target-t-eff", "raised temperature in kelvin"),
@@ -184,7 +190,7 @@ class ResolvedSetup:
 
     config: KljnConfig
     attack: AttackConfig | None
-    defense: DefenseSpec | None
+    defense: Notch | RaiseTemperature | None
     u_eff_grid: list[float]
     f_a_list: list[float]
     sections: dict[str, dict[str, Any]]
@@ -307,6 +313,17 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
     sections = {section: merged[section] for section in _ECHO_SECTIONS[manifest.command]}
     channel, grid = sections["channel"], sections.get("grid")
 
+    with _naming(keys, "channel"):
+        resistors = ResistorPair(channel["r_low_ohm"], channel["r_high_ohm"])
+        if grid is None and "u_eff_v" in channel:
+            channel["t_eff_k"] = teff_of_ueff(channel["u_eff_v"], resistors, channel["f_b_hz"])
+        base = KljnConfig(  # a grid sets the temperature below, and each column its frequency
+            resistors, channel["t_eff_k"] if grid is None else 0.0, channel["f_b_hz"],
+            channel["f_c_hz"],
+            PeriodicSource(channel["amplitude_v"], 0.0, channel["phase_rad"]),
+            channel["seed"], channel["n_secure_bits"],
+        )
+
     u_eff_grid: list[float] = []
     f_a_list = [channel.get("f_a_hz")]  # the one column of a point
     if grid is not None:
@@ -322,18 +339,14 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
                 f"grid.u_eff_points must be 1 when the grid edges coincide, got {u_points}"
             )
         u_eff_grid = np.logspace(math.log10(u_min), math.log10(u_max), u_points).tolist()
+        # The edge cells are the coolest and hottest; a sweep's base is its first cell.
+        for name, u_eff in (("u_eff_min_v", u_eff_grid[0]), ("u_eff_max_v", u_eff_grid[-1])):
+            try:
+                teff_of_ueff(u_eff, resistors, base.f_b)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"grid.{name}: {error}") from None
+        base = replace(base, t_eff=teff_of_ueff(u_eff_grid[0], resistors, base.f_b))
         f_a_list = grid["f_a_list_hz"] = [float(f) for f in grid.get("f_a_list_hz", f_a_list)]
-        channel["u_eff_v"] = u_eff_grid[0]  # a sweep's base is its first cell
-
-    with _naming(keys, "channel"):
-        resistors = ResistorPair(channel["r_low_ohm"], channel["r_high_ohm"])
-        if "u_eff_v" in channel:
-            channel["t_eff_k"] = teff_of_ueff(channel["u_eff_v"], resistors, channel["f_b_hz"])
-        base = KljnConfig(  # at source frequency 0; each column sets its own below
-            resistors, channel["t_eff_k"], channel["f_b_hz"], channel["f_c_hz"],
-            PeriodicSource(channel["amplitude_v"], 0.0, channel["phase_rad"]),
-            channel["seed"], channel["n_secure_bits"],
-        )
 
     attack = None
     if "attack" in sections:
@@ -359,21 +372,25 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
     defense = None
     if "defense" in sections:
         section = sections["defense"]
-        if section["kind"] == "none":
-            section["kind"] = "notch"  # a defended run without an explicit kind notches the source
-        try:
-            kind = DefenseKind(section["kind"])
-        except ValueError:
+        if section["kind"] not in _DEFENSES:
             raise ConfigurationError(
-                f"defense.kind must be one of {[k.value for k in DefenseKind]}, "
-                f"got {section['kind']!r}"
-            ) from None
-        if kind is DefenseKind.NOTCH:
+                f"defense.kind must be one of {list(_DEFENSES)}, got {section['kind']!r}"
+            )
+        kind, names = _DEFENSES[section["kind"]]
+        stray = sorted(section.keys() - {"kind", *names})
+        if stray:
+            raise ConfigurationError(
+                f"{', '.join('defense.' + name for name in stray)}: not read by the "
+                f"{section['kind']} defense"
+            )
+        if kind is Notch:
             section.setdefault("notch_halfwidth_hz", base.f_c)  # one clock-width each side
+        # A field without a default is a key the kind requires.
+        _check_keys(merged, [_LOOKUP["defense", name]._replace(default=_REQUIRED)
+                             for name, spec in zip(names, fields(kind)) if spec.default is MISSING])
         with _naming(keys, "defense"):
-            defense = DefenseSpec(kind, section.get("notch_center_hz"),
-                                  section.get("notch_halfwidth_hz"), section.get("target_t_eff_k"))
-        if kind is DefenseKind.NOTCH and defense.notch_center is not None:
+            defense = kind(*(section.get(name) for name in names))
+        if isinstance(defense, Notch) and defense.notch_center is not None:
             try:  # an explicit center is the same in every column
                 _check_notch(base.sample_rate, defense.notch_center, defense.notch_halfwidth)
             except ConfigurationError as error:
@@ -381,7 +398,7 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
 
     # Check each column the run executes: the source frequency, and the
     # band and notch center that default to it.
-    notched = defense is not None and defense.kind is DefenseKind.NOTCH
+    notched = isinstance(defense, Notch)
     columns = []
     for f_a in f_a_list:
         context = f"grid.f_a_list_hz holds {f_a:g}"  # what names a sweep column

@@ -12,13 +12,10 @@ safe to run in parallel.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import partial
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -41,8 +38,8 @@ from .noise import BOLTZMANN, johnson_rms, mix_seed
 
 __all__ = [
     "AttackOutcome",
-    "DefenseKind",
-    "DefenseSpec",
+    "Notch",
+    "RaiseTemperature",
     "SWEEP_CSV_COLUMNS",
     "SweepPoint",
     "notch_filter",
@@ -55,78 +52,45 @@ __all__ = [
 ]
 
 
-class DefenseKind(Enum):
-    NONE = "none"
-    NOTCH = "notch"
-    RAISE_TEMPERATURE = "raise_temperature"
+@dataclass(frozen=True)
+class Notch:
+    """A notch on the eavesdropper's observation path.
+
+    Every wire trace she taps is filtered before her statistics run.  A
+    ``notch_center`` of None tracks the source frequency of whatever cell
+    is being evaluated, which is what a sweep over source frequencies needs.
+    """
+
+    notch_halfwidth: float
+    notch_center: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.notch_halfwidth < math.inf:
+            raise ConfigurationError(
+                f"notch_halfwidth must be finite and positive, got {self.notch_halfwidth}"
+            )
+        if self.notch_center is not None and not 0 < self.notch_center < math.inf:
+            raise ConfigurationError(
+                f"notch_center must be finite and positive when given, got {self.notch_center}"
+            )
 
 
 @dataclass(frozen=True)
-class DefenseSpec:
-    """Countermeasure applied during evaluation.
+class RaiseTemperature:
+    """Run every sweep cell at least as hot as ``target_t_eff``.
 
-    The notch acts on the eavesdropper's observation path: every wire trace
-    she taps is filtered before her statistics run.  ``notch_center`` of
-    None tracks the source frequency of whatever cell is being evaluated,
-    which is what a sweep over source frequencies needs.  Raising the
-    temperature runs the session at ``target_t_eff`` wherever that is
-    hotter than the operating point; see :meth:`applied_t_eff`.
+    Raising the temperature never cools the loop: a grid point already
+    hotter than the target keeps its own temperature.  Only :func:`sweep`
+    reads it, to move its grid.
     """
 
-    kind: DefenseKind = DefenseKind.NONE
-    notch_center: float | None = None
-    notch_halfwidth: float | None = None
-    target_t_eff: float | None = None
+    target_t_eff: float
 
     def __post_init__(self) -> None:
-        for name in ("notch_center", "notch_halfwidth", "target_t_eff"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.kind is DefenseKind.NOTCH:
-            if self.notch_halfwidth is None or not self.notch_halfwidth > 0:
-                raise ConfigurationError(
-                    f"notch defense needs a positive notch_halfwidth, got {self.notch_halfwidth}"
-                )
-            if self.notch_center is not None and not self.notch_center > 0:
-                raise ConfigurationError(
-                    f"notch_center must be positive when given, got {self.notch_center}"
-                )
-            if self.target_t_eff is not None:
-                raise ConfigurationError("target_t_eff does not apply to the notch defense")
-        if self.kind is DefenseKind.RAISE_TEMPERATURE:
-            if self.target_t_eff is None or self.target_t_eff < 0:
-                raise ConfigurationError(
-                    f"raise_temperature needs a non-negative target_t_eff, got {self.target_t_eff}"
-                )
-            if self.notch_center is not None or self.notch_halfwidth is not None:
-                raise ConfigurationError(
-                    "notch fields do not apply to the raise_temperature defense"
-                )
-        if self.kind is DefenseKind.NONE:
-            leftovers = [
-                name
-                for name, value in (
-                    ("notch_center", self.notch_center),
-                    ("notch_halfwidth", self.notch_halfwidth),
-                    ("target_t_eff", self.target_t_eff),
-                )
-                if value is not None
-            ]
-            if leftovers:
-                raise ConfigurationError(
-                    f"defense kind 'none' takes no parameters, got {', '.join(leftovers)}"
-                )
-
-    def applied_t_eff(self, t_eff: float) -> float:
-        """Temperature a session at ``t_eff`` actually runs at under this defense.
-
-        Raising the temperature never cools the loop: an operating point
-        already hotter than the target keeps its own temperature.
-        """
-        if self.kind is DefenseKind.RAISE_TEMPERATURE:
-            return max(t_eff, self.target_t_eff)
-        return t_eff
+        if not 0 <= self.target_t_eff < math.inf:
+            raise ConfigurationError(
+                f"target_t_eff must be finite and non-negative, got {self.target_t_eff}"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,7 +151,10 @@ def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
         raise ConfigurationError(f"u_eff must be finite and non-negative, got {u_eff}")
     if not f_b > 0:
         raise ConfigurationError(f"f_b must be positive, got {f_b}")
-    return u_eff * u_eff / (4.0 * BOLTZMANN * resistors.parallel * f_b)
+    t_eff = u_eff * u_eff / (4.0 * BOLTZMANN * resistors.parallel * f_b)
+    if not t_eff < math.inf:
+        raise ConfigurationError(f"u_eff = {u_eff} implies a temperature that overflows float64")
+    return t_eff
 
 
 def _check_notch(sample_rate: float, center: float, halfwidth: float) -> None:
@@ -220,7 +187,7 @@ def notch_filter(
 def run_point(
     config: KljnConfig,
     attack: AttackConfig,
-    defense: DefenseSpec | None = None,
+    notch: Notch | None = None,
     rehearsal: HfPreparation | None = None,
 ) -> AttackOutcome:
     """Simulate one session and run the chosen attack over its secure bits.
@@ -229,21 +196,18 @@ def run_point(
     periods the attack never reads are not synthesized at all; memory stays
     bounded whatever the bit count.  Scoring compares the guessed situation
     against the ground truth.  Undetermined low-frequency bits are dropped
-    from numerator and denominator alike.  A notch center outside the band
-    is rejected before any of that work starts.  ``rehearsal`` is
-    ``hf_prepare(config, attack)`` when the caller has drawn it already.
+    from numerator and denominator alike.  ``notch`` filters what the
+    eavesdropper taps; a center outside the band is rejected before any of
+    that work starts.  ``rehearsal`` is ``hf_prepare(config, attack)`` when
+    the caller has drawn it already.
     """
-    if defense is None:
-        defense = DefenseSpec()
     lowfreq = attack.mode is AttackMode.LOW_FREQ
-    notched = defense.kind is DefenseKind.NOTCH
-    config = replace(config, t_eff=defense.applied_t_eff(config.t_eff))
-    notch_center = defense.notch_center
-    if notch_center is None:
-        notch_center = config.source.frequency
-    halfwidth = defense.notch_halfwidth
+    notched = notch is not None
     if notched:
-        _check_notch(config.sample_rate, notch_center, halfwidth)
+        center, halfwidth = notch.notch_center, notch.notch_halfwidth
+        if center is None:
+            center = config.source.frequency
+        _check_notch(config.sample_rate, center, halfwidth)
 
     session = simulate_session(config)
     # Both attacks observe gains[codes - 1] * source + sigma * unit, as samples or band bins.
@@ -256,7 +220,7 @@ def run_point(
         _check_finite(prep.ac_threshold, "band power")
         if notched:
             band_freqs = np.flatnonzero(prep.mask) * (config.sample_rate / config.samples_per_bit)
-            cut = np.abs(band_freqs - notch_center) <= halfwidth
+            cut = np.abs(band_freqs - center) <= halfwidth
         draws = session.secure_bands(prep.mask)
         source_of = partial(hf_source_band, config, mask=prep.mask)
 
@@ -269,7 +233,7 @@ def run_point(
         if lowfreq:
             if notched:
                 with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                    observed = notch_filter(observed, config.sample_rate, notch_center, halfwidth)
+                    observed = notch_filter(observed, config.sample_rate, center, halfwidth)
             _check_finite(observed, "wire voltage")
             threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess
@@ -291,7 +255,7 @@ def run_column(
     config: KljnConfig,
     attack: AttackConfig,
     t_effs: Sequence[float],
-    defense: DefenseSpec | None = None,
+    notch: Notch | None = None,
 ) -> list[AttackOutcome]:
     """:func:`run_point` at each of ``t_effs``, sharing one rehearsal.
 
@@ -300,7 +264,7 @@ def run_column(
     each has the distribution of a session of its own.
     """
     rehearsal = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
-    return [run_point(replace(config, t_eff=t), attack, defense, rehearsal) for t in t_effs]
+    return [run_point(replace(config, t_eff=t), attack, notch, rehearsal) for t in t_effs]
 
 
 def sweep(
@@ -308,7 +272,7 @@ def sweep(
     attack: AttackConfig,
     u_eff_grid: Sequence[float],
     f_a_list: Sequence[float],
-    defense: DefenseSpec | None = None,
+    defense: Notch | RaiseTemperature | None = None,
     max_workers: int = 1,
 ) -> list[SweepPoint]:
     """Evaluate the attack over a (source frequency, noise level) grid.
@@ -317,32 +281,33 @@ def sweep(
     column's index in ``f_a_list`` and scored at every u_eff by
     :func:`run_column`.  Each row equals :func:`run_point` at the column
     seed and the row's temperature, so appending to either list never
-    changes an existing row.  A raise_temperature defense can run a cell
-    hotter than its grid point; the cell then reports the temperature and
-    u_eff it actually ran at.  The pool runs whole columns, and results
-    are ordered by (f_a, u_eff) and identical whatever ``max_workers``.
+    changes an existing row.  :class:`RaiseTemperature` moves each grid
+    point cooler than its target to the target, and the row reports the
+    temperature and u_eff it ran at; a :class:`Notch` is passed on to
+    every cell.  The pool runs whole columns, and results are ordered by
+    (f_a, u_eff) and identical whatever ``max_workers``.
     """
     grid = [float(u) for u in u_eff_grid]
     frequencies = [float(f) for f in f_a_list]
     if not grid or not frequencies:
         raise ConfigurationError("sweep needs at least one u_eff and one f_a")
-    if defense is None:
-        defense = DefenseSpec()
 
-    t_effs = [teff_of_ueff(u_eff, base.resistors, base.f_b) for u_eff in grid]
-    labels = [  # the (t_eff, u_eff) each cell actually runs at
-        (ran, u_eff if ran == t_eff else u_eff_of_teff(ran, base.resistors, base.f_b))
-        for u_eff, t_eff, ran in zip(grid, t_effs, map(defense.applied_t_eff, t_effs))
-    ]
+    cells = [(teff_of_ueff(u_eff, base.resistors, base.f_b), u_eff) for u_eff in grid]
+    if isinstance(defense, RaiseTemperature):
+        target = defense.target_t_eff
+        raised = (target, u_eff_of_teff(target, base.resistors, base.f_b))
+        cells = [cell if cell[0] >= target else raised for cell in cells]
+    t_effs = [t_eff for t_eff, _ in cells]
+    notch = defense if isinstance(defense, Notch) else None
     columns = [
         replace(base, seed=mix_seed(base.seed, i), source=replace(base.source, frequency=f_a))
         for i, f_a in enumerate(frequencies)
     ]
 
     def evaluate(config: KljnConfig) -> list[SweepPoint]:
-        outcomes = run_column(config, attack, t_effs, defense)
+        outcomes = run_column(config, attack, t_effs, notch)
         f_a = config.source.frequency
-        return [SweepPoint(t, u, f_a, attack.mode, o) for (t, u), o in zip(labels, outcomes)]
+        return [SweepPoint(t, u, f_a, attack.mode, o) for (t, u), o in zip(cells, outcomes)]
 
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # so one thread never pays its import
@@ -367,38 +332,26 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def write_sweep_csv(
-    points: Iterable[SweepPoint],
-    config: KljnConfig,
-    destination: str | Path | io.TextIOBase,
-) -> None:
-    """Write sweep results as CSV, one row per point, header always.
+def write_sweep_csv(points: Iterable[SweepPoint], config: KljnConfig, handle: TextIO) -> None:
+    """Write sweep results as CSV to a text handle, one row per point, header always.
 
     Floats carry 10 significant digits.  ``config`` supplies the clock and
     bandwidth columns shared by every row.
     """
-
-    def emit(handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for point in points:
-            writer.writerow(
-                (
-                    point.mode.value,
-                    f"{point.f_a:.10g}",
-                    f"{config.f_c:.10g}",
-                    f"{config.f_b:.10g}",
-                    f"{point.u_eff:.10g}",
-                    f"{point.t_eff:.10g}",
-                    point.outcome.n_secure,
-                    point.outcome.n_guessed,
-                    point.outcome.n_correct,
-                    f"{point.outcome.p:.10g}",
-                )
+    writer = csv.writer(handle)
+    writer.writerow(SWEEP_CSV_COLUMNS)
+    for point in points:
+        writer.writerow(
+            (
+                point.mode.value,
+                f"{point.f_a:.10g}",
+                f"{config.f_c:.10g}",
+                f"{config.f_b:.10g}",
+                f"{point.u_eff:.10g}",
+                f"{point.t_eff:.10g}",
+                point.outcome.n_secure,
+                point.outcome.n_guessed,
+                point.outcome.n_correct,
+                f"{point.outcome.p:.10g}",
             )
-
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            emit(handle)
-    else:
-        emit(destination)
+        )

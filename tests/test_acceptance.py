@@ -20,9 +20,8 @@ from kljnsim import (
     AttackConfig,
     AttackMode,
     BOLTZMANN,
-    DefenseKind,
-    DefenseSpec,
     KljnConfig,
+    Notch,
     PeriodicSource,
     ResistorPair,
     divider_ac,
@@ -348,7 +347,7 @@ def test_notch_defense_restores_security(acceptance_log):
         AttackConfig(mode=AttackMode.LOW_FREQ),
         u_eff_grid=grid,
         f_a_list=[318.30],
-        defense=DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=1.0e3),
+        defense=Notch(1.0e3),
         max_workers=4,
     )
     hf_points = sweep(
@@ -356,7 +355,7 @@ def test_notch_defense_restores_security(acceptance_log):
         AttackConfig(mode=AttackMode.HIGH_FREQ),
         u_eff_grid=grid,
         f_a_list=[2000.0],
-        defense=DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=500.0),
+        defense=Notch(500.0),
         max_workers=4,
     )
     lf_p = [pt.outcome.p for pt in lf_points]

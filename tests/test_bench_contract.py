@@ -18,9 +18,10 @@ import pytest
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
 
-def test_sweep_traces_one_run_point_span_per_cell(tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "defend"])  # defend: the default notch
+def test_sweep_traces_one_run_point_span_per_cell(command, tmp_path):
     spans_path, csv_path = tmp_path / "spans.json", tmp_path / "sweep.csv"
-    argv = ["sweep", "--preset", "fig5", "--u-eff-points", "2", "--bits", "20", "--seed", "1",
+    argv = [command, "--preset", "fig5", "--u-eff-points", "2", "--bits", "20", "--seed", "1",
             "--out", str(csv_path)]
     result = subprocess.run(
         [sys.executable, str(CHILD), "trace", str(spans_path), "--", *argv],

@@ -378,10 +378,3 @@ class TestSessionCsv:
         assert float(first[3]) == arrays["wire_voltage"][0, 0]
         assert float(first[4]) == arrays["ac_part"][0, 0]
         assert float(first[5]) == arrays["noise_part"][0, 0]
-
-    def test_writes_to_path(self, tmp_path):
-        session = simulate_session(make_config(n_secure_bits=2))
-        target = tmp_path / "session.csv"
-        dump_session_csv(session, target)
-        content = target.read_text()
-        assert content.startswith(",".join(SESSION_CSV_COLUMNS))

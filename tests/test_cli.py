@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import AttackMode, DefenseKind, ResistorPair, mix_seed, teff_of_ueff, u_eff_of_teff
+from kljnsim import AttackMode, ResistorPair, mix_seed, teff_of_ueff, u_eff_of_teff
 from kljnsim.cli import _KEYS, PRESETS, RunManifest, _build_parser, main, resolve
 
 
@@ -595,6 +595,12 @@ class TestBoundaryValidation:
             (["attack", "--preset", "fig5", "--kappa", "-1"], ["attack.kappa"]),
             (["defend", "--preset", "fig5", "--notch-halfwidth", "-1"],
              ["defense.notch_halfwidth_hz"]),
+            # A grid edge or a point whose temperature overflows float64.
+            (["sweep", "--preset", "fig5", "--u-eff-min", "1", "--u-eff-max", "1e160",
+              "--u-eff-points", "2", "--bits", "5"], ["grid.u_eff_max_v"]),
+            (["sweep", "--preset", "fig5", "--u-eff-min", "1e160", "--u-eff-max", "1e161",
+              "--u-eff-points", "2", "--bits", "5"], ["grid.u_eff_min_v"]),
+            (["attack", "--preset", "fig5", "--u-eff", "1e160"], ["channel.u_eff_v"]),
         ] + [
             ([command, "--preset", "fig6", "--band-lo", lo, "--band-hi", hi, "--bits", "10"],
              keys)
@@ -611,6 +617,28 @@ class TestBoundaryValidation:
         assert code == 1
         assert out == ""
         assert all(key in err for key in keys)
+        assert "# " not in err
+
+    @pytest.mark.parametrize(
+        "flags,ini,key",
+        [
+            (["--defense", "raise_temperature"], "", "defense.target_t_eff_k"),
+            ([], "[defense]\nkind = none\n", "defense.kind"),  # sweep is the undefended run
+            (["--defense", "raise_temperature", "--target-t-eff", "1e17", "--notch-halfwidth", "5"],
+             "", "defense.notch_halfwidth_hz"),
+            (["--defense", "raise_temperature", "--target-t-eff", "1e17"],
+             "[defense]\nnotch_center_hz = 300\n", "defense.notch_center_hz"),
+        ],
+        ids=["no-target", "kind-none", "halfwidth-flag", "center-in-file"],
+    )
+    def test_defense_keys_checked_against_the_kind(self, flags, ini, key, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        argv = ["defend", "--preset", "fig5", "--bits", "5", "--config", str(path)] + flags
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert re.findall(r"\b(?:channel|attack|defense|grid)\.\w+", err) == [key]
         assert "# " not in err
 
     def test_zero_source_frequency_names_key_before_echo(self, capsys):
@@ -695,8 +723,9 @@ class TestFlags:
         assert accepted == COMMON_FLAGS | flags
 
     def test_defend_flag_cannot_choose_no_defense(self, capsys):
-        # A file may say kind = none, which defend reads as notch; the flag may
-        # not.  TestModuleEntryPoint covers --mode warp.
+        # The choices are the defense kinds; "no defense" is the sweep command.
+        # TestBoundaryValidation covers kind = none in a file, and
+        # TestModuleEntryPoint covers --mode warp.
         with pytest.raises(SystemExit) as exit_info:
             main(["defend", "--preset", "fig5", "--defense", "none"])
         assert exit_info.value.code == 2

@@ -13,10 +13,10 @@ from kljnsim import (
     AttackOutcome,
     BOLTZMANN,
     ConfigurationError,
-    DefenseKind,
-    DefenseSpec,
     KljnConfig,
+    Notch,
     PeriodicSource,
+    RaiseTemperature,
     ResistorPair,
     SWEEP_CSV_COLUMNS,
     UNDETERMINED,
@@ -159,31 +159,34 @@ class TestAttackOutcome:
 
 
 class TestDefenseSpec:
+    """``Notch`` and ``RaiseTemperature`` each check only their own fields."""
+
     def test_notch_requires_halfwidth(self):
-        with pytest.raises(ConfigurationError):
-            DefenseSpec(kind=DefenseKind.NOTCH)
-        spec = DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=500.0)
-        assert spec.notch_center is None  # filled from the source frequency later
+        with pytest.raises(TypeError):
+            Notch()
+        for halfwidth in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="notch_halfwidth"):
+                Notch(halfwidth)
+        with pytest.raises(ConfigurationError, match="notch_center"):
+            Notch(500.0, notch_center=0.0)
+        assert Notch(500.0).notch_center is None  # filled from the source frequency later
 
     def test_raise_temperature_requires_target(self):
-        with pytest.raises(ConfigurationError):
-            DefenseSpec(kind=DefenseKind.RAISE_TEMPERATURE)
-        with pytest.raises(ConfigurationError):
-            DefenseSpec(kind=DefenseKind.RAISE_TEMPERATURE, target_t_eff=-1.0)
+        with pytest.raises(TypeError):
+            RaiseTemperature()
+        with pytest.raises(ConfigurationError, match="target_t_eff"):
+            RaiseTemperature(-1.0)
+        assert RaiseTemperature(0.0).target_t_eff == 0.0
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_fields(self, value):
-        for kind, field in [
-            (DefenseKind.NOTCH, {"notch_center": value, "notch_halfwidth": 500.0}),
-            (DefenseKind.NOTCH, {"notch_halfwidth": value}),
-            (DefenseKind.RAISE_TEMPERATURE, {"target_t_eff": value}),
+        for build, field in [
+            (lambda: Notch(500.0, notch_center=value), "notch_center"),
+            (lambda: Notch(value), "notch_halfwidth"),
+            (lambda: RaiseTemperature(value), "target_t_eff"),
         ]:
-            with pytest.raises(ConfigurationError, match="finite"):
-                DefenseSpec(kind=kind, **field)
-
-    def test_none_rejects_leftover_fields(self):
-        with pytest.raises(ConfigurationError):
-            DefenseSpec(kind=DefenseKind.NONE, notch_halfwidth=500.0)
+            with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+                build()
 
 
 class TestRunPoint:
@@ -226,20 +229,16 @@ class TestRunPoint:
         assert 0.38 <= outcome.p <= 0.62
 
     def test_raise_temperature_defense_restores_chance(self):
-        config = make_config(t_eff=teff_of_ueff(0.01, PAIR, 1.0e5))
         attack = AttackConfig(mode=AttackMode.LOW_FREQ)
-        defense = DefenseSpec(
-            kind=DefenseKind.RAISE_TEMPERATURE,
-            target_t_eff=teff_of_ueff(100.0, PAIR, 1.0e5),
-        )
-        defended = run_point(config, attack, defense)
-        assert 0.35 <= defended.p <= 0.65
+        defense = RaiseTemperature(teff_of_ueff(100.0, PAIR, 1.0e5))
+        (defended,) = sweep(make_config(), attack, [0.01], [318.30], defense=defense)
+        assert defended.u_eff == pytest.approx(100.0, rel=1e-12)
+        assert 0.35 <= defended.outcome.p <= 0.65
 
     def test_notch_defense_blinds_lf_attack(self):
         config = make_config(t_eff=teff_of_ueff(0.1, PAIR, 1.0e5))
         attack = AttackConfig(mode=AttackMode.LOW_FREQ)
-        defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=1.0e3)
-        defended = run_point(config, attack, defense)
+        defended = run_point(config, attack, Notch(1.0e3))
         assert 0.35 <= defended.p <= 0.65
 
     def test_notch_defense_blinds_hf_attack(self):
@@ -249,8 +248,7 @@ class TestRunPoint:
             t_eff=teff_of_ueff(0.1, PAIR, 1.0e5),
         )
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=200)
-        defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=500.0)
-        defended = run_point(config, attack, defense)
+        defended = run_point(config, attack, Notch(500.0))
         assert 0.35 <= defended.p <= 0.65
 
     def test_deterministic(self):
@@ -266,9 +264,8 @@ class TestRunPoint:
         monkeypatch.setattr(experiment, "hf_prepare", never)
         config = make_config(f_c=500.0, source=PeriodicSource(amplitude=1.0, frequency=2000.0))
         attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
-        defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_center=2.0e5, notch_halfwidth=10.0)
         with pytest.raises(ConfigurationError, match="notch center"):
-            run_point(config, attack, defense)
+            run_point(config, attack, Notch(10.0, notch_center=2.0e5))
 
 
 class TestSweep:
@@ -322,17 +319,19 @@ class TestSweep:
         assert grown[5] == other[1]
 
     @pytest.mark.parametrize("mode", list(AttackMode))
-    @pytest.mark.parametrize("kind", [DefenseKind.NOTCH, DefenseKind.RAISE_TEMPERATURE])
-    def test_defended_rows_equal_run_point_at_column_seed(self, mode, kind):
+    @pytest.mark.parametrize(
+        "defense",
+        # the raise lifts the two cooler cells to 1 V and keeps the hottest
+        [Notch(500.0), RaiseTemperature(teff_of_ueff(1.0, PAIR, 1.0e5))],
+        ids=["notch", "raise_temperature"],
+    )
+    def test_defended_rows_equal_run_point_at_column_seed(self, mode, defense):
         if mode is AttackMode.LOW_FREQ:
             base, frequencies = make_config(n_secure_bits=80), [318.30, 101.32]
         else:
             base, frequencies = hf_config(n_secure_bits=80), [2000.0, 16000.0]
         attack = AttackConfig(mode=mode, ensemble_size=100)
-        if kind is DefenseKind.NOTCH:
-            defense = DefenseSpec(kind=kind, notch_halfwidth=500.0)
-        else:  # raises the two cooler cells to 1 V, keeps the hottest
-            defense = DefenseSpec(kind=kind, target_t_eff=teff_of_ueff(1.0, PAIR, base.f_b))
+        notch = defense if isinstance(defense, Notch) else None
         grid = [0.05, 0.5, 5.0]
         points = sweep(base, attack, u_eff_grid=grid, f_a_list=frequencies, defense=defense)
         for i, f_a in enumerate(frequencies):
@@ -341,10 +340,12 @@ class TestSweep:
             )
             for u_eff, point in zip(grid, points[3 * i : 3 * i + 3]):
                 t_eff = teff_of_ueff(u_eff, PAIR, base.f_b)
+                if notch is None:
+                    t_eff = max(t_eff, defense.target_t_eff)
+                assert point.t_eff == t_eff
                 cell = dataclasses.replace(column, t_eff=t_eff)
-                assert point.outcome == run_point(cell, attack, defense)
-                assert point.t_eff == defense.applied_t_eff(t_eff)
-        if kind is DefenseKind.RAISE_TEMPERATURE:
+                assert point.outcome == run_point(cell, attack, notch)
+        if notch is None:
             assert [pt.u_eff for pt in points[:3]] == pytest.approx([1.0, 1.0, 5.0], rel=1e-12)
 
 
@@ -392,13 +393,13 @@ def sampled_wires(config, prep):
     return index, codes, ac + sigma * noise
 
 
-def sampled_cell(config, attack, defense):
-    """Reference: classify each period's sampled wire, notched if the defense is a notch."""
+def sampled_cell(config, attack, notch):
+    """Reference: classify each period's sampled wire, notched on the source if asked."""
     prep = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
     index, codes, wire = sampled_wires(config, prep)
-    if defense.kind is DefenseKind.NOTCH:
+    if notch is not None:
         wire = notch_filter(wire, config.sample_rate, config.source.frequency,
-                            defense.notch_halfwidth)
+                            notch.notch_halfwidth)
     if prep is None:
         threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
         guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
@@ -491,14 +492,12 @@ class TestColumnAlgebra:
         lowfreq = mode is AttackMode.LOW_FREQ
         config = make_config(n_secure_bits=150) if lowfreq else hf_config(n_secure_bits=150)
         attack = AttackConfig(mode=mode, ensemble_size=100)
-        defense = DefenseSpec()
-        if notched:
-            defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=200.0)
+        notch = Notch(200.0) if notched else None
         t_effs = [teff_of_ueff(u, PAIR, config.f_b) for u in (0.01, 0.3, 3.0)]
-        outcomes = run_column(config, attack, t_effs, defense)
+        outcomes = run_column(config, attack, t_effs, notch)
         for t_eff, outcome in zip(t_effs, outcomes):
             cell = dataclasses.replace(config, t_eff=t_eff)
-            assert outcome == sampled_cell(cell, attack, defense)
+            assert outcome == sampled_cell(cell, attack, notch)
 
     def test_zero_temperature_runs_on_the_bare_source(self):
         config = hf_config(t_eff=0.0, n_secure_bits=60)
@@ -539,11 +538,3 @@ class TestSweepCsv:
         assert int(row[6]) == 10
         assert int(row[7]) >= int(row[8])
         assert 0.0 <= float(row[9]) <= 1.0
-
-    def test_writes_to_path(self, tmp_path):
-        base = make_config(n_secure_bits=5)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
-        points = sweep(base, attack, u_eff_grid=[0.5], f_a_list=[318.30])
-        target = tmp_path / "sweep.csv"
-        write_sweep_csv(points, base, target)
-        assert target.read_text().startswith(",".join(SWEEP_CSV_COLUMNS))

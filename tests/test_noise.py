@@ -24,8 +24,12 @@ JOHNSON_RMS_1K = 7.050061276329449
 MODULES = ["kljnsim"] + [
     f"kljnsim.{name}" for name in ("attacks", "channel", "cli", "errors", "experiment", "noise")
 ]
-# The sampled-trace wrappers that plain arrays replaced; none may come back.
-DELETED = {"NoiseSpec", "SampledTrace", "Spectrum", "johnson_scale", "power_spectrum"}
+# The sampled-trace wrappers that plain arrays replaced, and the defense
+# kind and spec that Notch and RaiseTemperature replaced; none may come back.
+DELETED = {
+    "NoiseSpec", "SampledTrace", "Spectrum", "johnson_scale", "power_spectrum",
+    "DefenseKind", "DefenseSpec",
+}
 
 
 class TestPublicNames:

@@ -22,11 +22,10 @@ from kljnsim import (
     AttackConfig,
     AttackMode,
     AttackOutcome,
-    DefenseKind,
-    DefenseSpec,
     UNDETERMINED,
     HfPreparation,
     KljnConfig,
+    Notch,
     PeriodicSource,
     ResistorPair,
     Situation,
@@ -71,7 +70,7 @@ def wire_of(session):
 def test_results_do_not_depend_on_chunk_size(seed, mode, notch):
     config = make_config(mode, seed, bits=60)
     attack = AttackConfig(mode=mode, ensemble_size=100)
-    defense = DefenseSpec(kind=DefenseKind.NOTCH, notch_halfwidth=500.0) if notch else None
+    defense = Notch(500.0) if notch else None
     outcomes, wires = [], []
     default = channel.CHUNK_PERIODS
     try:
