@@ -29,7 +29,7 @@ from math import cos, floor, isfinite, pi
 import numpy as np
 
 from .channel import KljnConfig, PeriodicSource, Situation, period_batches, source_basis
-from .errors import ConfigurationError, ShapeMismatchError
+from .errors import ConfigurationError
 from .noise import Stream, johnson_rms, mix_seed, stream, unit_band_noise
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
@@ -41,7 +41,6 @@ __all__ = [
     "UNDETERMINED",
     "default_band",
     "hf_ac_power",
-    "hf_band",
     "hf_decide",
     "hf_prepare",
     "hf_source_band",
@@ -124,21 +123,15 @@ class HfPreparation:
             two secure situations.
         band: Spectral window (f_lo, f_hi) used for band averages.
         ensemble_size: Number of rehearsal periods averaged.
-        samples_per_bit: Period length the rehearsal ran at; measured
-            periods must match it.
-        mask: The rfft bins of such a period inside ``band``, DC excluded.
+        mask: The rfft bins of one period inside ``band``, DC excluded;
+            ``noise_background`` holds one value per bin it selects.
     """
 
     noise_background: np.ndarray
     ac_threshold: float
     band: tuple[float, float]
     ensemble_size: int
-    samples_per_bit: int
     mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.shape(self.noise_background) != (np.count_nonzero(self.mask),):
-            raise ShapeMismatchError("the background needs one value per band bin of the mask")
 
 
 def lf_threshold(
@@ -154,7 +147,7 @@ def lf_threshold(
     Args:
         source: The known parasitic source.
         period_index: 1-based period number, or an array of them.
-        tau: Period length in seconds.
+        tau: Period length in seconds, positive.
         kappa: Threshold scale, positive.
 
     Returns:
@@ -162,14 +155,6 @@ def lf_threshold(
         zero means "cannot decide".
     """
     index = np.asarray(period_index)
-    if np.any(index < 1):
-        raise ConfigurationError(
-            f"period_index must be at least 1, got {index.min()}"
-        )
-    if not tau > 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
-    if not kappa > 0:
-        raise ConfigurationError(f"kappa must be positive, got {kappa}")
     if source.frequency == 0.0:
         return np.full(index.shape, kappa * source.amplitude * cos(source.phase))
     cycles = source.frequency * tau
@@ -239,14 +224,13 @@ def resolve_band(
         ConfigurationError: If the band reaches outside (0, f_b] or holds
             no bins.
     """
-    spb = config.samples_per_bit
-    bin_width = config.sample_rate / spb
     band = attack.band
     if band is None:
+        bin_width = config.sample_rate / config.samples_per_bit
         band = default_band(config.source.frequency, bin_width, config.f_b)
     elif band[1] > config.f_b:
         raise ConfigurationError(f"band_hi {band[1]} exceeds noise bandwidth {config.f_b}")
-    freqs = np.arange(spb // 2 + 1) * bin_width
+    freqs = config.bin_frequencies
     mask = (freqs >= band[0]) & (freqs <= band[1])
     mask[0] = False  # DC bin never contributes to band averages
     if not np.any(mask):
@@ -288,31 +272,16 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
     ac_threshold = float(np.mean(config.resistors.secure_gains**2) * np.mean(source_power))
-    return HfPreparation(background_sum / m_count, ac_threshold, band, m_count, spb, mask)
-
-
-def hf_band(samples: np.ndarray, prep: HfPreparation) -> np.ndarray:
-    """1/N-normalized DFT coefficients of each period inside the band.
-
-    ``samples`` holds one period per row.  The DFT is linear, so the band
-    of ``ac + sigma * z`` is ``hf_band(ac) + sigma * hf_band(z)``.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1] != prep.samples_per_bit:
-        raise ShapeMismatchError(
-            f"measured periods hold {samples.shape[-1]} samples, the rehearsal "
-            f"ran at {prep.samples_per_bit}"
-        )
-    return np.fft.rfft(samples, axis=-1)[..., prep.mask] / prep.samples_per_bit
+    return HfPreparation(background_sum / m_count, ac_threshold, band, m_count, mask)
 
 
 def hf_source_band(config: KljnConfig, index: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The source's band coefficients over the 0-based periods ``index``.
 
-    They equal :func:`hf_band` of the sampled source, for the band that
-    ``mask`` selects, but come in closed form: by linearity the band of
-    A (cos theta_i c_k - sin theta_i s_k) (see :func:`source_basis`) is
-    A (cos theta_i C - sin theta_i S), with C and S the bands of c and s.
+    They equal the ``mask`` bins of the 1/N-normalized DFT of the sampled
+    source, one period per row, but come in closed form: by linearity the
+    band of A (cos theta_i c_k - sin theta_i s_k) (see :func:`source_basis`)
+    is A (cos theta_i C - sin theta_i S), with C and S the bands of c and s.
     """
     a_cos, a_sin, c, s = source_basis(config, index)
     cos_band, sin_band = np.fft.rfft([c, s], axis=-1)[:, mask] / config.samples_per_bit
@@ -322,21 +291,15 @@ def hf_source_band(config: KljnConfig, index: np.ndarray, mask: np.ndarray) -> n
 def hf_ac_power(coeffs: np.ndarray, prep: HfPreparation, t_eff: float) -> np.ndarray:
     """Background-subtracted band power of each measured period.
 
-    ``coeffs`` holds each period's band coefficients from :func:`hf_band`,
-    one period per row, measured at temperature ``t_eff``.  Subtracts the
-    rehearsed noise spectrum, scaled to ``t_eff``, bin by bin and averages
-    over the window without clipping, so the estimator stays unbiased;
-    negative values simply mean the period held less band power than the
-    noise average.
+    ``coeffs`` holds each period's 1/N-normalized DFT coefficients on the
+    bins of ``prep.mask``, one period per row, measured at temperature
+    ``t_eff``.  Subtracts the rehearsed noise spectrum, scaled to ``t_eff``,
+    bin by bin and averages over the window without clipping, so the
+    estimator stays unbiased; negative values simply mean the period held
+    less band power than the noise average.
     """
     coeffs = np.asarray(coeffs)
-    bins = prep.noise_background
-    if coeffs.shape[-1] != bins.size:
-        raise ShapeMismatchError(
-            f"got {coeffs.shape[-1]} coefficients per period, the band holds "
-            f"{bins.size} bins; pass the periods through hf_band first"
-        )
-    return np.mean(coeffs.real**2 + coeffs.imag**2 - t_eff * bins, axis=-1)
+    return np.mean(coeffs.real**2 + coeffs.imag**2 - t_eff * prep.noise_background, axis=-1)
 
 
 def hf_decide(ac_power, prep: HfPreparation) -> np.ndarray:

@@ -54,7 +54,6 @@ __all__ = [
     "source_basis",
     "source_samples",
     "wire_current",
-    "wire_noise",
 ]
 
 # Periods synthesized per batch.  It bounds memory and never changes a
@@ -192,6 +191,12 @@ class KljnConfig:
         """Length of one bit period on the sample grid, in seconds."""
         return self.samples_per_bit / self.sample_rate
 
+    @property
+    def bin_frequencies(self) -> np.ndarray:
+        """Frequency of each rfft bin of one period: m * f_s / N for m = 0 .. N // 2."""
+        spb = self.samples_per_bit
+        return np.arange(spb // 2 + 1) * (self.sample_rate / spb)
+
 
 def source_basis(config: KljnConfig, index: np.ndarray) -> tuple[np.ndarray, ...]:
     """A cos theta_i and A sin theta_i as columns, c_k and s_k as rows.
@@ -219,20 +224,6 @@ def source_samples(config: KljnConfig, index: np.ndarray) -> np.ndarray:
 # resistances against one row of samples per period.
 
 
-def _check_pair(r_alice, r_bob) -> None:
-    if not (np.all(r_alice > 0) and np.all(r_bob > 0)):
-        raise ConfigurationError(
-            f"resistances must be positive, got {r_alice}, {r_bob}"
-        )
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if np.shape(a) != np.shape(b):
-        raise ShapeMismatchError(
-            f"sample arrays disagree: {np.shape(a)} vs {np.shape(b)}"
-        )
-
-
 def _check_finite(values, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise ConfigurationError(f"{what} overflows float64; lower t_eff or the source amplitude")
@@ -240,19 +231,7 @@ def _check_finite(values, what: str) -> None:
 
 def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
     """Periodic source as seen on the wire, through the resistive divider."""
-    _check_pair(r_alice, r_bob)
     return r_bob / (r_alice + r_bob) * source
-
-
-def wire_noise(r_alice, r_bob, alice_noise: np.ndarray, bob_noise: np.ndarray) -> np.ndarray:
-    """Superposed thermal noise on the wire.
-
-    Each end's generator reaches the wire through the opposite end's
-    resistor ratio, so Alice's noise is weighted by r_bob and vice versa.
-    """
-    _check_pair(r_alice, r_bob)
-    _check_same_shape(alice_noise, bob_noise)
-    return (r_alice * bob_noise + r_bob * alice_noise) / (r_alice + r_bob)
 
 
 def wire_current(
@@ -263,9 +242,6 @@ def wire_current(
     bob_noise: np.ndarray,
 ) -> np.ndarray:
     """Loop current, positive when flowing from Alice toward Bob."""
-    _check_pair(r_alice, r_bob)
-    _check_same_shape(alice_noise, bob_noise)
-    _check_same_shape(source, alice_noise)
     return (source + alice_noise - bob_noise) / (r_alice + r_bob)
 
 
@@ -362,8 +338,15 @@ class Session:
         Each period draws its ``mask`` bins by :func:`unit_band_noise`, from
         a stream of its own in period order: alike in law to the band of
         what :meth:`secure_noise` draws, not equal to it.
+
+        Raises:
+            ShapeMismatchError: If ``mask`` is not one flag per rfft bin of
+                a period, with DC excluded.
         """
         spb = self.config.samples_per_bit
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (spb // 2 + 1,) or mask[0]:
+            raise ShapeMismatchError(f"band mask must span {spb // 2 + 1} rfft bins, DC excluded")
         return self._secure_draws(
             Stream.SECURE_BAND, lambda rng, n: unit_band_noise(rng, n, spb, mask)
         )

@@ -39,7 +39,6 @@ from .experiment import (
     Notch,
     RaiseTemperature,
     SweepPoint,
-    _check_notch,
     run_point,
     sweep,
     teff_of_ueff,
@@ -75,7 +74,7 @@ class Key(NamedTuple):
     flag: str | None
     help: str
     default: Any = None  # None: optional, absent unless set
-    choices: tuple[str, ...] | None = None  # the values the flag accepts
+    choices: tuple[str, ...] | None = None  # the only values it takes, from any layer
 
 
 _KEYS = (
@@ -254,7 +253,7 @@ def _merge_layers(manifest: RunManifest) -> dict[str, dict[str, Any]]:
 
 
 def _check_keys(merged: dict[str, dict[str, Any]], keys: list[Key]) -> None:
-    """Reject missing required keys and non-finite floats among ``keys``, naming each."""
+    """Reject missing keys, non-finite floats and unlisted choices among ``keys``, naming each."""
     missing = []
     for key in keys:
         if key.default is not _REQUIRED or key.name in merged[key.section]:
@@ -273,6 +272,10 @@ def _check_keys(merged: dict[str, dict[str, Any]], keys: list[Key]) -> None:
         if key.parse is float and value is not None and not math.isfinite(value):
             raise ConfigurationError(
                 f"{key.section}.{key.name} ({key.help}) must be finite, got {value}"
+            )
+        if key.choices is not None and value is not None and value not in key.choices:
+            raise ConfigurationError(
+                f"{key.section}.{key.name} must be one of {list(key.choices)}, got {value!r}"
             )
 
 
@@ -351,13 +354,7 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
     attack = None
     if "attack" in sections:
         section = sections["attack"]
-        try:
-            mode = AttackMode(section["mode"])
-        except ValueError:
-            raise ConfigurationError(
-                f"attack.mode must be one of {[m.value for m in AttackMode]}, "
-                f"got {section['mode']!r}"
-            ) from None
+        mode = AttackMode(section["mode"])
         edges = [section.get(name) for name in ("band_lo_hz", "band_hi_hz")]
         if (edges[0] is None) != (edges[1] is None):
             raise ConfigurationError(
@@ -372,10 +369,6 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
     defense = None
     if "defense" in sections:
         section = sections["defense"]
-        if section["kind"] not in _DEFENSES:
-            raise ConfigurationError(
-                f"defense.kind must be one of {list(_DEFENSES)}, got {section['kind']!r}"
-            )
         kind, names = _DEFENSES[section["kind"]]
         stray = sorted(section.keys() - {"kind", *names})
         if stray:
@@ -390,15 +383,12 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
                              for name, spec in zip(names, fields(kind)) if spec.default is MISSING])
         with _naming(keys, "defense"):
             defense = kind(*(section.get(name) for name in names))
-        if isinstance(defense, Notch) and defense.notch_center is not None:
-            try:  # an explicit center is the same in every column
-                _check_notch(base.sample_rate, defense.notch_center, defense.notch_halfwidth)
-            except ConfigurationError as error:
-                raise ConfigurationError(f"defense.notch_center_hz: {error}") from None
+            if isinstance(defense, Notch) and defense.notch_center is not None:
+                defense.bins(base)  # an explicit center cuts the same bins in every column
 
     # Check each column the run executes: the source frequency, and the
-    # band and notch center that default to it.
-    notched = isinstance(defense, Notch)
+    # band and notch bins that default to it.
+    tracking = isinstance(defense, Notch) and defense.notch_center is None
     columns = []
     for f_a in f_a_list:
         context = f"grid.f_a_list_hz holds {f_a:g}"  # what names a sweep column
@@ -407,10 +397,10 @@ def resolve(manifest: RunManifest) -> ResolvedSetup:
                 column = replace(base, source=replace(base.source, frequency=f_a))
                 if attack is not None and attack.mode is AttackMode.HIGH_FREQ:
                     resolve_band(column, attack)
-            if notched and defense.notch_center is None:
-                context += (" and the notch center defaults to the source frequency"
-                            " (set defense.notch_center_hz)")
-                _check_notch(column.sample_rate, f_a, defense.notch_halfwidth)
+            if tracking:
+                context += " and the notch center defaults to the source frequency"
+                with _naming(keys, "defense"):
+                    defense.bins(column)
         except ConfigurationError as error:
             if grid is None:
                 raise

@@ -74,6 +74,30 @@ class Notch:
                 f"notch_center must be finite and positive when given, got {self.notch_center}"
             )
 
+    def bins(self, config: KljnConfig) -> np.ndarray:
+        """The rfft bins of one of ``config``'s periods that the notch removes.
+
+        Those within ``notch_halfwidth`` of the center, on the grid of
+        ``config.bin_frequencies``; the center defaults to the source frequency.
+
+        Raises:
+            ConfigurationError: If the center lies outside (0, f_b), or no
+                bin lies close enough to it, so the notch would remove nothing.
+        """
+        center = config.source.frequency if self.notch_center is None else self.notch_center
+        if not 0 < center < config.f_b:
+            raise ConfigurationError(
+                f"notch center must lie inside (0, {config.f_b:g}), got notch_center = {center:g}"
+            )
+        freqs = config.bin_frequencies
+        cut = np.abs(freqs - center) <= self.notch_halfwidth
+        if not np.any(cut):
+            raise ConfigurationError(
+                f"no spectrum bin lies within notch_halfwidth = {self.notch_halfwidth:g} "
+                f"of {center:g}; the bins are {freqs[1]:g} Hz apart"
+            )
+        return cut
+
 
 @dataclass(frozen=True)
 class RaiseTemperature:
@@ -157,30 +181,16 @@ def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
     return t_eff
 
 
-def _check_notch(sample_rate: float, center: float, halfwidth: float) -> None:
-    nyquist = sample_rate / 2.0
-    if not 0 < center < nyquist:
-        raise ConfigurationError(
-            f"notch center must lie inside (0, {nyquist}), got {center}"
-        )
-    if not halfwidth > 0:
-        raise ConfigurationError(f"notch halfwidth must be positive, got {halfwidth}")
-
-
-def notch_filter(
-    samples: np.ndarray, sample_rate: float, center: float, halfwidth: float
-) -> np.ndarray:
-    """Zero all spectral bins within halfwidth of the center frequency.
+def notch_filter(samples: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Zero the rfft bins that the mask ``cut`` selects, such as :meth:`Notch.bins`.
 
     A frequency-domain brick wall along the last axis, so an array of
     periods (one per row) is filtered by one batched FFT pair; energy
     outside the notch survives the round trip to numerical precision.
     """
-    _check_notch(sample_rate, center, halfwidth)
     n = np.shape(samples)[-1]
     coeffs = np.fft.rfft(samples, axis=-1)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    coeffs[..., np.abs(freqs - center) <= halfwidth] = 0.0
+    coeffs[..., cut] = 0.0
     return np.fft.irfft(coeffs, n, axis=-1)
 
 
@@ -197,17 +207,12 @@ def run_point(
     bounded whatever the bit count.  Scoring compares the guessed situation
     against the ground truth.  Undetermined low-frequency bits are dropped
     from numerator and denominator alike.  ``notch`` filters what the
-    eavesdropper taps; a center outside the band is rejected before any of
-    that work starts.  ``rehearsal`` is ``hf_prepare(config, attack)`` when
-    the caller has drawn it already.
+    eavesdropper taps; its :meth:`Notch.bins` are checked before any of that
+    work starts.  ``rehearsal`` is ``hf_prepare(config, attack)`` when the
+    caller has drawn it already.
     """
     lowfreq = attack.mode is AttackMode.LOW_FREQ
-    notched = notch is not None
-    if notched:
-        center, halfwidth = notch.notch_center, notch.notch_halfwidth
-        if center is None:
-            center = config.source.frequency
-        _check_notch(config.sample_rate, center, halfwidth)
+    cut = None if notch is None else notch.bins(config)
 
     session = simulate_session(config)
     # Both attacks observe gains[codes - 1] * source + sigma * unit, as samples or band bins.
@@ -218,9 +223,8 @@ def run_point(
     else:
         prep = rehearsal if rehearsal is not None else hf_prepare(config, attack)
         _check_finite(prep.ac_threshold, "band power")
-        if notched:
-            band_freqs = np.flatnonzero(prep.mask) * (config.sample_rate / config.samples_per_bit)
-            cut = np.abs(band_freqs - center) <= halfwidth
+        if cut is not None:
+            cut = cut[prep.mask]
         draws = session.secure_bands(prep.mask)
         source_of = partial(hf_source_band, config, mask=prep.mask)
 
@@ -231,14 +235,14 @@ def run_point(
         observed = np.multiply(unit, sigma, out=unit)
         observed += source
         if lowfreq:
-            if notched:
+            if cut is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                    observed = notch_filter(observed, config.sample_rate, center, halfwidth)
+                    observed = notch_filter(observed, cut)
             _check_finite(observed, "wire voltage")
             threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess
         else:
-            if notched:
+            if cut is not None:
                 observed[..., cut] = 0.0
             with np.errstate(over="ignore"):  # an overflow is reported below
                 power = hf_ac_power(observed, prep, config.t_eff)

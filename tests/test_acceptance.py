@@ -19,27 +19,28 @@ from scipy import stats
 from kljnsim import (
     AttackConfig,
     AttackMode,
-    BOLTZMANN,
     KljnConfig,
     Notch,
     PeriodicSource,
     ResistorPair,
-    divider_ac,
-    hf_ac_power,
-    hf_band,
-    hf_decide,
-    hf_prepare,
-    hf_source_band,
-    johnson_rms,
-    lf_gamma,
-    lf_threshold,
-    periodogram,
     run_point,
     simulate_session,
     sweep,
     teff_of_ueff,
-    u_eff_of_teff,
 )
+from kljnsim.attacks import (
+    hf_ac_power,
+    hf_decide,
+    hf_prepare,
+    hf_source_band,
+    lf_gamma,
+    lf_threshold,
+)
+from kljnsim.channel import divider_ac
+from kljnsim.experiment import u_eff_of_teff
+from kljnsim.noise import BOLTZMANN, johnson_rms, periodogram
+
+from reference import hf_band
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
 CHANCE_BAND = (0.45, 0.55)  # binomial 3 sigma around 0.5 at 1000 bits

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import AttackMode, ResistorPair, mix_seed, teff_of_ueff, u_eff_of_teff
+from kljnsim import AttackMode, ResistorPair, teff_of_ueff
 from kljnsim.cli import _KEYS, PRESETS, RunManifest, _build_parser, main, resolve
+from kljnsim.experiment import u_eff_of_teff
+from kljnsim.noise import mix_seed
 
 
 def run_main(argv, capsys):
@@ -639,6 +641,37 @@ class TestBoundaryValidation:
         assert code == 1
         assert out == ""
         assert re.findall(r"\b(?:channel|attack|defense|grid)\.\w+", err) == [key]
+        assert "# " not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # 318.3 Hz lies 318.3 Hz from the nearest of bins 1 kHz apart.
+            ["--preset", "fig5", "--f-a-list", "318.3", "--bits", "200"],
+            # 2.1 kHz lies 100 Hz from the nearest of bins 500 Hz apart.
+            ["--preset", "fig6", "--f-a-list", "2100", "--bits", "50", "--ensemble-size", "200"],
+            ["--preset", "fig6", "--notch-center", "2100", "--bits", "50"],
+        ],
+        ids=["lowfreq", "highfreq", "explicit-center"],
+    )
+    def test_notch_that_holds_no_bin_names_halfwidth_before_echo(self, flags, capsys):
+        argv = ["defend", "--notch-halfwidth", "5", "--u-eff-points", "1", "--u-eff-min", "0.01",
+                "--u-eff-max", "0.01"] + flags
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "defense.notch_halfwidth_hz" in err and "no spectrum bin" in err
+        assert "# " not in err
+
+    def test_choice_from_a_file_names_key_before_echo(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[attack]\nmode = bogus\n")
+        argv = ["attack", "--preset", "fig5", "--bits", "5", "--config", str(path)]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert re.findall(r"\b(?:channel|attack|defense|grid)\.\w+", err) == ["attack.mode"]
+        assert "'bogus'" in err
         assert "# " not in err
 
     def test_zero_source_frequency_names_key_before_echo(self, capsys):

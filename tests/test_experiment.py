@@ -10,41 +10,50 @@ import pytest
 from kljnsim import (
     AttackConfig,
     AttackMode,
-    AttackOutcome,
-    BOLTZMANN,
     ConfigurationError,
     KljnConfig,
     Notch,
     PeriodicSource,
     RaiseTemperature,
     ResistorPair,
-    SWEEP_CSV_COLUMNS,
-    UNDETERMINED,
-    divider_ac,
-    generate_unit_gbwn,
-    hf_ac_power,
-    hf_band,
-    hf_decide,
-    hf_prepare,
-    hf_source_band,
-    johnson_rms,
-    lf_decide,
-    lf_gamma,
-    lf_threshold,
-    mix_seed,
-    notch_filter,
-    periodogram,
     run_column,
     run_point,
     simulate_session,
     sweep,
     teff_of_ueff,
+)
+from kljnsim.attacks import (
+    UNDETERMINED,
+    hf_ac_power,
+    hf_decide,
+    hf_prepare,
+    hf_source_band,
+    lf_decide,
+    lf_gamma,
+    lf_threshold,
+)
+from kljnsim.channel import divider_ac
+from kljnsim.experiment import (
+    AttackOutcome,
+    SWEEP_CSV_COLUMNS,
+    notch_filter,
     u_eff_of_teff,
     write_sweep_csv,
 )
 import kljnsim.channel as channel
 import kljnsim.experiment as experiment
-from kljnsim.noise import Stream, stream, unit_band_noise
+from kljnsim.noise import (
+    BOLTZMANN,
+    Stream,
+    generate_unit_gbwn,
+    johnson_rms,
+    mix_seed,
+    periodogram,
+    stream,
+    unit_band_noise,
+)
+
+from reference import hf_band
 
 # rms of the wire noise at T_eff = 9e15 K over a 100 kHz band with the
 # 1 kOhm / 10 kOhm pair (909.09 ohm in parallel), frozen from
@@ -101,24 +110,30 @@ class TestNotchFilter:
         frequency = cycles * self.RATE / n
         return np.cos(2.0 * np.pi * frequency * times)
 
+    def cut(self, n=2000):
+        """The bins of a 500 Hz notch at 2 kHz, for periods of ``n`` samples at this rate."""
+        config = make_config(f_c=self.RATE / n)
+        assert config.sample_rate == self.RATE and config.samples_per_bit == n
+        return Notch(500.0, notch_center=2000.0).bins(config)
+
     def test_kills_centered_tone(self):
         trace = self.tone(cycles=20)  # 2 kHz on this grid
-        out = notch_filter(trace, self.RATE, center=2000.0, halfwidth=500.0)
+        out = notch_filter(trace, self.cut())
         assert rms(out) < 1e-12
 
     def test_preserves_distant_tone(self):
         trace = self.tone(cycles=300)  # 30 kHz
-        out = notch_filter(trace, self.RATE, center=2000.0, halfwidth=500.0)
+        out = notch_filter(trace, self.cut())
         np.testing.assert_allclose(out, trace, atol=1e-12)
         # A batch of periods, one per row, is filtered row by row.
-        batch = notch_filter(np.stack([trace, self.tone(cycles=20)]), self.RATE, 2000.0, 500.0)
+        batch = notch_filter(np.stack([trace, self.tone(cycles=20)]), self.cut())
         np.testing.assert_allclose(batch[0], trace, atol=1e-12)
         assert rms(batch[1]) < 1e-12
 
     def test_energy_bookkeeping_on_noise(self):
         n = 1 << 16
         trace = generate_unit_gbwn(n, seed=3)
-        out = notch_filter(trace, self.RATE, center=2000.0, halfwidth=500.0)
+        out = notch_filter(trace, self.cut(n))
         bins = periodogram(trace)
         freqs = np.arange(bins.size) * self.RATE / n
         weights = np.full(bins.size, 2.0)
@@ -133,13 +148,23 @@ class TestNotchFilter:
         assert rms(out) / rms(trace) == pytest.approx(math.sqrt(0.99), rel=0.02)
 
     def test_rejects_center_outside_band(self):
-        trace = self.tone(cycles=20)
-        with pytest.raises(ConfigurationError):
-            notch_filter(trace, self.RATE, center=0.0, halfwidth=500.0)
-        with pytest.raises(ConfigurationError):
-            notch_filter(trace, self.RATE, center=1.5e5, halfwidth=500.0)
-        with pytest.raises(ConfigurationError):
-            notch_filter(trace, self.RATE, center=2000.0, halfwidth=0.0)
+        config = make_config()
+        for center in (1.0e5, 1.5e5):
+            with pytest.raises(ConfigurationError, match="notch center"):
+                Notch(500.0, notch_center=center).bins(config)
+        # A center that defaults to a source frequency of zero.
+        silent = make_config(source=PeriodicSource(amplitude=1.0, frequency=0.0))
+        with pytest.raises(ConfigurationError, match="notch center"):
+            Notch(500.0).bins(silent)
+
+    def test_rejects_a_notch_that_holds_no_bin(self):
+        config = make_config()  # 200 samples per period: bins 1 kHz apart
+        with pytest.raises(ConfigurationError, match="notch_halfwidth = 5 of 318.3"):
+            Notch(5.0).bins(config)
+        # Wide enough to reach DC, 318.3 Hz below the source frequency.
+        assert np.flatnonzero(Notch(320.0).bins(config)).tolist() == [0]
+        # The grid is m * f_s / N, the one the highfreq band is drawn on.
+        assert np.array_equal(config.bin_frequencies, np.arange(101) * 1.0e3)
 
 
 class TestAttackOutcome:
@@ -398,8 +423,7 @@ def sampled_cell(config, attack, notch):
     prep = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
     index, codes, wire = sampled_wires(config, prep)
     if notch is not None:
-        wire = notch_filter(wire, config.sample_rate, config.source.frequency,
-                            notch.notch_halfwidth)
+        wire = notch_filter(wire, notch.bins(config))
     if prep is None:
         threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
         guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
@@ -465,10 +489,9 @@ class TestColumnAlgebra:
         prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
         sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
         spb = config.samples_per_bit
-        center, halfwidth = 2000.0, 500.0
         freqs = np.fft.rfftfreq(spb, d=1.0 / config.sample_rate)
-        cut = (np.abs(freqs - center) <= halfwidth)[prep.mask]
-        assert 0 < np.count_nonzero(cut) < cut.size
+        cut = np.abs(freqs - 2000.0) <= 500.0
+        assert 0 < np.count_nonzero(cut[prep.mask]) < np.count_nonzero(prep.mask)
         session = simulate_session(config)
         ac_part = secure_parts(session)[3]
         z = secure_band_noise(session, prep.mask)
@@ -477,9 +500,9 @@ class TestColumnAlgebra:
         ac = hf_band(ac_part, prep)
         wire = ac_part + sigma * noise
         if notched:
-            ac[..., cut] = 0.0
-            z[..., cut] = 0.0
-            wire = notch_filter(wire, config.sample_rate, center, halfwidth)
+            ac[..., cut[prep.mask]] = 0.0
+            z[..., cut[prep.mask]] = 0.0
+            wire = notch_filter(wire, cut)
         coeffs = ac + sigma * z
         expected = periodogram(wire)[..., prep.mask]
         np.testing.assert_allclose(
@@ -492,7 +515,8 @@ class TestColumnAlgebra:
         lowfreq = mode is AttackMode.LOW_FREQ
         config = make_config(n_secure_bits=150) if lowfreq else hf_config(n_secure_bits=150)
         attack = AttackConfig(mode=mode, ensemble_size=100)
-        notch = Notch(200.0) if notched else None
+        # Each notch removes bins: DC and 1 kHz for lowfreq, 2 kHz for highfreq.
+        notch = Notch(700.0 if lowfreq else 200.0) if notched else None
         t_effs = [teff_of_ueff(u, PAIR, config.f_b) for u in (0.01, 0.3, 3.0)]
         outcomes = run_column(config, attack, t_effs, notch)
         for t_eff, outcome in zip(t_effs, outcomes):

@@ -21,28 +21,27 @@ import kljnsim.channel as channel
 from kljnsim import (
     AttackConfig,
     AttackMode,
-    AttackOutcome,
-    UNDETERMINED,
-    HfPreparation,
     KljnConfig,
     Notch,
     PeriodicSource,
     ResistorPair,
-    Situation,
-    hf_decide,
-    johnson_rms,
-    lf_decide,
-    lf_gamma,
-    lf_threshold,
-    mix_seed,
     run_point,
     simulate_session,
     sweep,
     teff_of_ueff,
-    write_sweep_csv,
 )
+from kljnsim.attacks import (
+    HfPreparation,
+    UNDETERMINED,
+    hf_decide,
+    lf_decide,
+    lf_gamma,
+    lf_threshold,
+)
+from kljnsim.channel import Situation
 from kljnsim.cli import RunManifest, resolve
-from kljnsim.noise import Stream, stream
+from kljnsim.experiment import AttackOutcome, write_sweep_csv
+from kljnsim.noise import Stream, johnson_rms, mix_seed, stream
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -152,7 +151,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @given(threshold=FINITE, offsets=st.lists(st.sampled_from([0.0, 1.0, -1.0]), max_size=8))
 def test_vectorised_hf_decide_matches_scalar_tie_coin(threshold, offsets):
     mask = np.array([False, True, True])
-    prep = HfPreparation(np.zeros(2), threshold, (1.0, 2.0), 100, samples_per_bit=4, mask=mask)
+    prep = HfPreparation(np.zeros(2), threshold, (1.0, 2.0), 100, mask=mask)
     # Zero offsets give exact ties; a zero threshold also ties with -0.0.
     powers = np.array([threshold + offset for offset in offsets], dtype=np.float64)
     if threshold == 0.0:
