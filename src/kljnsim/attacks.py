@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import KljnConfig, PeriodicSource, Situation, period_batches, source_basis
 from .errors import ConfigurationError
-from .noise import Stream, johnson_rms, mix_seed, stream, unit_band_noise
+from .noise import Stream, johnson_rms, stream, unit_band_noise
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
 __all__ = [
@@ -50,9 +50,7 @@ __all__ = [
     "resolve_band",
 ]
 
-_TIE_SALT = 0x7E5EEDC011  # fixed salt for the exact-tie coin
-
-UNDETERMINED = -1  # lowfreq guess for a period the test cannot call
+UNDETERMINED = -1  # guess of a period either attack cannot call, on its decision boundary
 
 
 class AttackMode(Enum):
@@ -306,15 +304,10 @@ def hf_decide(ac_power, prep: HfPreparation) -> np.ndarray:
     """Classify periods by band power against the rehearsed midpoint.
 
     Above the midpoint means the strong divider (Bob high); below means the
-    weak one.  Returns situation codes shaped like ``ac_power``.  An exact
-    tie is resolved by a deterministic fair coin keyed on the measured
-    value's bit pattern, so accounting never stalls and reruns reproduce
-    byte for byte.
+    weak one.  Returns situation codes shaped like ``ac_power``.  A power
+    exactly on the midpoint leaves the period UNDETERMINED, as
+    :func:`lf_decide` leaves a period on its boundary.
     """
     power = np.asarray(ac_power, dtype=np.float64)
-    guess = np.where(power > prep.ac_threshold, Situation.LH, Situation.HL)
-    tied = power == prep.ac_threshold
-    if np.any(tied):
-        heads = [mix_seed(_TIE_SALT, int(bits)) & 1 for bits in power[tied].view(np.uint64)]
-        guess[tied] = np.where(heads, Situation.LH, Situation.HL)
-    return guess
+    called = np.where(power > prep.ac_threshold, Situation.LH, Situation.HL)
+    return np.where(power == prep.ac_threshold, UNDETERMINED, called)

@@ -13,21 +13,21 @@ All wire quantities follow from two-resistor circuit algebra:
 
 * divider:  u_ac   = r_bob * source / (r_alice + r_bob)
 * noise:    u_wire = (r_alice * u_bob_n + r_bob * u_alice_n) / (r_alice + r_bob)
-* current:  i_wire = (source + u_alice_n - u_bob_n) / (r_alice + r_bob)
+* current:  i_wire = (source + u_diff) / (r_alice + r_bob),  u_diff = u_alice_n - u_bob_n
 
 with the current sign positive when flowing from Alice toward Bob.  The
 two ends' generators are independent, so the wire noise is itself one
 Johnson noise of the parallel resistance r_alice * r_bob / (r_alice + r_bob),
-independent of the end-to-end difference u_alice_n - u_bob_n that drives the
-current (Kish, Phys. Lett. A 352, 2006).  Sessions draw those two Gaussians
-directly instead of the ends' noises.
+independent of the end-to-end difference u_diff, one Johnson noise of
+r_alice + r_bob (Kish, Phys. Lett. A 352, 2006).  Sessions draw those two
+Gaussians directly instead of the ends' noises.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, TextIO
 
@@ -131,7 +131,7 @@ class PeriodicSource:
             )
         if not 0 <= self.frequency < math.inf:
             raise ConfigurationError(
-                f"frequency must be finite and non-negative, got {self.frequency}"
+                f"source frequency f_a must be finite and non-negative, got {self.frequency}"
             )
         if not math.isfinite(self.phase):
             raise ConfigurationError(f"phase must be finite, got {self.phase}")
@@ -153,7 +153,6 @@ class KljnConfig:
     source: PeriodicSource
     seed: int
     n_secure_bits: int
-    samples_per_bit: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.f_c < math.inf:
@@ -177,9 +176,11 @@ class KljnConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 bits")
-        object.__setattr__(
-            self, "samples_per_bit", int(round(2.0 * self.f_b / self.f_c))
-        )
+
+    @property
+    def samples_per_bit(self) -> int:
+        """Samples in one bit period: the sample rate over f_c, rounded."""
+        return int(round(2.0 * self.f_b / self.f_c))
 
     @property
     def sample_rate(self) -> float:
@@ -224,9 +225,9 @@ def source_samples(config: KljnConfig, index: np.ndarray) -> np.ndarray:
 # resistances against one row of samples per period.
 
 
-def _check_finite(values, what: str) -> None:
+def _check_finite(values, what: str, remedy: str = "t_eff or the source amplitude") -> None:
     if not np.all(np.isfinite(values)):
-        raise ConfigurationError(f"{what} overflows float64; lower t_eff or the source amplitude")
+        raise ConfigurationError(f"{what} overflows float64; lower {remedy}")
 
 
 def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
@@ -234,15 +235,12 @@ def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
     return r_bob / (r_alice + r_bob) * source
 
 
-def wire_current(
-    r_alice,
-    r_bob,
-    source: np.ndarray,
-    alice_noise: np.ndarray,
-    bob_noise: np.ndarray,
-) -> np.ndarray:
-    """Loop current, positive when flowing from Alice toward Bob."""
-    return (source + alice_noise - bob_noise) / (r_alice + r_bob)
+def wire_current(r_alice, r_bob, source: np.ndarray, difference: np.ndarray) -> np.ndarray:
+    """Loop current, positive when flowing from Alice toward Bob.
+
+    ``difference`` is Alice's end noise minus Bob's.
+    """
+    return (source + difference) / (r_alice + r_bob)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,13 +312,10 @@ class Session:
             ac = divider_ac(r_alice, r_bob, source)
             wire = ac + noise
             _check_finite(wire, "wire voltage")
-            # Ends that superpose to ``noise`` and differ by ``difference``.
             difference = johnson_rms(r_sum, config.t_eff, config.f_b) * (
                 difference_rng.standard_normal((index.size, spb))
             )
-            alice_noise = noise + r_alice / r_sum * difference
-            bob_noise = noise - r_bob / r_sum * difference
-            current = wire_current(r_alice, r_bob, source, alice_noise, bob_noise)
+            current = wire_current(r_alice, r_bob, source, difference)
             yield SessionChunk(index, codes, wire, ac, noise, current)
 
     def secure_noise(self) -> Iterator[tuple[np.ndarray, ...]]:

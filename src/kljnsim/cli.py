@@ -26,7 +26,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
@@ -46,7 +46,7 @@ from .experiment import (
     write_sweep_csv,
 )
 
-__all__ = ["PRESETS", "RunManifest", "dispatch", "main", "resolve"]
+__all__ = ["PRESETS", "dispatch", "main", "resolve"]
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -167,19 +167,6 @@ PRESETS: dict[str, dict[str, dict[str, Any]]] = {
 
 
 @dataclass
-class RunManifest:
-    """Everything one invocation needs, before resolution."""
-
-    command: str
-    config_path: str | None = None
-    preset: str | None = None
-    out: str | None = None
-    force: bool = False
-    threads: int = 1
-    overrides: dict[tuple[str, str], Any] = field(default_factory=dict)
-
-
-@dataclass
 class ResolvedSetup:
     """The typed objects a command reads; None or empty for a section it does not.
 
@@ -231,23 +218,25 @@ def _read_config_file(path: str | Path) -> dict[str, dict[str, Any]]:
     return data
 
 
-def _merge_layers(manifest: RunManifest) -> dict[str, dict[str, Any]]:
+def _merge_layers(
+    config_path: str | None, preset: str | None, overrides: dict[str, Any]
+) -> dict[str, dict[str, Any]]:
     merged: dict[str, dict[str, Any]] = {section: {} for section in _SECTIONS}
     for key in _KEYS:
         if key.default is not None and key.default is not _REQUIRED:
             merged[key.section][key.name] = key.default
-    if manifest.preset is not None:
-        if manifest.preset not in PRESETS:
+    if preset is not None:
+        if preset not in PRESETS:
             raise ConfigurationError(
-                f"unknown preset {manifest.preset!r}; available: "
-                f"{', '.join(sorted(PRESETS))}"
+                f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        for section, values in PRESETS[manifest.preset].items():
+        for section, values in PRESETS[preset].items():
             merged[section].update(values)
-    if manifest.config_path is not None:
-        for section, values in _read_config_file(manifest.config_path).items():
+    if config_path is not None:
+        for section, values in _read_config_file(config_path).items():
             merged[section].update(values)
-    for (section, name), value in manifest.overrides.items():
+    for dotted, value in overrides.items():
+        section, name = dotted.split(".")
         merged[section][name] = value
     return merged
 
@@ -301,19 +290,25 @@ def _naming(keys: list[Key], *sections: str) -> Iterator[None]:
         raise ConfigurationError(f"{', '.join(named)}: {error}") from None
 
 
-def resolve(manifest: RunManifest) -> ResolvedSetup:
-    """Resolve the configuration layers into the objects the command reads.
+def resolve(
+    command: str,
+    config_path: str | None = None,
+    preset: str | None = None,
+    overrides: dict[str, Any] | None = None,
+) -> ResolvedSetup:
+    """Resolve the configuration layers into the objects ``command`` reads.
 
-    Only the sections of ``_ECHO_SECTIONS[manifest.command]`` are checked
-    and built.  Every column the run executes is checked here, so bad
-    input fails before the echo, naming its key.
+    ``overrides`` maps ``"section.name"`` keys to values that win over the
+    preset and the config file.  Only the sections of
+    ``_ECHO_SECTIONS[command]`` are checked and built.  Every column the run
+    executes is checked here, so bad input fails before the echo, naming its key.
     """
-    if manifest.command not in _ECHO_SECTIONS:
-        raise ConfigurationError(f"unknown command {manifest.command!r}")
-    keys = _command_keys(manifest.command)
-    merged = _merge_layers(manifest)
+    if command not in _ECHO_SECTIONS:
+        raise ConfigurationError(f"unknown command {command!r}")
+    keys = _command_keys(command)
+    merged = _merge_layers(config_path, preset, overrides or {})
     _check_keys(merged, keys)
-    sections = {section: merged[section] for section in _ECHO_SECTIONS[manifest.command]}
+    sections = {section: merged[section] for section in _ECHO_SECTIONS[command]}
     channel, grid = sections["channel"], sections.get("grid")
 
     with _naming(keys, "channel"):
@@ -431,18 +426,18 @@ def _echo_setup(setup: ResolvedSetup, command: str, stream: TextIO) -> None:
 
 
 @contextmanager
-def _output(manifest: RunManifest) -> Iterator[TextIO]:
+def _output(out: str | None, force: bool) -> Iterator[TextIO]:
     """The handle results go to: stdout, or a file that appears only on success.
 
     A file target is written under a temporary sibling name and moved into
     place once the run succeeds, so a failed run leaves no partial file and
     never destroys the one ``--force`` would have replaced.
     """
-    if manifest.out is None:
+    if out is None:
         yield sys.stdout
         return
-    path = Path(manifest.out)
-    if path.exists() and not manifest.force:
+    path = Path(out)
+    if path.exists() and not force:
         raise ConfigurationError(
             f"refusing to overwrite existing {path}; pass --force to allow it"
         )
@@ -456,20 +451,27 @@ def _output(manifest: RunManifest) -> Iterator[TextIO]:
         partial.unlink(missing_ok=True)
 
 
-def dispatch(manifest: RunManifest) -> int:
-    """Resolve, run, and write one invocation.  Returns the exit code."""
-    if manifest.threads < 1:
-        raise ConfigurationError(f"--threads must be at least 1, got {manifest.threads}")
-    start = time.perf_counter()
-    setup = resolve(manifest)
-    _echo_setup(setup, manifest.command, sys.stderr)
+def dispatch(args: argparse.Namespace) -> int:
+    """Resolve, run, and write one parsed invocation.  Returns the exit code.
 
-    with _output(manifest) as handle:
-        if manifest.command == "simulate":
+    A key flag's value is the namespace attribute named by its key,
+    ``"section.name"``.
+    """
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
+    start = time.perf_counter()
+    overrides = {
+        dest: value for dest, value in vars(args).items() if "." in dest and value is not None
+    }
+    setup = resolve(args.command, args.config, args.preset, overrides)
+    _echo_setup(setup, args.command, sys.stderr)
+
+    with _output(args.out, args.force) as handle:
+        if args.command == "simulate":
             session = simulate_session(setup.config)
             dump_session_csv(session, handle)
             secure_bits = int(session.secure.sum())
-        elif manifest.command == "attack":
+        elif args.command == "attack":
             outcome = run_point(setup.config, setup.attack)
             point = SweepPoint(
                 t_eff=setup.config.t_eff,
@@ -487,7 +489,7 @@ def dispatch(manifest: RunManifest) -> int:
                 setup.u_eff_grid,
                 setup.f_a_list,
                 defense=setup.defense,
-                max_workers=manifest.threads,
+                max_workers=args.threads,
             )
             write_sweep_csv(points, setup.config, handle)
             secure_bits = sum(pt.outcome.n_secure for pt in points)
@@ -527,32 +529,15 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for key in _command_keys(command):
             if key.flag is not None:
-                sub.add_argument(key.flag, type=key.parse, choices=key.choices, help=key.help)
+                sub.add_argument(key.flag, dest=f"{key.section}.{key.name}", type=key.parse,
+                                 choices=key.choices, help=key.help)
     return parser
-
-
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    overrides: dict[tuple[str, str], Any] = {}
-    for key in _command_keys(args.command):
-        # argparse names a flag's attribute after the flag: --u-eff is u_eff
-        value = None if key.flag is None else getattr(args, key.flag[2:].replace("-", "_"))
-        if value is not None:
-            overrides[key.section, key.name] = value
-    return RunManifest(
-        command=args.command,
-        config_path=args.config,
-        preset=args.preset,
-        out=args.out,
-        force=args.force,
-        threads=args.threads,
-        overrides=overrides,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return dispatch(_manifest_from_args(args))
+        return dispatch(args)
     except (ConfigurationError, ShapeMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

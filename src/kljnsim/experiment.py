@@ -121,16 +121,12 @@ class RaiseTemperature:
 class AttackOutcome:
     """Bit-level bookkeeping for one evaluated point.
 
-    ``p`` is correct guesses over made guesses.  When every bit was
-    discarded the attack extracted nothing and ``p`` is reported at the
-    chance level 0.5; ``n_guessed`` stays visible so the discard rate is
-    never hidden.
+    ``n_guessed`` stays visible beside ``p`` so the discard rate is never hidden.
     """
 
     n_secure: int
     n_guessed: int
     n_correct: int
-    p: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_correct <= self.n_guessed <= self.n_secure:
@@ -139,10 +135,10 @@ class AttackOutcome:
                 f"{self.n_guessed} guessed, {self.n_secure} secure"
             )
 
-    @classmethod
-    def from_counts(cls, n_secure: int, n_guessed: int, n_correct: int) -> "AttackOutcome":
-        p = n_correct / n_guessed if n_guessed > 0 else 0.5
-        return cls(n_secure, n_guessed, n_correct, p)
+    @property
+    def p(self) -> float:
+        """Correct guesses over made guesses, or the chance level 0.5 when none was made."""
+        return self.n_correct / self.n_guessed if self.n_guessed > 0 else 0.5
 
 
 @dataclass(frozen=True)
@@ -162,11 +158,7 @@ def u_eff_of_teff(t_eff: float, resistors: ResistorPair, f_b: float) -> float:
     Uses the parallel resistor combination, the loop's Thevenin source
     resistance in either secure situation.
     """
-    if not 0 <= t_eff < math.inf:
-        raise ConfigurationError(f"t_eff must be finite and non-negative, got {t_eff}")
-    if not f_b > 0:
-        raise ConfigurationError(f"f_b must be positive, got {f_b}")
-    return math.sqrt(4.0 * BOLTZMANN * t_eff * resistors.parallel * f_b)
+    return float(johnson_rms(resistors.parallel, t_eff, f_b))
 
 
 def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
@@ -205,7 +197,7 @@ def run_point(
     The session's secure periods stream through in chunks, and the LL/HH
     periods the attack never reads are not synthesized at all; memory stays
     bounded whatever the bit count.  Scoring compares the guessed situation
-    against the ground truth.  Undetermined low-frequency bits are dropped
+    against the ground truth.  Undetermined bits of either attack are dropped
     from numerator and denominator alike.  ``notch`` filters what the
     eavesdropper taps; its :meth:`Notch.bins` are checked before any of that
     work starts.  ``rehearsal`` is ``hf_prepare(config, attack)`` when the
@@ -235,11 +227,14 @@ def run_point(
         observed = np.multiply(unit, sigma, out=unit)
         observed += source
         if lowfreq:
-            if cut is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                if cut is not None:
                     observed = notch_filter(observed, cut)
+                threshold = lf_threshold(
+                    config.source, index + 1, config.period_duration, attack.kappa
+                )
             _check_finite(observed, "wire voltage")
-            threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
+            _check_finite(threshold, "lowfreq threshold", "kappa or the source amplitude")
             guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess
         else:
             if cut is not None:
@@ -252,7 +247,7 @@ def run_point(
         n_correct += int(np.count_nonzero(guess == codes))
 
     # The session ends at the period that completes its secure bits.
-    return AttackOutcome.from_counts(config.n_secure_bits, n_guessed, n_correct)
+    return AttackOutcome(config.n_secure_bits, n_guessed, n_correct)
 
 
 def run_column(

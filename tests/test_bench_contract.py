@@ -2,8 +2,8 @@
 
 ``bench/child.py trace`` patches module-level names of the package and
 derives its per-cell metrics from one ``experiment.run_point`` span per
-sweep cell.  This runs it on a small sweep, writing only under pytest's
-temporary directory.  ``bench/child.py setup`` times configuration
+sweep cell.  This runs it on small sweeps and on one attack, writing only
+under pytest's temporary directory.  ``bench/child.py setup`` times configuration
 resolution by stubbing the cell entry points the CLI binds by import, and
 exits 0 only if a command reaches its first cell.
 """
@@ -49,6 +49,25 @@ def test_sweep_traces_one_run_point_span_per_cell(command, preset, tmp_path):
             parent = parents[parent]
         assert parent == sweep[0]
         assert sweep[3] <= start <= end <= sweep[4]
+
+
+def test_attack_traces_one_run_point_span_under_dispatch(tmp_path):
+    # The hf-long workload's command: one cell, run straight from dispatch.
+    spans_path = tmp_path / "spans.json"
+    argv = ["attack", "--preset", "fig6", "--bits", "20", "--seed", "1"]
+    result = subprocess.run(
+        [sys.executable, str(CHILD), "trace", str(spans_path), "--", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    spans = json.loads(spans_path.read_text())
+    (dispatch,) = [span for span in spans if span[2] == "cli.dispatch"]
+    (cell,) = [span for span in spans if span[2] == "experiment.run_point"]
+    assert cell[1] == dispatch[0]
+    assert cell[6] == 20  # secure bits
+    assert not [span for span in spans if span[2] == "experiment.sweep"]
 
 
 @pytest.mark.parametrize("preset", ["fig5", "fig6"])

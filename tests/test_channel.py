@@ -136,14 +136,14 @@ class TestWireNoise:
 
 class TestWireCurrent:
     def test_dc_source_alone(self):
-        out = wire_current(1.0e3, 1.0e4, np.ones(8), np.zeros(8), np.zeros(8))
+        out = wire_current(1.0e3, 1.0e4, np.ones(8), np.zeros(8))
         np.testing.assert_allclose(out, 1.0 / 1.1e4, rtol=1e-15)
 
     def test_noise_sign_convention(self):
         silent = np.zeros(8)
         ones = np.ones(8)
-        pushed = wire_current(1.0e3, 1.0e4, silent, ones, silent)
-        pulled = wire_current(1.0e3, 1.0e4, silent, silent, ones)
+        pushed = wire_current(1.0e3, 1.0e4, silent, ones)  # Alice's end above Bob's
+        pulled = wire_current(1.0e3, 1.0e4, silent, -ones)
         np.testing.assert_allclose(pushed, 1.0 / 1.1e4, rtol=1e-15)
         np.testing.assert_allclose(pulled, -1.0 / 1.1e4, rtol=1e-15)
 
@@ -153,7 +153,7 @@ class TestWireCurrent:
         f_b = 1.0e5
         alice = johnson_rms(1.0e3, t_eff, f_b) * generate_unit_gbwn(n, seed=34)
         bob = johnson_rms(1.0e4, t_eff, f_b) * generate_unit_gbwn(n, seed=35)
-        current = wire_current(1.0e3, 1.0e4, np.zeros(n), alice, bob)
+        current = wire_current(1.0e3, 1.0e4, np.zeros(n), alice - bob)
         bins = periodogram(current)
         # Interior bins each carry sigma^2/N, so the one-sided density is
         # bin * N / f_b on this grid.

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kljnsim import AttackMode, ResistorPair, teff_of_ueff
-from kljnsim.cli import _KEYS, PRESETS, RunManifest, _build_parser, main, resolve
+from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, resolve
 from kljnsim.experiment import u_eff_of_teff
 from kljnsim.noise import mix_seed
 
@@ -21,7 +21,7 @@ def run_main(argv, capsys):
 
 
 def resolved(command, path=None, preset=None):
-    return resolve(RunManifest(command, None if path is None else str(path), preset))
+    return resolve(command, None if path is None else str(path), preset)
 
 
 class TestPresets:
@@ -133,6 +133,28 @@ class TestConfigFile:
         code, _, err = run_main(["sweep", "--config", "/nonexistent.ini"], capsys)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "body,flags,message",
+        [
+            ("f_b_hz = 1e5\n", [], "malformed config file"),
+            ("[channel]\nf_b_hz = abc\n", [], "bad value for channel.f_b_hz"),
+            ("[grid]\nf_a_list_hz = ,\n", [], "bad value for grid.f_a_list_hz"),
+            ("[channel]\nn_secure_bits = 2.5\n", [], "bad value for channel.n_secure_bits"),
+            # u_eff_v converts to a temperature before the bandwidth meets f_c.
+            ("[channel]\nf_b_hz = 0\n", ["--u-eff", "1"], "channel.f_b_hz"),
+        ],
+        ids=["no-section", "float", "list", "int", "u-eff-at-zero-bandwidth"],
+    )
+    def test_bad_file_reported_before_echo(self, body, flags, message, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(body)
+        argv = ["attack", "--preset", "fig5", "--bits", "5", "--config", str(path)] + flags
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "# " not in err
 
 
 # A channel section without the point a sweep sets cell by cell.
@@ -306,6 +328,15 @@ class TestAttackCommand:
         assert row[0] == "lowfreq"
         assert int(row[6]) == 150
         assert float(row[9]) >= 0.95
+
+    @pytest.mark.parametrize("preset", ["fig5", "fig6"])
+    def test_null_run_guesses_nothing(self, preset, capsys):
+        # No noise and no source: every period sits on its attack's decision boundary.
+        argv = ["attack", "--preset", preset, "--u-eff", "0", "--amplitude", "0", "--bits", "20",
+                "--ensemble-size", "100"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[6:] == ["20", "0", "0", "0.5"]
 
     def test_echo_lands_on_stderr(self, capsys):
         code, out, err = run_main(
@@ -603,6 +634,17 @@ class TestBoundaryValidation:
             (["sweep", "--preset", "fig5", "--u-eff-min", "1e160", "--u-eff-max", "1e161",
               "--u-eff-points", "2", "--bits", "5"], ["grid.u_eff_min_v"]),
             (["attack", "--preset", "fig5", "--u-eff", "1e160"], ["channel.u_eff_v"]),
+            (["attack", "--preset", "fig5", "--f-a", "-5", "--bits", "5"], ["channel.f_a_hz"]),
+            (["attack", "--preset", "fig5", "--amplitude", "-1"], ["channel.amplitude_v"]),
+            (["attack", "--preset", "fig5", "--seed", str(2**64)], ["channel.seed"]),
+            (["attack", "--preset", "fig6", "--band-lo", "1000"],
+             ["attack.band_lo_hz", "attack.band_hi_hz"]),
+            (["sweep", "--preset", "fig5", "--u-eff-points", "0"], ["grid.u_eff_points"]),
+            (["sweep", "--preset", "fig5", "--u-eff-min", "2", "--u-eff-max", "1"],
+             ["grid.u_eff_min_v", "grid.u_eff_max_v"]),
+            (["sweep", "--preset", "fig5", "--u-eff-min", "1", "--u-eff-max", "1"],
+             ["grid.u_eff_points"]),  # 25 points between coinciding edges
+            (["sweep", "--preset", "fig5", "--threads", "0"], ["--threads"]),
         ] + [
             ([command, "--preset", "fig6", "--band-lo", lo, "--band-hi", hi, "--bits", "10"],
              keys)
@@ -716,6 +758,22 @@ class TestBoundaryValidation:
         assert code == 1
         assert out == ""
         assert "band power overflows float64" in err
+
+    def test_overflowing_lowfreq_threshold_prints_only_the_error(self):
+        # The wire stays finite, but kappa times the source's period mean
+        # overflows; an infinite threshold would call every period by its sign.
+        argv = ["attack", "--preset", "fig5", "--bits", "200", "--u-eff", "0.01",
+                "--amplitude", "1e308", "--kappa", "10"]
+        result = subprocess.run(
+            [sys.executable, "-m", "kljnsim", *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: lowfreq threshold overflows float64; lower kappa or the source amplitude"
+        ]
 
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -92,8 +92,7 @@ class TestNoiseLevelConversion:
         assert u_eff_of_teff(t_eff, PAIR, 1.0e5) == pytest.approx(u_eff, rel=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            u_eff_of_teff(-1.0, PAIR, 1.0e5)
+        # teff_of_ueff is exported and checks its input; u_eff_of_teff is not.
         with pytest.raises(ConfigurationError):
             teff_of_ueff(-1.0, PAIR, 1.0e5)
 
@@ -168,19 +167,19 @@ class TestNotchFilter:
 
 
 class TestAttackOutcome:
-    def test_from_counts(self):
-        outcome = AttackOutcome.from_counts(n_secure=10, n_guessed=8, n_correct=6)
+    def test_p_is_correct_over_guessed(self):
+        outcome = AttackOutcome(n_secure=10, n_guessed=8, n_correct=6)
         assert outcome.p == pytest.approx(0.75)
 
     def test_empty_guess_set_scores_chance(self):
-        outcome = AttackOutcome.from_counts(n_secure=10, n_guessed=0, n_correct=0)
+        outcome = AttackOutcome(n_secure=10, n_guessed=0, n_correct=0)
         assert outcome.p == 0.5
 
     def test_count_consistency_enforced(self):
         with pytest.raises(ConfigurationError):
-            AttackOutcome.from_counts(n_secure=5, n_guessed=6, n_correct=0)
+            AttackOutcome(n_secure=5, n_guessed=6, n_correct=0)
         with pytest.raises(ConfigurationError):
-            AttackOutcome.from_counts(n_secure=5, n_guessed=3, n_correct=4)
+            AttackOutcome(n_secure=5, n_guessed=3, n_correct=4)
 
 
 class TestDefenseSpec:
@@ -431,7 +430,7 @@ def sampled_cell(config, attack, notch):
         guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)
     guessed = int(np.count_nonzero(guess != UNDETERMINED))
     correct = int(np.count_nonzero(guess == codes))
-    return AttackOutcome.from_counts(config.n_secure_bits, guessed, correct)
+    return AttackOutcome(config.n_secure_bits, guessed, correct)
 
 
 class TestColumnAlgebra:
