@@ -13,19 +13,15 @@ All wire quantities follow from two-resistor circuit algebra:
 
 * divider:  u_ac   = r_bob * source / (r_alice + r_bob)
 * noise:    u_wire = (r_alice * u_bob_n + r_bob * u_alice_n) / (r_alice + r_bob)
-* current:  i_wire = (source + u_diff) / (r_alice + r_bob),  u_diff = u_alice_n - u_bob_n
 
-with the current sign positive when flowing from Alice toward Bob.  The
-two ends' generators are independent, so the wire noise is itself one
-Johnson noise of the parallel resistance r_alice * r_bob / (r_alice + r_bob),
-independent of the end-to-end difference u_diff, one Johnson noise of
-r_alice + r_bob (Kish, Phys. Lett. A 352, 2006).  Sessions draw those two
-Gaussians directly instead of the ends' noises.
+The two ends' generators are independent, so the wire noise is itself one
+Johnson noise of the parallel resistance r_alice * r_bob / (r_alice + r_bob)
+(Kish, Phys. Lett. A 352, 2006).  Sessions draw that Gaussian directly
+instead of the ends' noises.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -53,7 +49,6 @@ __all__ = [
     "simulate_session",
     "source_basis",
     "source_samples",
-    "wire_current",
 ]
 
 # Periods synthesized per batch.  It bounds memory and never changes a
@@ -235,20 +230,12 @@ def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
     return r_bob / (r_alice + r_bob) * source
 
 
-def wire_current(r_alice, r_bob, source: np.ndarray, difference: np.ndarray) -> np.ndarray:
-    """Loop current, positive when flowing from Alice toward Bob.
-
-    ``difference`` is Alice's end noise minus Bob's.
-    """
-    return (source + difference) / (r_alice + r_bob)
-
-
 @dataclass(frozen=True, eq=False)
 class SessionChunk:
     """Consecutive bit periods as arrays, one row per period.
 
     ``wire_voltage``, what an eavesdropper can tap, is ``ac_part`` plus ``noise_part``, the
-    Johnson noise of the period's parallel resistance; ``wire_current`` is the loop current.
+    Johnson noise of the period's parallel resistance.
     """
 
     index: np.ndarray  # 0-based period numbers
@@ -256,11 +243,6 @@ class SessionChunk:
     wire_voltage: np.ndarray
     ac_part: np.ndarray
     noise_part: np.ndarray
-    wire_current: np.ndarray
-
-    @property
-    def secure(self) -> np.ndarray:
-        return secure_mask(self.situations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +278,8 @@ class Session:
         config = self.config
         spb = config.samples_per_bit
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
-        labels = (Stream.SECURE_WIRE, Stream.PUBLIC_WIRE, Stream.DIFFERENCE)
-        secure_rng, public_rng, difference_rng = (stream(config.seed, label) for label in labels)
+        secure_rng = stream(config.seed, Stream.SECURE_WIRE)
+        public_rng = stream(config.seed, Stream.PUBLIC_WIRE)
         for index in period_batches(np.arange(len(self))):
             codes = self.situations[index]
             secure = secure_mask(codes)
@@ -306,17 +288,12 @@ class Session:
                 unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
             r_alice = resistors[codes[:, None] >> 1]
             r_bob = resistors[codes[:, None] & 1]
-            r_sum = r_alice + r_bob
-            noise = johnson_rms(r_alice * r_bob / r_sum, config.t_eff, config.f_b) * unit
-            source = source_samples(config, index)
-            ac = divider_ac(r_alice, r_bob, source)
+            parallel = r_alice * r_bob / (r_alice + r_bob)
+            noise = johnson_rms(parallel, config.t_eff, config.f_b) * unit
+            ac = divider_ac(r_alice, r_bob, source_samples(config, index))
             wire = ac + noise
             _check_finite(wire, "wire voltage")
-            difference = johnson_rms(r_sum, config.t_eff, config.f_b) * (
-                difference_rng.standard_normal((index.size, spb))
-            )
-            current = wire_current(r_alice, r_bob, source, difference)
-            yield SessionChunk(index, codes, wire, ac, noise, current)
+            yield SessionChunk(index, codes, wire, ac, noise)
 
     def secure_noise(self) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (period index, codes, unit wire noise) of the secure periods.
@@ -398,17 +375,14 @@ def dump_session_csv(session: Session, handle: TextIO) -> None:
     """Write one row per sample to a text handle: the wire voltage and its decomposition.
 
     Voltages are printed with 17 significant digits, enough to reconstruct
-    the exact float64 values.
+    the exact float64 values.  Rows end in ``\r\n``, as :mod:`csv` writes them.
     """
-    writer = csv.writer(handle)
-    writer.writerow(SESSION_CSV_COLUMNS)
+    handle.write(",".join(SESSION_CSV_COLUMNS) + "\r\n")
     for chunk in session.chunks():
-        for row, (index, code) in enumerate(zip(chunk.index.tolist(), chunk.situations)):
-            name = Situation(code).name
-            samples = zip(
-                chunk.wire_voltage[row].tolist(),
-                chunk.ac_part[row].tolist(),
-                chunk.noise_part[row].tolist(),
-            )
-            for k, (wire, ac, noise) in enumerate(samples):
-                writer.writerow((index, name, k, f"{wire:.17g}", f"{ac:.17g}", f"{noise:.17g}"))
+        names = [Situation(code).name for code in chunk.situations.tolist()]
+        parts = (chunk.wire_voltage.tolist(), chunk.ac_part.tolist(), chunk.noise_part.tolist())
+        handle.write("".join(
+            f"{index},{name},{k},{wire:.17g},{ac:.17g},{noise:.17g}\r\n"
+            for index, name, *period in zip(chunk.index.tolist(), names, *parts)
+            for k, (wire, ac, noise) in enumerate(zip(*period))
+        ))

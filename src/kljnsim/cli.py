@@ -455,9 +455,9 @@ def dispatch(args: argparse.Namespace) -> int:
     """Resolve, run, and write one parsed invocation.  Returns the exit code.
 
     A key flag's value is the namespace attribute named by its key,
-    ``"section.name"``.
+    ``"section.name"``.  Only the sweeping commands take ``--threads``.
     """
-    if args.threads < 1:
+    if "grid" in _ECHO_SECTIONS[args.command] and args.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
     start = time.perf_counter()
     overrides = {
@@ -524,9 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         sub.add_argument("--force", action="store_true", help="allow overwriting --out")
-        sub.add_argument(
-            "--threads", type=int, default=1, metavar="N", help="parallel sweep columns"
-        )
+        if "grid" in _ECHO_SECTIONS[command]:
+            sub.add_argument(
+                "--threads", type=int, default=1, metavar="N", help="parallel sweep columns"
+            )
         for key in _command_keys(command):
             if key.flag is not None:
                 sub.add_argument(key.flag, dest=f"{key.section}.{key.name}", type=key.parse,

@@ -72,7 +72,6 @@ class Stream(IntEnum):
     SECURE_WIRE = 2  # wire noise of the LH/HL periods, in their order
     EAVESDROPPER = 3  # rehearsal band noise, disjoint from the victim's streams
     PUBLIC_WIRE = 4  # wire noise of the LL/HH periods, in their order
-    DIFFERENCE = 5  # end-to-end noise difference, all periods in order
     SECURE_BAND = 6  # band noise of the LH/HL periods, in their order
 
 

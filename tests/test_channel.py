@@ -21,9 +21,8 @@ from kljnsim.channel import (
     Situation,
     divider_ac,
     dump_session_csv,
-    wire_current,
 )
-from kljnsim.noise import BOLTZMANN, generate_unit_gbwn, johnson_rms, periodogram
+from kljnsim.noise import BOLTZMANN, generate_unit_gbwn, johnson_rms
 
 from reference import wire_noise
 
@@ -92,7 +91,7 @@ def session_arrays(session):
     chunks = list(session.chunks())
     return {
         name: np.concatenate([getattr(chunk, name) for chunk in chunks])
-        for name in ("index", "situations", "wire_voltage", "ac_part", "noise_part", "wire_current")
+        for name in ("index", "situations", "wire_voltage", "ac_part", "noise_part")
     }
 
 
@@ -132,34 +131,6 @@ class TestWireNoise:
         parallel = 1.0e3 * 1.0e4 / 1.1e4
         expected = math.sqrt(4.0 * BOLTZMANN * t_eff * parallel * f_b)
         assert math.sqrt(np.mean(mixed**2)) == pytest.approx(expected, rel=0.02)
-
-
-class TestWireCurrent:
-    def test_dc_source_alone(self):
-        out = wire_current(1.0e3, 1.0e4, np.ones(8), np.zeros(8))
-        np.testing.assert_allclose(out, 1.0 / 1.1e4, rtol=1e-15)
-
-    def test_noise_sign_convention(self):
-        silent = np.zeros(8)
-        ones = np.ones(8)
-        pushed = wire_current(1.0e3, 1.0e4, silent, ones)  # Alice's end above Bob's
-        pulled = wire_current(1.0e3, 1.0e4, silent, -ones)
-        np.testing.assert_allclose(pushed, 1.0 / 1.1e4, rtol=1e-15)
-        np.testing.assert_allclose(pulled, -1.0 / 1.1e4, rtol=1e-15)
-
-    def test_noise_only_psd_level(self):
-        n = 1 << 18
-        t_eff = 9.0e15
-        f_b = 1.0e5
-        alice = johnson_rms(1.0e3, t_eff, f_b) * generate_unit_gbwn(n, seed=34)
-        bob = johnson_rms(1.0e4, t_eff, f_b) * generate_unit_gbwn(n, seed=35)
-        current = wire_current(1.0e3, 1.0e4, np.zeros(n), alice - bob)
-        bins = periodogram(current)
-        # Interior bins each carry sigma^2/N, so the one-sided density is
-        # bin * N / f_b on this grid.
-        density = float(np.mean(bins[1:-1])) * n / f_b
-        expected = 4.0 * BOLTZMANN * t_eff / 1.1e4
-        assert density == pytest.approx(expected, rel=0.05)
 
 
 class TestSimulateSession:
@@ -224,7 +195,6 @@ class TestSimulateSession:
         session = simulate_session(make_config(n_secure_bits=5))
         for chunk in session.chunks():
             assert chunk.noise_part.shape == chunk.wire_voltage.shape
-            assert chunk.wire_current.shape == chunk.wire_voltage.shape
 
     def test_noise_level_tracks_parallel_resistance(self):
         arrays = session_arrays(simulate_session(make_config(n_secure_bits=300)))
@@ -244,33 +214,19 @@ def silent_source_session():
 
 
 class TestDecomposition:
-    """Each situation's noise part and current against the loop's closed forms."""
+    """Each situation's noise part against the loop's closed form."""
 
     @pytest.mark.parametrize("situation", list(Situation))
     def test_matches_closed_form(self, situation, silent_source_session):
         config, arrays = silent_source_session
-        rows = arrays["situations"] == situation
-        noise = arrays["noise_part"][rows].ravel()
-        current = arrays["wire_current"][rows].ravel()
+        noise = arrays["noise_part"][arrays["situations"] == situation].ravel()
         assert noise.size >= 3e5
         r_alice = (PAIR.r_low, PAIR.r_high)[situation >> 1]
         r_bob = (PAIR.r_low, PAIR.r_high)[situation & 1]
-        r_sum = r_alice + r_bob
         scale = 4.0 * BOLTZMANN * config.t_eff * config.f_b
         # 2% is about 7 standard errors of a variance over 3e5 samples.
-        assert np.var(noise) == pytest.approx(scale * r_alice * r_bob / r_sum, rel=0.02)
-        assert np.var(current) == pytest.approx(scale / r_sum, rel=0.02)
-        assert abs(np.corrcoef(noise, current)[0, 1]) < 0.01
-        # With the source off, the ends are the wire noise plus their share
-        # of the end-to-end difference, which drives the current alone.
-        difference = r_sum * current
-        alice = noise + r_alice / r_sum * difference
-        bob = noise - r_bob / r_sum * difference
-        rebuilt = wire_noise(r_alice, r_bob, alice, bob)
-        assert np.max(np.abs(rebuilt - noise)) <= 1e-12 * np.max(np.abs(noise))
-        assert np.var(alice) == pytest.approx(scale * r_alice, rel=0.02)
-        assert np.var(bob) == pytest.approx(scale * r_bob, rel=0.02)
-        assert abs(np.corrcoef(alice, bob)[0, 1]) < 0.01
+        parallel = r_alice * r_bob / (r_alice + r_bob)
+        assert np.var(noise) == pytest.approx(scale * parallel, rel=0.02)
 
 
 def band_mask(spb, lo, hi):

@@ -783,7 +783,7 @@ class TestBoundaryValidation:
         assert "phase" in err and "finite" in err
 
 
-COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--seed", "--out", "--force", "--threads"}
+COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--seed", "--out", "--force"}
 ATTACK_FLAGS = {"--mode", "--kappa", "--ensemble-size", "--band-lo", "--band-hi"}
 GRID_FLAGS = {"--u-eff-min", "--u-eff-max", "--u-eff-points", "--f-a-list"}
 
@@ -794,10 +794,10 @@ class TestFlags:
         [
             ("simulate", {"--u-eff", "--t-eff", "--f-a", "--amplitude", "--bits"}),
             ("attack", {"--u-eff", "--t-eff", "--f-a", "--amplitude", "--bits"} | ATTACK_FLAGS),
-            ("sweep", ATTACK_FLAGS | GRID_FLAGS | {"--bits", "--amplitude"}),
+            ("sweep", ATTACK_FLAGS | GRID_FLAGS | {"--bits", "--amplitude", "--threads"}),
             (
                 "defend",
-                ATTACK_FLAGS | GRID_FLAGS | {"--bits", "--amplitude"}
+                ATTACK_FLAGS | GRID_FLAGS | {"--bits", "--amplitude", "--threads"}
                 | {"--defense", "--notch-center", "--notch-halfwidth", "--target-t-eff"},
             ),
         ],
@@ -812,6 +812,13 @@ class TestFlags:
             for option in action.option_strings
         }
         assert accepted == COMMON_FLAGS | flags
+
+    @pytest.mark.parametrize("command,threads", [("attack", "8"), ("simulate", "0")])
+    def test_only_sweeping_commands_take_threads(self, command, threads, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--preset", "fig5", "--bits", "5", "--threads", threads])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --threads {threads}" in capsys.readouterr().err
 
     def test_defend_flag_cannot_choose_no_defense(self, capsys):
         # The choices are the defense kinds; "no defense" is the sweep command.

@@ -32,7 +32,7 @@ from kljnsim.attacks import (
     lf_gamma,
     lf_threshold,
 )
-from kljnsim.channel import divider_ac
+from kljnsim.channel import divider_ac, secure_mask
 from kljnsim.experiment import (
     AttackOutcome,
     SWEEP_CSV_COLUMNS,
@@ -390,7 +390,7 @@ def secure_parts(session):
     """Index, codes, wire and source part of every secure period, from ``chunks()``."""
     chunks = list(session.chunks())
     return [
-        np.concatenate([getattr(chunk, name)[chunk.secure] for chunk in chunks])
+        np.concatenate([getattr(chunk, name)[secure_mask(chunk.situations)] for chunk in chunks])
         for name in ("index", "situations", "wire_voltage", "ac_part")
     ]
 

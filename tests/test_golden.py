@@ -27,6 +27,17 @@ GOLDEN = [
         "9f48fdf6934f34510e767d3a9e49cc4134bd9783556373a10c28a1c3a15ee1dd",
     ),
     (
+        # 145 periods: two chunks of CHUNK_PERIODS, so a chunk boundary shows.
+        "simulate --preset fig5 --bits 70 --seed 7",
+        "a6da62a1085e3aee48dbeb475053d01717a3fef2a81a23294ed3a1c937d60e7e",
+        "155471af6eb00d1cedd73bfd4404e31e6a0f38e7c1cd6ed6a61ab1336c460a75",
+    ),
+    (
+        "simulate --preset fig6 --bits 70 --seed 7",
+        "e402c39a209c9ca762d2b0e40c3844989e863fe90baa97bae5b58e1cfb1287ed",
+        "892129778373fb7b8e3107bb53b20e731d22b51e25c0f05c6759175affb1fc89",
+    ),
+    (
         "attack --preset fig5 --u-eff 1 --bits 300 --seed 7",
         "63ad33b64c916b56cdf0cc35dfd7111c6a159f6127dee39593d3c38e56f9722c",
         "766b640e8051a8f69456048b2594be0441d8a32952deb35e305866e8ca838ba3",

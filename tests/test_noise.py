@@ -103,7 +103,7 @@ class TestStreams:
         # A repeated value in an IntEnum is an alias: two consumers would
         # silently read one stream.
         values = [int(label) for label in Stream.__members__.values()]
-        assert len(set(values)) == len(values) == 6
+        assert len(set(values)) == len(values) == 5
 
     def test_stream_is_sfc64_keyed_by_mix_seed(self):
         expected = np.random.Generator(np.random.SFC64(mix_seed(9, 2))).standard_normal(5)

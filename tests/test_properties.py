@@ -38,7 +38,7 @@ from kljnsim.attacks import (
     lf_gamma,
     lf_threshold,
 )
-from kljnsim.channel import Situation
+from kljnsim.channel import Situation, secure_mask
 from kljnsim.cli import resolve
 from kljnsim.experiment import AttackOutcome, write_sweep_csv
 from kljnsim.noise import Stream, johnson_rms, mix_seed, stream
@@ -200,7 +200,9 @@ def chunk_secure_rows(session):
     """Index, situation and wire voltage of the secure rows of ``chunks()``, as bytes."""
     chunks = list(session.chunks())
     return [
-        np.concatenate([getattr(chunk, name)[chunk.secure] for chunk in chunks]).tobytes()
+        np.concatenate(
+            [getattr(chunk, name)[secure_mask(chunk.situations)] for chunk in chunks]
+        ).tobytes()
         for name in ("index", "situations", "wire_voltage")
     ]
 
@@ -240,7 +242,7 @@ def all_period_outcome(config, attack):
     """Reference: score the secure rows of an iteration over every period."""
     guessed = correct = 0
     for chunk in simulate_session(config).chunks():
-        secure = chunk.secure
+        secure = secure_mask(chunk.situations)
         threshold = lf_threshold(
             config.source, chunk.index[secure] + 1, config.period_duration, attack.kappa
         )
