@@ -119,15 +119,13 @@ class HfPreparation:
             (1 K); noise power is proportional to t_eff.
         ac_threshold: Midpoint of the band-averaged source power in the
             two secure situations.
-        band: Spectral window (f_lo, f_hi) used for band averages.
         ensemble_size: Number of rehearsal periods averaged.
-        mask: The rfft bins of one period inside ``band``, DC excluded;
+        mask: The rfft bins of one period inside the band, DC excluded;
             ``noise_background`` holds one value per bin it selects.
     """
 
     noise_background: np.ndarray
     ac_threshold: float
-    band: tuple[float, float]
     ensemble_size: int
     mask: np.ndarray
 
@@ -137,14 +135,14 @@ def lf_threshold(
 ) -> np.ndarray:
     """Decision threshold per period: kappa times the source's mean.
 
-    Period ``i`` spans [(i-1)*tau, i*tau] with i counted from 1.  The mean
+    Period ``i`` spans [i*tau, (i+1)*tau] with i counted from 0.  The mean
     is evaluated in closed form; when a period holds an exactly integer
     number of source cycles the mean is exactly zero, and zero is returned
     as such so downstream discarding triggers reliably.
 
     Args:
         source: The known parasitic source.
-        period_index: 1-based period number, or an array of them.
+        period_index: 0-based period number, or an array of them.
         tau: Period length in seconds, positive.
         kappa: Threshold scale, positive.
 
@@ -159,7 +157,7 @@ def lf_threshold(
     if cycles == floor(cycles):
         return np.zeros(index.shape)
     omega = 2.0 * pi * source.frequency
-    t_end = index * tau
+    t_end = (index + 1) * tau
     t_start = t_end - tau
     mean = (np.sin(omega * t_end + source.phase) - np.sin(omega * t_start + source.phase)) / (
         omega * tau
@@ -213,27 +211,23 @@ def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float
     return (lo, hi)
 
 
-def resolve_band(
-    config: KljnConfig, attack: AttackConfig
-) -> tuple[tuple[float, float], np.ndarray]:
-    """The band (``attack.band``, else :func:`default_band`) and its rfft bins, DC excluded.
+def resolve_band(config: KljnConfig, attack: AttackConfig) -> np.ndarray:
+    """The rfft bins, DC excluded, of ``attack.band``, else of :func:`default_band`.
 
     Raises:
         ConfigurationError: If the band reaches outside (0, f_b] or holds
             no bins.
     """
-    band = attack.band
+    band, freqs = attack.band, config.bin_frequencies
     if band is None:
-        bin_width = config.sample_rate / config.samples_per_bit
-        band = default_band(config.source.frequency, bin_width, config.f_b)
+        band = default_band(config.source.frequency, freqs[1], config.f_b)
     elif band[1] > config.f_b:
         raise ConfigurationError(f"band_hi {band[1]} exceeds noise bandwidth {config.f_b}")
-    freqs = config.bin_frequencies
     mask = (freqs >= band[0]) & (freqs <= band[1])
     mask[0] = False  # DC bin never contributes to band averages
     if not np.any(mask):
         raise ConfigurationError(f"band_lo..band_hi [{band[0]}, {band[1]}] holds no spectrum bins")
-    return band, mask
+    return mask
 
 
 @np.errstate(over="ignore")  # a source that overflows gives an infinite ac_threshold
@@ -253,16 +247,20 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     (see :func:`hf_ac_power`).
 
     Raises:
-        ConfigurationError: As :func:`resolve_band`.
+        ConfigurationError: As :func:`resolve_band`, or if no array of
+            ``attack.ensemble_size`` source powers can be allocated.
     """
     spb = config.samples_per_bit
-    band, mask = resolve_band(config, attack)
+    mask = resolve_band(config, attack)
     rng = stream(config.seed, Stream.EAVESDROPPER)
     rms = johnson_rms(config.resistors.parallel, 1.0, config.f_b)
     m_count = attack.ensemble_size
     background_sum = np.zeros(np.count_nonzero(mask))
-    source_power = np.empty(m_count)
-    for members in period_batches(np.arange(m_count)):
+    try:
+        source_power = np.empty(m_count)
+    except (MemoryError, ValueError) as error:  # a size numpy cannot allocate
+        raise ConfigurationError(f"ensemble_size = {m_count}: {error}") from None
+    for members in period_batches(m_count):
         noise = rms * unit_band_noise(rng, members.size, spb, mask)
         # Add member by member so the sum does not depend on the batching.
         stacked = np.vstack([background_sum, noise.real**2 + noise.imag**2])
@@ -270,7 +268,7 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
     ac_threshold = float(np.mean(config.resistors.secure_gains**2) * np.mean(source_power))
-    return HfPreparation(background_sum / m_count, ac_threshold, band, m_count, mask)
+    return HfPreparation(background_sum / m_count, ac_threshold, m_count, mask)
 
 
 def hf_source_band(config: KljnConfig, index: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -70,10 +70,10 @@ class Situation(IntEnum):
     HH = 3
 
 
-def period_batches(periods: np.ndarray) -> Iterator[np.ndarray]:
-    """``periods`` in consecutive runs of ``CHUNK_PERIODS``."""
-    for start in range(0, periods.size, CHUNK_PERIODS):
-        yield periods[start : start + CHUNK_PERIODS]
+def period_batches(count: int) -> Iterator[np.ndarray]:
+    """The 0-based indices ``0 .. count - 1`` in consecutive runs of ``CHUNK_PERIODS``."""
+    for start in range(0, count, CHUNK_PERIODS):
+        yield np.arange(start, min(start + CHUNK_PERIODS, count))
 
 
 def secure_mask(situations: np.ndarray) -> np.ndarray:
@@ -261,10 +261,6 @@ class Session:
     def __len__(self) -> int:
         return self.situations.size
 
-    @property
-    def secure(self) -> np.ndarray:
-        return secure_mask(self.situations)
-
     def chunks(self) -> Iterator[SessionChunk]:
         """Yield every period in order, ``CHUNK_PERIODS`` at a time, with its parts.
 
@@ -280,7 +276,7 @@ class Session:
         resistors = np.array([config.resistors.r_low, config.resistors.r_high])
         secure_rng = stream(config.seed, Stream.SECURE_WIRE)
         public_rng = stream(config.seed, Stream.PUBLIC_WIRE)
-        for index in period_batches(np.arange(len(self))):
+        for index in period_batches(len(self)):
             codes = self.situations[index]
             secure = secure_mask(codes)
             unit = np.empty((index.size, spb))

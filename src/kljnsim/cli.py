@@ -336,7 +336,10 @@ def resolve(
             raise ConfigurationError(
                 f"grid.u_eff_points must be 1 when the grid edges coincide, got {u_points}"
             )
-        u_eff_grid = np.logspace(math.log10(u_min), math.log10(u_max), u_points).tolist()
+        try:
+            u_eff_grid = np.logspace(math.log10(u_min), math.log10(u_max), u_points).tolist()
+        except (MemoryError, ValueError) as error:  # a size numpy cannot allocate
+            raise ConfigurationError(f"grid.u_eff_points = {u_points}: {error}") from None
         # The edge cells are the coolest and hottest; a sweep's base is its first cell.
         for name, u_eff in (("u_eff_min_v", u_eff_grid[0]), ("u_eff_max_v", u_eff_grid[-1])):
             try:
@@ -384,7 +387,7 @@ def resolve(
     # Check each column the run executes: the source frequency, and the
     # band and notch bins that default to it.
     tracking = isinstance(defense, Notch) and defense.notch_center is None
-    columns = []
+    first = None
     for f_a in f_a_list:
         context = f"grid.f_a_list_hz holds {f_a:g}"  # what names a sweep column
         try:
@@ -400,8 +403,8 @@ def resolve(
             if grid is None:
                 raise
             raise ConfigurationError(f"{context}: {error}") from None
-        columns.append(column)
-    return ResolvedSetup(columns[0], attack, defense, u_eff_grid, f_a_list, sections)
+        first = first or column
+    return ResolvedSetup(first, attack, defense, u_eff_grid, f_a_list, sections)
 
 
 def _echo_setup(setup: ResolvedSetup, command: str, stream: TextIO) -> None:
@@ -468,9 +471,7 @@ def dispatch(args: argparse.Namespace) -> int:
 
     with _output(args.out, args.force) as handle:
         if args.command == "simulate":
-            session = simulate_session(setup.config)
-            dump_session_csv(session, handle)
-            secure_bits = int(session.secure.sum())
+            dump_session_csv(simulate_session(setup.config), handle)
         elif args.command == "attack":
             outcome = run_point(setup.config, setup.attack)
             point = SweepPoint(
@@ -481,7 +482,6 @@ def dispatch(args: argparse.Namespace) -> int:
                 outcome=outcome,
             )
             write_sweep_csv([point], setup.config, handle)
-            secure_bits = outcome.n_secure
         else:
             points = sweep(
                 setup.config,
@@ -492,9 +492,9 @@ def dispatch(args: argparse.Namespace) -> int:
                 max_workers=args.threads,
             )
             write_sweep_csv(points, setup.config, handle)
-            secure_bits = sum(pt.outcome.n_secure for pt in points)
 
     elapsed = time.perf_counter() - start
+    secure_bits = setup.config.n_secure_bits * (len(setup.u_eff_grid) * len(setup.f_a_list) or 1)
     print(
         f"finished in {elapsed:.2f} s; {secure_bits} secure bits simulated",
         file=sys.stderr,

@@ -230,9 +230,7 @@ def run_point(
             with np.errstate(over="ignore", invalid="ignore"):  # reported just below
                 if cut is not None:
                     observed = notch_filter(observed, cut)
-                threshold = lf_threshold(
-                    config.source, index + 1, config.period_duration, attack.kappa
-                )
+                threshold = lf_threshold(config.source, index, config.period_duration, attack.kappa)
             _check_finite(observed, "wire voltage")
             _check_finite(threshold, "lowfreq threshold", "kappa or the source amplitude")
             guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess

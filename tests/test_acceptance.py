@@ -289,7 +289,7 @@ def test_attack_micro_oracles(acceptance_log):
 
     omega_tau = 2.0 * math.pi * 318.30 * 1.0e-3
     analytic = math.sin(omega_tau) / omega_tau
-    got = lf_threshold(PeriodicSource(amplitude=1.0, frequency=318.30), 1, 1.0e-3, 1.0)
+    got = lf_threshold(PeriodicSource(amplitude=1.0, frequency=318.30), 0, 1.0e-3, 1.0)
     checks.append(("threshold analytic", abs(got / analytic - 1.0) < 1e-9))
 
     ones = np.ones(8)
@@ -308,7 +308,7 @@ def test_attack_micro_oracles(acceptance_log):
     session = simulate_session(noise_free)
     perfect = np.array_equal(
         hf_decide(hf_ac_power(hf_band(secure_rows(session, "wire_voltage"), prep), prep, 0), prep),
-        session.situations[session.secure],
+        session.situations[secure_mask(session.situations)],
     )
     checks.append(("noise-free spectral count", perfect))
 
@@ -347,7 +347,8 @@ def sweep_ceilings(base, f_a_list, points, notch=None):
     for i, f_a in enumerate(f_a_list):
         periodic = dataclasses.replace(base.source, frequency=f_a)
         column = dataclasses.replace(base, seed=mix_seed(base.seed, i), source=periodic)
-        samples = source_samples(column, np.flatnonzero(simulate_session(column).secure))
+        secure = secure_mask(simulate_session(column).situations)
+        samples = source_samples(column, np.flatnonzero(secure))
         if notch is not None:
             samples = notch_filter(samples, notch.bins(column))
         half_gaps[f_a] = (gap / 2.0 * np.linalg.norm(samples, axis=1)).tolist()
@@ -395,7 +396,7 @@ def test_no_cell_beats_the_matched_filter(acceptance_log):
     )
 
 
-def test_notch_defense_restores_security(acceptance_log):
+def test_notch_defense_stops_threshold_and_spectral_attacks(acceptance_log):
     grid = [float(u) for u in np.logspace(-2.0, 2.0, 25)[6:]]
     assert grid[0] == pytest.approx(0.1)
     lf_points = sweep(
@@ -422,7 +423,7 @@ def test_notch_defense_restores_security(acceptance_log):
     ok = all(CHANCE_BAND[0] <= p <= CHANCE_BAND[1] for p in lf_p + hf_p)
     verdict(
         acceptance_log,
-        "notch defense across u_eff >= 0.1 V",
+        "notch defense stops the threshold and spectral attacks across u_eff >= 0.1 V",
         ok,
         f"LF p in [{min(lf_p):.3f}, {max(lf_p):.3f}], "
         f"HF p in [{min(hf_p):.3f}, {max(hf_p):.3f}], bounds [0.45, 0.55], "

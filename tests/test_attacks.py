@@ -90,7 +90,7 @@ class TestLfThreshold:
         def wave(t):
             return 2.0 * math.cos(2.0 * math.pi * frequency * t + phase)
 
-        integral, quad_err = quad(wave, (index - 1) * tau, index * tau, limit=200)
+        integral, quad_err = quad(wave, index * tau, (index + 1) * tau, limit=200)
         expected = kappa * integral / tau
         got = lf_threshold(source, index, tau, kappa)
         # The quadrature's own error estimate bounds how closely zero-mean
@@ -99,23 +99,23 @@ class TestLfThreshold:
 
     def test_frozen_first_period_value(self):
         source = PeriodicSource(amplitude=1.0, frequency=318.30)
-        assert lf_threshold(source, 1, 1.0e-3, 1.0) == pytest.approx(
+        assert lf_threshold(source, 0, 1.0e-3, 1.0) == pytest.approx(
             LF_MEAN_318_FIRST_PERIOD, rel=1e-12
         )
-        assert lf_threshold(source, 1, 1.0e-3, 0.5) == pytest.approx(
+        assert lf_threshold(source, 0, 1.0e-3, 0.5) == pytest.approx(
             0.5 * LF_MEAN_318_FIRST_PERIOD, rel=1e-12
         )
 
     def test_zero_frequency_returns_dc_level(self):
         source = PeriodicSource(amplitude=3.0, frequency=0.0, phase=0.5)
         expected = 0.5 * 3.0 * math.cos(0.5)
-        assert lf_threshold(source, 4, 1.0e-3, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert lf_threshold(source, 3, 1.0e-3, 0.5) == pytest.approx(expected, rel=1e-15)
 
     def test_integer_cycle_count_is_exactly_zero(self):
         # 2 kHz over a 2 ms period covers four full cycles; the period
         # average must vanish exactly so these periods are discarded.
         source = PeriodicSource(amplitude=1.0, frequency=2000.0)
-        assert np.all(lf_threshold(source, np.arange(1, 51), 2.0e-3, 0.5) == 0.0)
+        assert np.all(lf_threshold(source, np.arange(50), 2.0e-3, 0.5) == 0.0)
 
 
 class TestLfGamma:
@@ -211,7 +211,8 @@ class TestHfPrepare:
 
         spb = config.samples_per_bit
         freqs = np.arange(spb // 2 + 1) * (config.sample_rate / spb)
-        mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
+        lo, hi = default_band(config.source.frequency, freqs[1], config.f_b)
+        mask = (freqs >= lo) & (freqs <= hi)
         mask[0] = False
         lh_means = []
         hl_means = []
@@ -235,7 +236,8 @@ class TestHfPrepare:
         prep = hf_prepare(config, attack)
         spb = config.samples_per_bit
         freqs = np.arange(spb // 2 + 1) * (config.sample_rate / spb)
-        mask = (freqs >= prep.band[0]) & (freqs <= prep.band[1])
+        lo, hi = default_band(config.source.frequency, freqs[1], config.f_b)
+        mask = (freqs >= lo) & (freqs <= hi)
         mask[0] = False
         # The background holds the band bins only.
         assert np.array_equal(prep.mask, mask)
@@ -257,8 +259,10 @@ class TestHfPrepare:
         attack = AttackConfig(
             mode=AttackMode.HIGH_FREQ, ensemble_size=100, band=(1000.0, 3000.0)
         )
-        prep = hf_prepare(make_config(), attack)
-        assert prep.band == (1000.0, 3000.0)
+        config = make_config()
+        freqs = config.bin_frequencies
+        prep = hf_prepare(config, attack)
+        assert np.array_equal(prep.mask, (freqs >= 1000.0) & (freqs <= 3000.0))
 
     def test_band_beyond_noise_bandwidth_rejected(self):
         attack = AttackConfig(
@@ -270,11 +274,10 @@ class TestHfPrepare:
 
 def silent_preparation(config, band, ac_threshold=0.0):
     """Preparation with a zero background, for noise-free checks."""
-    _, mask = resolve_band(config, AttackConfig(mode=AttackMode.HIGH_FREQ, band=band))
+    mask = resolve_band(config, AttackConfig(mode=AttackMode.HIGH_FREQ, band=band))
     return HfPreparation(
         noise_background=np.zeros(np.count_nonzero(mask)),
         ac_threshold=ac_threshold,
-        band=band,
         ensemble_size=100,
         mask=mask,
     )

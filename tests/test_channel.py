@@ -136,8 +136,9 @@ class TestWireNoise:
 class TestSimulateSession:
     def test_reaches_requested_secure_count(self):
         session = simulate_session(make_config(n_secure_bits=200))
-        assert np.count_nonzero(session.secure) == 200
-        assert session.secure[-1]  # the session ends on its last secure bit
+        secure = channel.secure_mask(session.situations)
+        assert np.count_nonzero(secure) == 200
+        assert secure[-1]  # the session ends on its last secure bit
         # Secure periods arrive at rate ~1/2, so the total sits near double.
         assert 340 <= len(session) <= 480
 
@@ -289,12 +290,13 @@ class TestSecureBands:
 
     def test_does_not_depend_on_chunk_size(self, monkeypatch):
         session = simulate_session(make_config(f_c=500.0, n_secure_bits=300))
+        secure = np.flatnonzero(channel.secure_mask(session.situations))
         mask = band_mask(400, 190, 200)
         draws = []
         for size in (1, 7, 128):
             monkeypatch.setattr(channel, "CHUNK_PERIODS", size)
             index, codes, bands = (np.concatenate(a) for a in zip(*session.secure_bands(mask)))
-            assert np.array_equal(index, np.flatnonzero(session.secure))
+            assert np.array_equal(index, secure)
             assert np.array_equal(codes, session.situations[index])
             draws.append(bands)
         assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])

@@ -654,6 +654,11 @@ class TestBoundaryValidation:
                 ("10", "2e5", ["attack.band_hi_hz"]),
                 ("100", "200", ["attack.band_lo_hz", "attack.band_hi_hz"]),  # between bins
             ]
+        ] + [
+            # Grids numpy refuses to allocate, as MemoryError and as ValueError.
+            (["sweep", "--preset", "fig5", "--u-eff-points", points, "--bits", "5"],
+             ["grid.u_eff_points"])
+            for points in (str(10**18), str(10**20))
         ],
     )
     def test_out_of_range_value_names_key(self, argv, keys, capsys):
@@ -662,6 +667,16 @@ class TestBoundaryValidation:
         assert out == ""
         assert all(key in err for key in keys)
         assert "# " not in err
+
+    @pytest.mark.parametrize("size", [str(10**17), str(10**20)])
+    def test_unallocatable_ensemble_named_in_one_error_line(self, size, capsys):
+        # The rehearsal allocates after the echo; numpy refuses either size at once.
+        argv = ["attack", "--preset", "fig6", "--bits", "5", "--ensemble-size", size]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        [line] = [line for line in err.splitlines() if not line.startswith("# ")]
+        assert line.startswith("error: ") and "ensemble_size" in line
 
     @pytest.mark.parametrize(
         "flags,ini,key",

@@ -398,7 +398,7 @@ def secure_parts(session):
 def secure_band_noise(session, mask):
     """The unit band noise of every secure period, stacked."""
     index, _, bands = (np.concatenate(a) for a in zip(*session.secure_bands(mask)))
-    assert np.array_equal(index, np.flatnonzero(session.secure))
+    assert np.array_equal(index, np.flatnonzero(secure_mask(session.situations)))
     return bands
 
 
@@ -424,7 +424,7 @@ def sampled_cell(config, attack, notch):
     if notch is not None:
         wire = notch_filter(wire, notch.bins(config))
     if prep is None:
-        threshold = lf_threshold(config.source, index + 1, config.period_duration, attack.kappa)
+        threshold = lf_threshold(config.source, index, config.period_duration, attack.kappa)
         guess = lf_decide(threshold, lf_gamma(wire, threshold)).guess
     else:
         guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)

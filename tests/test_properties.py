@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -118,7 +119,7 @@ def test_coin_stream_matches_period_by_period_draws(seed, bits):
     config = make_config(AttackMode.LOW_FREQ, seed, bits)
     session = simulate_session(config)
     assert np.array_equal(session.situations, period_by_period_situations(config))
-    assert np.count_nonzero(session.secure) == bits
+    assert np.count_nonzero(secure_mask(session.situations)) == bits
 
 
 def test_coin_stream_pinned():
@@ -150,7 +151,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @given(threshold=FINITE, offsets=st.lists(st.sampled_from([0.0, 1.0, -1.0]), max_size=8))
 def test_vectorised_hf_decide_matches_scalar_reference(threshold, offsets):
     mask = np.array([False, True, True])
-    prep = HfPreparation(np.zeros(2), threshold, (1.0, 2.0), 100, mask=mask)
+    prep = HfPreparation(np.zeros(2), threshold, 100, mask=mask)
     # Zero offsets give exact ties; a zero threshold also ties with -0.0.
     powers = np.array([threshold + offset for offset in offsets], dtype=np.float64)
     if threshold == 0.0:
@@ -168,32 +169,42 @@ def test_vectorised_hf_decide_matches_scalar_reference(threshold, offsets):
 def test_integer_cycle_periods_are_discarded(cycles, tau, phase):
     source = PeriodicSource(amplitude=1.0, frequency=cycles / tau, phase=phase)
     assume(source.frequency * tau == math.floor(source.frequency * tau))
-    threshold = lf_threshold(source, np.arange(1, 300), tau, 0.5)
+    threshold = lf_threshold(source, np.arange(299), tau, 0.5)
     assert np.all(threshold == 0.0)
     wire = np.random.default_rng(cycles).standard_normal((threshold.size, 16))
     decision = lf_decide(threshold, lf_gamma(wire, threshold))
     assert np.all(decision.guess == UNDETERMINED)
 
 
-def traced_peak(config, attack):
+def traced_peak(run, config):
     tracemalloc.start()
     try:
-        run_point(config, attack)
+        run(config)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def simulate_every_chunk(config):
+    """What ``simulate`` holds while it writes: the coin array and one chunk."""
+    for _ in simulate_session(config).chunks():
+        pass
+
+
 def test_memory_bounded_in_secure_bits():
     # fig5's chunk buffers dwarf its per-period state, so it needs more bits to show growth.
-    for preset, factor in (("fig6", 4), ("fig5", 32)):
+    cases = [("attack", "fig6", 4), ("attack", "fig5", 32)]
+    cases += [("simulate", "fig6", 32), ("simulate", "fig5", 32)]
+    for command, preset, factor in cases:
         setup = resolve("attack", preset=preset)
+        attack = partial(run_point, attack=setup.attack)
+        run = simulate_every_chunk if command == "simulate" else attack
         one = setup.config
         many = dataclasses.replace(one, n_secure_bits=factor * one.n_secure_bits)
-        traced_peak(one, setup.attack)  # first call pays one-off allocations
-        peak_one = traced_peak(one, setup.attack)
-        peak_many = traced_peak(many, setup.attack)
-        assert peak_many <= 1.10 * peak_one, (preset, factor, peak_one, peak_many)
+        traced_peak(run, one)  # first call pays one-off allocations
+        peak_one = traced_peak(run, one)
+        peak_many = traced_peak(run, many)
+        assert peak_many <= 1.10 * peak_one, (command, preset, factor, peak_one, peak_many)
 
 
 def chunk_secure_rows(session):
@@ -227,7 +238,7 @@ def test_secure_rows_do_not_depend_on_iteration(seed, mode, bits):
     session = simulate_session(config)
     assert np.array_equal(session.situations, period_by_period_situations(config))
     reference = secure_noise_rows(session)
-    assert reference[0] == np.flatnonzero(session.secure).tobytes()
+    assert reference[0] == np.flatnonzero(secure_mask(session.situations)).tobytes()
     default = channel.CHUNK_PERIODS
     try:
         for size in (1, 7, default):
@@ -244,7 +255,7 @@ def all_period_outcome(config, attack):
     for chunk in simulate_session(config).chunks():
         secure = secure_mask(chunk.situations)
         threshold = lf_threshold(
-            config.source, chunk.index[secure] + 1, config.period_duration, attack.kappa
+            config.source, chunk.index[secure], config.period_duration, attack.kappa
         )
         guess = lf_decide(threshold, lf_gamma(chunk.wire_voltage[secure], threshold)).guess
         guessed += int(np.count_nonzero(guess != UNDETERMINED))
