@@ -10,7 +10,7 @@ lives in the module that defines it and assumes input these names, or the
 command line, have already checked.
 """
 
-from .attacks import AttackConfig, AttackMode
+from .attacks import SpectralAttack, ThresholdAttack
 from .channel import KljnConfig, PeriodicSource, ResistorPair, simulate_session
 from .errors import ConfigurationError, ShapeMismatchError
 from .experiment import Notch, RaiseTemperature, run_column, run_point, sweep, teff_of_ueff
@@ -18,8 +18,6 @@ from .experiment import Notch, RaiseTemperature, run_column, run_point, sweep, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackConfig",
-    "AttackMode",
     "ConfigurationError",
     "KljnConfig",
     "Notch",
@@ -27,6 +25,8 @@ __all__ = [
     "RaiseTemperature",
     "ResistorPair",
     "ShapeMismatchError",
+    "SpectralAttack",
+    "ThresholdAttack",
     "run_column",
     "run_point",
     "simulate_session",

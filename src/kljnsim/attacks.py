@@ -23,21 +23,23 @@ she never replays the exact noise she is attacking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import cos, floor, isfinite, pi
+from typing import ClassVar
 
 import numpy as np
 
-from .channel import KljnConfig, PeriodicSource, Situation, period_batches, source_basis
+from .channel import (
+    KljnConfig, PeriodicSource, Situation, _check_finite, period_batches, source_basis
+)
 from .errors import ConfigurationError
 from .noise import Stream, johnson_rms, stream, unit_band_noise
 from .noise import generate_unit_gbwn, periodogram  # noqa: F401  (bench/child.py traces them here)
 
 __all__ = [
-    "AttackConfig",
-    "AttackMode",
     "HfPreparation",
     "LfDecision",
+    "SpectralAttack",
+    "ThresholdAttack",
     "UNDETERMINED",
     "default_band",
     "hf_ac_power",
@@ -53,45 +55,52 @@ __all__ = [
 UNDETERMINED = -1  # guess of a period either attack cannot call, on its decision boundary
 
 
-class AttackMode(Enum):
-    LOW_FREQ = "lowfreq"
-    HIGH_FREQ = "highfreq"
-
-
 @dataclass(frozen=True)
-class AttackConfig:
-    """Eavesdropper settings.
+class ThresholdAttack:
+    """The low-frequency protocol: a threshold test on each period's samples.
 
     Attributes:
-        mode: Which protocol to run.
-        kappa: Threshold scale for the low-frequency protocol.  One half
-            places the threshold between the two divider-scaled source
-            means; the textbook value 1.0 sits above both and is kept
-            available for comparison runs.
-        ensemble_size: Rehearsal periods for the spectral background,
-            at least 100.
-        band: Optional explicit spectral window (f_lo, f_hi) in Hz; when
-            omitted the window is centered on the source frequency, see
-            :func:`default_band`.
+        kappa: Threshold scale.  One half places the threshold between the
+            two divider-scaled source means; the textbook value 1.0 sits
+            above both and is kept available for comparison runs.
     """
 
-    mode: AttackMode
+    mode: ClassVar[str] = "lowfreq"  # its name in CSV rows and config files
     kappa: float = 0.5
-    ensemble_size: int = 1000
-    band: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0 and isfinite(self.kappa)):
             raise ConfigurationError(f"kappa must be finite and positive, got {self.kappa}")
+
+
+@dataclass(frozen=True)
+class SpectralAttack:
+    """The high-frequency protocol: band power against a rehearsed midpoint.
+
+    Attributes:
+        ensemble_size: Rehearsal periods for the spectral background,
+            at least 100.
+        band_lo, band_hi: Optional explicit spectral window in Hz, given
+            together; when omitted the window is centered on the source
+            frequency, see :func:`default_band`.
+    """
+
+    mode: ClassVar[str] = "highfreq"  # its name in CSV rows and config files
+    ensemble_size: int = 1000
+    band_lo: float | None = None
+    band_hi: float | None = None
+
+    def __post_init__(self) -> None:
         if self.ensemble_size < 100:
             raise ConfigurationError(
                 f"ensemble_size must be at least 100, got {self.ensemble_size}"
             )
-        if self.band is not None:
-            lo, hi = self.band
-            if not 0 < lo < hi:
-                raise ConfigurationError(f"band needs 0 < band_lo < band_hi, got {self.band}")
-            object.__setattr__(self, "band", (float(lo), float(hi)))
+        if (self.band_lo is None) != (self.band_hi is None):
+            raise ConfigurationError("band_lo and band_hi must be given together")
+        if self.band_lo is not None and not 0 < self.band_lo < self.band_hi:
+            raise ConfigurationError(
+                f"band needs 0 < band_lo < band_hi, got {self.band_lo}, {self.band_hi}"
+            )
 
 
 @dataclass(frozen=True)
@@ -211,27 +220,27 @@ def default_band(f_a: float, bin_width: float, f_b: float) -> tuple[float, float
     return (lo, hi)
 
 
-def resolve_band(config: KljnConfig, attack: AttackConfig) -> np.ndarray:
-    """The rfft bins, DC excluded, of ``attack.band``, else of :func:`default_band`.
+def resolve_band(config: KljnConfig, attack: SpectralAttack) -> np.ndarray:
+    """The rfft bins, DC excluded, of the attack's explicit band, else of :func:`default_band`.
 
     Raises:
         ConfigurationError: If the band reaches outside (0, f_b] or holds
             no bins.
     """
-    band, freqs = attack.band, config.bin_frequencies
-    if band is None:
-        band = default_band(config.source.frequency, freqs[1], config.f_b)
-    elif band[1] > config.f_b:
-        raise ConfigurationError(f"band_hi {band[1]} exceeds noise bandwidth {config.f_b}")
-    mask = (freqs >= band[0]) & (freqs <= band[1])
+    lo, hi, freqs = attack.band_lo, attack.band_hi, config.bin_frequencies
+    if lo is None:
+        lo, hi = default_band(config.source.frequency, freqs[1], config.f_b)
+    elif hi > config.f_b:
+        raise ConfigurationError(f"band_hi {hi} exceeds noise bandwidth {config.f_b}")
+    mask = (freqs >= lo) & (freqs <= hi)
     mask[0] = False  # DC bin never contributes to band averages
     if not np.any(mask):
-        raise ConfigurationError(f"band_lo..band_hi [{band[0]}, {band[1]}] holds no spectrum bins")
+        raise ConfigurationError(f"band_lo..band_hi [{lo}, {hi}] holds no spectrum bins")
     return mask
 
 
 @np.errstate(over="ignore")  # a source that overflows gives an infinite ac_threshold
-def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
+def hf_prepare(config: KljnConfig, attack: SpectralAttack) -> HfPreparation:
     """Rehearse the spectral attack offline.
 
     Simulates ``attack.ensemble_size`` secure periods from one rehearsal
@@ -247,8 +256,9 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
     (see :func:`hf_ac_power`).
 
     Raises:
-        ConfigurationError: As :func:`resolve_band`, or if no array of
-            ``attack.ensemble_size`` source powers can be allocated.
+        ConfigurationError: As :func:`resolve_band`, if no array of
+            ``attack.ensemble_size`` source powers can be allocated, or if
+            the midpoint overflows float64.
     """
     spb = config.samples_per_bit
     mask = resolve_band(config, attack)
@@ -268,6 +278,7 @@ def hf_prepare(config: KljnConfig, attack: AttackConfig) -> HfPreparation:
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
     ac_threshold = float(np.mean(config.resistors.secure_gains**2) * np.mean(source_power))
+    _check_finite(ac_threshold, "band power")
     return HfPreparation(background_sum / m_count, ac_threshold, m_count, mask)
 
 

@@ -8,7 +8,9 @@ Four subcommands share one configuration model:
 * ``defend``: the same sweep with a countermeasure enabled.
 
 Every configuration key is declared once, as a row of ``_KEYS``: its type,
-flag, help text and default (or that it is required).  Each command reads
+flag, help text and default (or that it is required).  A key that only one
+kind of attack or defense reads takes its default from that kind's type,
+and ``_KINDS`` says which keys each kind reads.  Each command reads
 the sections ``_ECHO_SECTIONS`` lists, and checks, builds, echoes and
 takes flags for only their keys.  Values resolve in four layers, later
 wins: those defaults, compiled-in preset, config file, command-line flags.  Unknown config keys are hard errors.  Output files
@@ -32,7 +34,7 @@ from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .attacks import AttackConfig, AttackMode, resolve_band
+from .attacks import SpectralAttack, ThresholdAttack, resolve_band
 from .channel import KljnConfig, PeriodicSource, ResistorPair, dump_session_csv, simulate_session
 from .errors import ConfigurationError, ShapeMismatchError
 from .experiment import (
@@ -57,11 +59,18 @@ def _parse_float_list(raw: str) -> list[float]:
 
 
 _REQUIRED: Any = object()  # the default of a key every command reading it must set
-# Each defense kind: the type defend builds and the [defense] keys it takes,
-# in the order of that type's fields, each key its field plus a unit.
-_DEFENSES: dict[str, tuple[type, tuple[str, ...]]] = {
-    "notch": (Notch, ("notch_halfwidth_hz", "notch_center_hz")),
-    "raise_temperature": (RaiseTemperature, ("target_t_eff_k",)),
+# The kinds a selector key chooses between, by (section, selector): the type
+# each kind builds and the keys of the section it reads, in the order of that
+# type's fields, each key its field plus any unit.
+_KINDS: dict[tuple[str, str], dict[str, tuple[type, tuple[str, ...]]]] = {
+    ("attack", "mode"): {
+        ThresholdAttack.mode: (ThresholdAttack, ("kappa",)),
+        SpectralAttack.mode: (SpectralAttack, ("ensemble_size", "band_lo_hz", "band_hi_hz")),
+    },
+    ("defense", "kind"): {
+        "notch": (Notch, ("notch_halfwidth_hz", "notch_center_hz")),
+        "raise_temperature": (RaiseTemperature, ("target_t_eff_k",)),
+    },
 }
 
 
@@ -90,14 +99,13 @@ _KEYS = (
     Key("channel", "n_secure_bits", int, "--bits", "secure bits per session", _REQUIRED),
     Key("channel", "seed", int, "--seed", "session seed", 42),
     Key("attack", "mode", str.strip, "--mode", "attack protocol", _REQUIRED,
-        tuple(m.value for m in AttackMode)),
-    Key("attack", "kappa", float, "--kappa", "threshold scale", AttackConfig.kappa),
-    Key("attack", "ensemble_size", int, "--ensemble-size", "rehearsal periods",
-        AttackConfig.ensemble_size),
-    Key("attack", "band_lo_hz", float, "--band-lo", "band lower edge in Hz"),
-    Key("attack", "band_hi_hz", float, "--band-hi", "band upper edge in Hz"),
+        tuple(_KINDS["attack", "mode"])),
+    Key("attack", "kappa", float, "--kappa", "lowfreq threshold scale"),
+    Key("attack", "ensemble_size", int, "--ensemble-size", "highfreq rehearsal periods"),
+    Key("attack", "band_lo_hz", float, "--band-lo", "highfreq band lower edge in Hz"),
+    Key("attack", "band_hi_hz", float, "--band-hi", "highfreq band upper edge in Hz"),
     Key("defense", "kind", str.strip, "--defense", "countermeasure kind", "notch",
-        tuple(_DEFENSES)),
+        tuple(_KINDS["defense", "kind"])),
     Key("defense", "notch_center_hz", float, "--notch-center", "notch center in Hz"),
     Key("defense", "notch_halfwidth_hz", float, "--notch-halfwidth", "notch halfwidth in Hz"),
     Key("defense", "target_t_eff_k", float, "--target-t-eff", "raised temperature in kelvin"),
@@ -175,7 +183,7 @@ class ResolvedSetup:
     """
 
     config: KljnConfig
-    attack: AttackConfig | None
+    attack: ThresholdAttack | SpectralAttack | None
     defense: Notch | RaiseTemperature | None
     u_eff_grid: list[float]
     f_a_list: list[float]
@@ -349,40 +357,36 @@ def resolve(
         base = replace(base, t_eff=teff_of_ueff(u_eff_grid[0], resistors, base.f_b))
         f_a_list = grid["f_a_list_hz"] = [float(f) for f in grid.get("f_a_list_hz", f_a_list)]
 
-    attack = None
-    if "attack" in sections:
-        section = sections["attack"]
-        mode = AttackMode(section["mode"])
-        edges = [section.get(name) for name in ("band_lo_hz", "band_hi_hz")]
-        if (edges[0] is None) != (edges[1] is None):
-            raise ConfigurationError(
-                "attack.band_lo_hz and attack.band_hi_hz must be given together"
-            )
-        band = None if edges[0] is None else tuple(edges)
-        with _naming(keys, "attack"):
-            attack = AttackConfig(mode, section["kappa"], section["ensemble_size"], band)
-            if mode is AttackMode.HIGH_FREQ and band is not None:
-                resolve_band(base, attack)  # an explicit band is the same in every column
-
-    defense = None
-    if "defense" in sections:
-        section = sections["defense"]
-        kind, names = _DEFENSES[section["kind"]]
-        stray = sorted(section.keys() - {"kind", *names})
+    # The attack and the defense: each section's selector picks a kind,
+    # which is built from the keys it reads; any other key is an error.
+    built: dict[str, Any] = {}
+    for (name, selector), kinds in _KINDS.items():
+        if name not in sections:
+            continue
+        section = sections[name]
+        kind, names = kinds[section[selector]]
+        stray = sorted(section.keys() - {selector, *names})
         if stray:
             raise ConfigurationError(
-                f"{', '.join('defense.' + name for name in stray)}: not read by the "
-                f"{section['kind']} defense"
+                f"{', '.join(f'{name}.{key}' for key in stray)}: not read by the "
+                f"{section[selector]} {name}"
             )
         if kind is Notch:
             section.setdefault("notch_halfwidth_hz", base.f_c)  # one clock-width each side
+        for key, spec in zip(names, fields(kind)):
+            if spec.default is not MISSING and spec.default is not None:
+                section.setdefault(key, spec.default)  # so the echo shows it
         # A field without a default is a key the kind requires.
-        _check_keys(merged, [_LOOKUP["defense", name]._replace(default=_REQUIRED)
-                             for name, spec in zip(names, fields(kind)) if spec.default is MISSING])
-        with _naming(keys, "defense"):
-            defense = kind(*(section.get(name) for name in names))
-            if isinstance(defense, Notch) and defense.notch_center is not None:
-                defense.bins(base)  # an explicit center cuts the same bins in every column
+        _check_keys(merged, [_LOOKUP[name, key]._replace(default=_REQUIRED)
+                             for key, spec in zip(names, fields(kind)) if spec.default is MISSING])
+        with _naming(keys, name):
+            built[name] = made = kind(*(section.get(key) for key in names))
+            # An explicit band or notch center is the same in every column.
+            if isinstance(made, SpectralAttack) and made.band_lo is not None:
+                resolve_band(base, made)
+            if isinstance(made, Notch) and made.notch_center is not None:
+                made.bins(base)
+    attack, defense = built.get("attack"), built.get("defense")
 
     # Check each column the run executes: the source frequency, and the
     # band and notch bins that default to it.
@@ -393,7 +397,7 @@ def resolve(
         try:
             with _naming(keys, "attack", "channel"):
                 column = replace(base, source=replace(base.source, frequency=f_a))
-                if attack is not None and attack.mode is AttackMode.HIGH_FREQ:
+                if isinstance(attack, SpectralAttack):
                     resolve_band(column, attack)
             if tracking:
                 context += " and the notch center defaults to the source frequency"

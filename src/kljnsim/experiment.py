@@ -21,9 +21,9 @@ import numpy as np
 
 from .attacks import (
     UNDETERMINED,
-    AttackConfig,
-    AttackMode,
     HfPreparation,
+    SpectralAttack,
+    ThresholdAttack,
     hf_ac_power,
     hf_decide,
     hf_prepare,
@@ -148,7 +148,7 @@ class SweepPoint:
     t_eff: float
     u_eff: float
     f_a: float
-    mode: AttackMode
+    mode: str  # the attack's mode, as its CSV rows state it
     outcome: AttackOutcome
 
 
@@ -188,7 +188,7 @@ def notch_filter(samples: np.ndarray, cut: np.ndarray) -> np.ndarray:
 
 def run_point(
     config: KljnConfig,
-    attack: AttackConfig,
+    attack: ThresholdAttack | SpectralAttack,
     notch: Notch | None = None,
     rehearsal: HfPreparation | None = None,
 ) -> AttackOutcome:
@@ -203,7 +203,7 @@ def run_point(
     work starts.  ``rehearsal`` is ``hf_prepare(config, attack)`` when the
     caller has drawn it already.
     """
-    lowfreq = attack.mode is AttackMode.LOW_FREQ
+    lowfreq = isinstance(attack, ThresholdAttack)
     cut = None if notch is None else notch.bins(config)
 
     session = simulate_session(config)
@@ -214,7 +214,6 @@ def run_point(
         draws, source_of = session.secure_noise(), partial(source_samples, config)
     else:
         prep = rehearsal if rehearsal is not None else hf_prepare(config, attack)
-        _check_finite(prep.ac_threshold, "band power")
         if cut is not None:
             cut = cut[prep.mask]
         draws = session.secure_bands(prep.mask)
@@ -250,7 +249,7 @@ def run_point(
 
 def run_column(
     config: KljnConfig,
-    attack: AttackConfig,
+    attack: ThresholdAttack | SpectralAttack,
     t_effs: Sequence[float],
     notch: Notch | None = None,
 ) -> list[AttackOutcome]:
@@ -260,13 +259,13 @@ def run_column(
     own temperature (common random numbers): cells are correlated, but
     each has the distribution of a session of its own.
     """
-    rehearsal = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
+    rehearsal = hf_prepare(config, attack) if isinstance(attack, SpectralAttack) else None
     return [run_point(replace(config, t_eff=t), attack, notch, rehearsal) for t in t_effs]
 
 
 def sweep(
     base: KljnConfig,
-    attack: AttackConfig,
+    attack: ThresholdAttack | SpectralAttack,
     u_eff_grid: Sequence[float],
     f_a_list: Sequence[float],
     defense: Notch | RaiseTemperature | None = None,
@@ -340,7 +339,7 @@ def write_sweep_csv(points: Iterable[SweepPoint], config: KljnConfig, handle: Te
     for point in points:
         writer.writerow(
             (
-                point.mode.value,
+                point.mode,
                 f"{point.f_a:.10g}",
                 f"{config.f_c:.10g}",
                 f"{config.f_b:.10g}",

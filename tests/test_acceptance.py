@@ -17,12 +17,12 @@ import pytest
 from scipy import stats
 
 from kljnsim import (
-    AttackConfig,
-    AttackMode,
     KljnConfig,
     Notch,
     PeriodicSource,
     ResistorPair,
+    SpectralAttack,
+    ThresholdAttack,
     run_point,
     simulate_session,
     sweep,
@@ -94,7 +94,7 @@ def spectral_sweep():
     """Full spectral-attack sweep: 25 noise levels x 3 source frequencies."""
     return sweep(
         hf_base(),
-        AttackConfig(mode=AttackMode.HIGH_FREQ),
+        SpectralAttack(),
         u_eff_grid=[float(u) for u in np.logspace(-2.0, 2.0, 25)],
         f_a_list=[2000.0, 16000.0, 32000.0],
         max_workers=4,
@@ -104,11 +104,11 @@ def spectral_sweep():
 def test_null_control_both_modes(acceptance_log):
     lf = run_point(
         lf_base(source=PeriodicSource(amplitude=0.0, frequency=318.30)),
-        AttackConfig(mode=AttackMode.LOW_FREQ),
+        ThresholdAttack(),
     )
     hf = run_point(
         hf_base(source=PeriodicSource(amplitude=0.0, frequency=2000.0)),
-        AttackConfig(mode=AttackMode.HIGH_FREQ),
+        SpectralAttack(),
     )
     ok = (
         CHANCE_BAND[0] <= lf.p <= CHANCE_BAND[1]
@@ -124,9 +124,7 @@ def test_null_control_both_modes(acceptance_log):
 
 def test_threshold_attack_low_noise_endpoint(acceptance_log):
     start = time.perf_counter()
-    outcome = run_point(
-        at_noise_level(lf_base(), 0.01), AttackConfig(mode=AttackMode.LOW_FREQ)
-    )
+    outcome = run_point(at_noise_level(lf_base(), 0.01), ThresholdAttack())
     elapsed = time.perf_counter() - start
     ok = outcome.p >= 0.99 and elapsed < 10.0
     verdict(
@@ -138,9 +136,7 @@ def test_threshold_attack_low_noise_endpoint(acceptance_log):
 
 
 def test_threshold_attack_high_noise_endpoint(acceptance_log):
-    outcome = run_point(
-        at_noise_level(lf_base(), 100.0), AttackConfig(mode=AttackMode.LOW_FREQ)
-    )
+    outcome = run_point(at_noise_level(lf_base(), 100.0), ThresholdAttack())
     ok = CHANCE_BAND[0] <= outcome.p <= CHANCE_BAND[1]
     verdict(
         acceptance_log,
@@ -193,7 +189,7 @@ def test_spectral_crossover_ordering(acceptance_log):
     # Near p = 0.75, 4 V.  The 2 kHz default band is clipped at the first
     # non-DC bin to 9 bins against 11 at 16 and 32 kHz; fewer noise bins
     # make 2 kHz the stronger attack, so its p must be the higher one.
-    attack = AttackConfig(mode=AttackMode.HIGH_FREQ)
+    attack = SpectralAttack()
     base = at_noise_level(hf_base(seed=3, n_secure_bits=40_000), 4.0)
     measured, details, ok = {}, [], True
     for f_a in (2000.0, 16000.0, 32000.0):
@@ -302,9 +298,7 @@ def test_attack_micro_oracles(acceptance_log):
     )
 
     noise_free = hf_base(t_eff=0.0, n_secure_bits=30)
-    prep = hf_prepare(
-        noise_free, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
-    )
+    prep = hf_prepare(noise_free, SpectralAttack(ensemble_size=100))
     session = simulate_session(noise_free)
     perfect = np.array_equal(
         hf_decide(hf_ac_power(hf_band(secure_rows(session, "wire_voltage"), prep), prep, 0), prep),
@@ -401,7 +395,7 @@ def test_notch_defense_stops_threshold_and_spectral_attacks(acceptance_log):
     assert grid[0] == pytest.approx(0.1)
     lf_points = sweep(
         lf_base(),
-        AttackConfig(mode=AttackMode.LOW_FREQ),
+        ThresholdAttack(),
         u_eff_grid=grid,
         f_a_list=[318.30],
         defense=Notch(1.0e3),
@@ -409,7 +403,7 @@ def test_notch_defense_stops_threshold_and_spectral_attacks(acceptance_log):
     )
     hf_points = sweep(
         hf_base(),
-        AttackConfig(mode=AttackMode.HIGH_FREQ),
+        SpectralAttack(),
         u_eff_grid=grid,
         f_a_list=[2000.0],
         defense=Notch(500.0),

@@ -7,12 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from kljnsim import (
-    AttackConfig,
-    AttackMode,
     ConfigurationError,
     KljnConfig,
     PeriodicSource,
     ResistorPair,
+    SpectralAttack,
+    ThresholdAttack,
     simulate_session,
 )
 from kljnsim.attacks import (
@@ -54,21 +54,27 @@ def make_config(**overrides):
 
 
 class TestAttackConfig:
+    """The settings of each protocol: ThresholdAttack and SpectralAttack."""
+
     def test_defaults(self):
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
-        assert attack.kappa == 0.5
+        assert ThresholdAttack().kappa == 0.5
+        attack = SpectralAttack()
         assert attack.ensemble_size == 1000
-        assert attack.band is None
+        assert attack.band_lo is None and attack.band_hi is None
+        assert (ThresholdAttack.mode, SpectralAttack.mode) == ("lowfreq", "highfreq")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            AttackConfig(mode=AttackMode.LOW_FREQ, kappa=0.0)
+            ThresholdAttack(kappa=0.0)
         with pytest.raises(ConfigurationError):
-            AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=99)
+            SpectralAttack(ensemble_size=99)
         with pytest.raises(ConfigurationError):
-            AttackConfig(mode=AttackMode.HIGH_FREQ, band=(2000.0, 500.0))
+            SpectralAttack(band_lo=2000.0, band_hi=500.0)
         with pytest.raises(ConfigurationError):
-            AttackConfig(mode=AttackMode.HIGH_FREQ, band=(0.0, 500.0))
+            SpectralAttack(band_lo=0.0, band_hi=500.0)
+        for edge in ({"band_lo": 500.0}, {"band_hi": 4500.0}):
+            with pytest.raises(ConfigurationError, match="given together"):
+                SpectralAttack(**edge)
 
 
 class TestLfThreshold:
@@ -190,11 +196,11 @@ class TestDefaultBand:
 class TestHfPrepare:
     def test_zero_amplitude_gives_zero_threshold(self):
         config = make_config(source=PeriodicSource(amplitude=0.0, frequency=2000.0))
-        prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
+        prep = hf_prepare(config, SpectralAttack(ensemble_size=100))
         assert prep.ac_threshold == 0.0
 
     def test_threshold_scales_with_amplitude_squared(self):
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        attack = SpectralAttack(ensemble_size=100)
         one = hf_prepare(make_config(), attack)
         two = hf_prepare(
             make_config(source=PeriodicSource(amplitude=2.0, frequency=2000.0)), attack
@@ -206,7 +212,7 @@ class TestHfPrepare:
         # pieces; the rehearsed threshold must sit exactly between them and
         # their ratio must equal the squared divider ratio, 100.
         config = make_config()
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=120)
+        attack = SpectralAttack(ensemble_size=120)
         prep = hf_prepare(config, attack)
 
         spb = config.samples_per_bit
@@ -232,7 +238,7 @@ class TestHfPrepare:
         # Each noise bin carries sigma^2/N on average, sigma^2 from the
         # parallel resistance.
         config = make_config(t_eff=9.0e15)
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=1000)
+        attack = SpectralAttack(ensemble_size=1000)
         prep = hf_prepare(config, attack)
         spb = config.samples_per_bit
         freqs = np.arange(spb // 2 + 1) * (config.sample_rate / spb)
@@ -249,32 +255,28 @@ class TestHfPrepare:
         assert measured == pytest.approx(sigma_sq / config.samples_per_bit, rel=0.05)
 
     def test_deterministic(self):
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        attack = SpectralAttack(ensemble_size=100)
         a = hf_prepare(make_config(), attack)
         b = hf_prepare(make_config(), attack)
         assert a.ac_threshold == b.ac_threshold
         assert np.array_equal(a.noise_background, b.noise_background)
 
     def test_explicit_band_respected(self):
-        attack = AttackConfig(
-            mode=AttackMode.HIGH_FREQ, ensemble_size=100, band=(1000.0, 3000.0)
-        )
+        attack = SpectralAttack(ensemble_size=100, band_lo=1000.0, band_hi=3000.0)
         config = make_config()
         freqs = config.bin_frequencies
         prep = hf_prepare(config, attack)
         assert np.array_equal(prep.mask, (freqs >= 1000.0) & (freqs <= 3000.0))
 
     def test_band_beyond_noise_bandwidth_rejected(self):
-        attack = AttackConfig(
-            mode=AttackMode.HIGH_FREQ, ensemble_size=100, band=(1000.0, 2.0e5)
-        )
+        attack = SpectralAttack(ensemble_size=100, band_lo=1000.0, band_hi=2.0e5)
         with pytest.raises(ConfigurationError):
             hf_prepare(make_config(), attack)
 
 
 def silent_preparation(config, band, ac_threshold=0.0):
     """Preparation with a zero background, for noise-free checks."""
-    mask = resolve_band(config, AttackConfig(mode=AttackMode.HIGH_FREQ, band=band))
+    mask = resolve_band(config, SpectralAttack(band_lo=band[0], band_hi=band[1]))
     return HfPreparation(
         noise_background=np.zeros(np.count_nonzero(mask)),
         ac_threshold=ac_threshold,
@@ -319,7 +321,7 @@ class TestHfAcPower:
         # Background subtraction must center the statistic on zero when no
         # source is present.
         config = make_config(t_eff=9.0e15)
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=400)
+        attack = SpectralAttack(ensemble_size=400)
         prep = hf_prepare(
             make_config(source=PeriodicSource(amplitude=0.0, frequency=2000.0)), attack
         )
@@ -354,7 +356,7 @@ class TestHfDecide:
 
     def test_noise_free_attack_is_perfect(self):
         config = make_config(t_eff=0.0, n_secure_bits=40)
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        attack = SpectralAttack(ensemble_size=100)
         prep = hf_prepare(config, attack)
         situations, wire = session_rows(simulate_session(config))
         secure = secure_mask(situations)

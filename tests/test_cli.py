@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import AttackMode, ResistorPair, teff_of_ueff
+from kljnsim import ResistorPair, SpectralAttack, ThresholdAttack, teff_of_ueff
 from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, resolve
 from kljnsim.experiment import u_eff_of_teff
 from kljnsim.noise import mix_seed
@@ -37,7 +37,7 @@ class TestPresets:
         assert config.source.frequency == 318.30
         assert config.n_secure_bits == 1000
         assert config.seed == 42
-        assert setup.attack.mode is AttackMode.LOW_FREQ
+        assert isinstance(setup.attack, ThresholdAttack)
         assert setup.attack.kappa == 0.5
         setup = resolved("sweep", preset="fig5")
         assert len(setup.u_eff_grid) == 25
@@ -50,7 +50,7 @@ class TestPresets:
         assert setup.config.f_c == 500.0
         assert setup.config.source.frequency == 2000.0
         assert setup.config.samples_per_bit == 400
-        assert setup.attack.mode is AttackMode.HIGH_FREQ
+        assert isinstance(setup.attack, SpectralAttack)
         assert setup.f_a_list == [2000.0, 16000.0, 32000.0]
 
     def test_preset_tables_stay_consistent(self):
@@ -226,6 +226,14 @@ class TestCommandSections:
         assert config.t_eff == teff_of_ueff(setup.u_eff_grid[0], config.resistors, config.f_b)
         assert setup.defense is None
 
+    def test_echo_shows_only_the_attack_keys_the_mode_reads(self, capsys):
+        _, _, lowfreq = run_main(["attack", "--preset", "fig5", "--bits", "5"], capsys)
+        _, _, highfreq = run_main(["attack", "--preset", "fig6", "--bits", "5"], capsys)
+        assert "# attack.kappa = 0.5\n" in lowfreq
+        assert "attack.ensemble_size" not in lowfreq
+        assert "attack.kappa" not in highfreq
+        assert "# attack.ensemble_size = 1000\n" in highfreq
+
     def test_unread_sections_build_nothing(self):
         setup = resolved("simulate", preset="fig6")
         assert setup.attack is None and setup.defense is None and setup.u_eff_grid == []
@@ -332,8 +340,8 @@ class TestAttackCommand:
     @pytest.mark.parametrize("preset", ["fig5", "fig6"])
     def test_null_run_guesses_nothing(self, preset, capsys):
         # No noise and no source: every period sits on its attack's decision boundary.
-        argv = ["attack", "--preset", preset, "--u-eff", "0", "--amplitude", "0", "--bits", "20",
-                "--ensemble-size", "100"]
+        argv = ["attack", "--preset", preset, "--u-eff", "0", "--amplitude", "0", "--bits", "20"]
+        argv += ["--ensemble-size", "100"] if preset == "fig6" else []
         code, out, _ = run_main(argv, capsys)
         assert code == 0
         assert out.splitlines()[1].split(",")[6:] == ["20", "0", "0", "0.5"]
@@ -388,7 +396,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("preset", ["fig5", "fig6"])
     def test_rows_equal_attack_at_column_seed(self, preset, capsys):
         frequencies = PRESETS[preset]["grid"]["f_a_list_hz"][:2]
-        common = ["--preset", preset, "--bits", "60", "--ensemble-size", "100"]
+        common = ["--preset", preset, "--bits", "60"]
+        common += ["--ensemble-size", "100"] if preset == "fig6" else []
         code, out, _ = run_main(
             ["sweep", *common, "--seed", "5", "--u-eff-points", "3",
              "--f-a-list", ",".join(map(str, frequencies))],
@@ -666,6 +675,24 @@ class TestBoundaryValidation:
         assert code == 1
         assert out == ""
         assert all(key in err for key in keys)
+        assert "# " not in err
+
+    @pytest.mark.parametrize(
+        "flags,keys",
+        [
+            (["--preset", "fig6", "--kappa", "3"], ["attack.kappa"]),
+            (["--preset", "fig5", "--ensemble-size", "500"], ["attack.ensemble_size"]),
+            (["--preset", "fig5", "--band-lo", "500", "--band-hi", "4500"],
+             ["attack.band_hi_hz", "attack.band_lo_hz"]),
+        ],
+        ids=["kappa-under-highfreq", "ensemble-under-lowfreq", "band-under-lowfreq"],
+    )
+    def test_key_the_mode_does_not_read_named_before_echo(self, flags, keys, capsys):
+        code, out, err = run_main(["attack", "--bits", "5"] + flags, capsys)
+        assert code == 1
+        assert out == ""
+        assert re.findall(r"\b(?:channel|attack|defense|grid)\.\w+", err) == keys
+        assert "not read by the" in err
         assert "# " not in err
 
     @pytest.mark.parametrize("size", [str(10**17), str(10**20)])

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from kljnsim import (
-    AttackConfig,
-    AttackMode,
     ConfigurationError,
     KljnConfig,
     Notch,
     PeriodicSource,
     RaiseTemperature,
     ResistorPair,
+    SpectralAttack,
+    ThresholdAttack,
     run_column,
     run_point,
     simulate_session,
@@ -61,6 +61,9 @@ from reference import hf_band
 WIRE_RMS_9E15 = 6.7219696788691605
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
+# One attack of each protocol, with a small rehearsal, and their mode names.
+ATTACKS = [ThresholdAttack(), SpectralAttack(ensemble_size=100)]
+MODES = [attack.mode for attack in ATTACKS]
 
 
 def make_config(**overrides):
@@ -216,18 +219,18 @@ class TestDefenseSpec:
 class TestRunPoint:
     def test_lf_easy_point_is_nearly_perfect(self):
         config = make_config(t_eff=teff_of_ueff(0.01, PAIR, 1.0e5))
-        outcome = run_point(config, AttackConfig(mode=AttackMode.LOW_FREQ))
+        outcome = run_point(config, ThresholdAttack())
         assert outcome.n_secure == 200
         assert outcome.p >= 0.95
 
     def test_lf_loud_noise_hits_chance(self):
         config = make_config(t_eff=teff_of_ueff(100.0, PAIR, 1.0e5))
-        outcome = run_point(config, AttackConfig(mode=AttackMode.LOW_FREQ))
+        outcome = run_point(config, ThresholdAttack())
         assert 0.35 <= outcome.p <= 0.65
 
     def test_lf_null_control_guesses_nothing(self):
         config = make_config(source=PeriodicSource(amplitude=0.0, frequency=318.30))
-        outcome = run_point(config, AttackConfig(mode=AttackMode.LOW_FREQ))
+        outcome = run_point(config, ThresholdAttack())
         assert outcome.n_guessed == 0
         assert outcome.p == 0.5
 
@@ -237,7 +240,7 @@ class TestRunPoint:
             source=PeriodicSource(amplitude=1.0, frequency=2000.0),
             t_eff=teff_of_ueff(0.01, PAIR, 1.0e5),
         )
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=200)
+        attack = SpectralAttack(ensemble_size=200)
         outcome = run_point(config, attack)
         assert outcome.n_guessed == outcome.n_secure == 200
         assert outcome.p >= 0.95
@@ -248,12 +251,12 @@ class TestRunPoint:
             source=PeriodicSource(amplitude=0.0, frequency=2000.0),
             n_secure_bits=300,
         )
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=200)
+        attack = SpectralAttack(ensemble_size=200)
         outcome = run_point(config, attack)
         assert 0.38 <= outcome.p <= 0.62
 
     def test_raise_temperature_defense_restores_chance(self):
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         defense = RaiseTemperature(teff_of_ueff(100.0, PAIR, 1.0e5))
         (defended,) = sweep(make_config(), attack, [0.01], [318.30], defense=defense)
         assert defended.u_eff == pytest.approx(100.0, rel=1e-12)
@@ -261,7 +264,7 @@ class TestRunPoint:
 
     def test_notch_defense_blinds_lf_attack(self):
         config = make_config(t_eff=teff_of_ueff(0.1, PAIR, 1.0e5))
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         defended = run_point(config, attack, Notch(1.0e3))
         assert 0.35 <= defended.p <= 0.65
 
@@ -271,13 +274,13 @@ class TestRunPoint:
             source=PeriodicSource(amplitude=1.0, frequency=2000.0),
             t_eff=teff_of_ueff(0.1, PAIR, 1.0e5),
         )
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=200)
+        attack = SpectralAttack(ensemble_size=200)
         defended = run_point(config, attack, Notch(500.0))
         assert 0.35 <= defended.p <= 0.65
 
     def test_deterministic(self):
         config = make_config(n_secure_bits=100)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         assert run_point(config, attack) == run_point(config, attack)
 
     def test_notch_center_checked_before_any_work(self, monkeypatch):
@@ -287,7 +290,7 @@ class TestRunPoint:
         monkeypatch.setattr(experiment, "simulate_session", never)
         monkeypatch.setattr(experiment, "hf_prepare", never)
         config = make_config(f_c=500.0, source=PeriodicSource(amplitude=1.0, frequency=2000.0))
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        attack = SpectralAttack(ensemble_size=100)
         with pytest.raises(ConfigurationError, match="notch center"):
             run_point(config, attack, Notch(10.0, notch_center=2.0e5))
 
@@ -295,7 +298,7 @@ class TestRunPoint:
 class TestSweep:
     def test_single_cell_matches_run_point(self):
         base = make_config(n_secure_bits=100)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.05], f_a_list=[318.30])
         cell_config = dataclasses.replace(
             base,
@@ -308,22 +311,22 @@ class TestSweep:
 
     def test_row_ordering(self):
         base = make_config(n_secure_bits=10)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.1, 1.0], f_a_list=[318.30, 101.32])
         keys = [(p.f_a, p.u_eff) for p in points]
         assert keys == [(318.30, 0.1), (318.30, 1.0), (101.32, 0.1), (101.32, 1.0)]
 
     def test_reports_requested_levels(self):
         base = make_config(n_secure_bits=10)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.5], f_a_list=[318.30])
         assert points[0].u_eff == 0.5
         assert points[0].t_eff == pytest.approx(teff_of_ueff(0.5, PAIR, base.f_b), rel=1e-12)
-        assert points[0].mode is AttackMode.LOW_FREQ
+        assert points[0].mode == "lowfreq"
 
     def test_parallel_equals_serial(self):
         base = make_config(n_secure_bits=40)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         serial = sweep(base, attack, u_eff_grid=[0.1, 1.0, 10.0], f_a_list=[318.30, 101.32])
         parallel = sweep(
             base, attack, u_eff_grid=[0.1, 1.0, 10.0], f_a_list=[318.30, 101.32], max_workers=3
@@ -332,7 +335,7 @@ class TestSweep:
 
     def test_cell_seeds_stable_under_grid_growth(self):
         base = make_config(n_secure_bits=20)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         short = sweep(base, attack, u_eff_grid=[0.1, 1.0], f_a_list=[318.30])
         grown = sweep(
             base, attack, u_eff_grid=[0.01, 0.1, 1.0, 10.0], f_a_list=[318.30, 101.32]
@@ -342,19 +345,18 @@ class TestSweep:
         other = sweep(base, attack, u_eff_grid=[0.1], f_a_list=[32.25, 101.32])
         assert grown[5] == other[1]
 
-    @pytest.mark.parametrize("mode", list(AttackMode))
+    @pytest.mark.parametrize("attack", ATTACKS, ids=MODES)
     @pytest.mark.parametrize(
         "defense",
         # the raise lifts the two cooler cells to 1 V and keeps the hottest
         [Notch(500.0), RaiseTemperature(teff_of_ueff(1.0, PAIR, 1.0e5))],
         ids=["notch", "raise_temperature"],
     )
-    def test_defended_rows_equal_run_point_at_column_seed(self, mode, defense):
-        if mode is AttackMode.LOW_FREQ:
+    def test_defended_rows_equal_run_point_at_column_seed(self, attack, defense):
+        if isinstance(attack, ThresholdAttack):
             base, frequencies = make_config(n_secure_bits=80), [318.30, 101.32]
         else:
             base, frequencies = hf_config(n_secure_bits=80), [2000.0, 16000.0]
-        attack = AttackConfig(mode=mode, ensemble_size=100)
         notch = defense if isinstance(defense, Notch) else None
         grid = [0.05, 0.5, 5.0]
         points = sweep(base, attack, u_eff_grid=grid, f_a_list=frequencies, defense=defense)
@@ -419,7 +421,7 @@ def sampled_wires(config, prep):
 
 def sampled_cell(config, attack, notch):
     """Reference: classify each period's sampled wire, notched on the source if asked."""
-    prep = hf_prepare(config, attack) if attack.mode is AttackMode.HIGH_FREQ else None
+    prep = hf_prepare(config, attack) if isinstance(attack, SpectralAttack) else None
     index, codes, wire = sampled_wires(config, prep)
     if notch is not None:
         wire = notch_filter(wire, notch.bins(config))
@@ -436,7 +438,7 @@ def sampled_cell(config, attack, notch):
 class TestColumnAlgebra:
     def test_unit_rehearsal_scales_to_direct_rehearsal(self):
         config = hf_config(t_eff=9.0e15)
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=150)
+        attack = SpectralAttack(ensemble_size=150)
         prep = hf_prepare(config, attack)
         # Reference: the rehearsal stream's band bins drawn straight at the
         # cell's sigma, two normals per bin (the band stops short of Nyquist).
@@ -454,7 +456,7 @@ class TestColumnAlgebra:
 
     def test_background_is_the_member_by_member_sum(self, monkeypatch):
         config = hf_config()
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=300)
+        attack = SpectralAttack(ensemble_size=300)
         prep = hf_prepare(config, attack)
         rng = stream(config.seed, Stream.EAVESDROPPER)
         rms = johnson_rms(PAIR.parallel, 1.0, config.f_b)
@@ -469,7 +471,7 @@ class TestColumnAlgebra:
 
     def test_closed_form_source_band_matches_sampled_source(self):
         config = make_config(f_c=500.0, source=PeriodicSource(0.7, 16000.0, 0.3), n_secure_bits=150)
-        prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
+        prep = hf_prepare(config, SpectralAttack(ensemble_size=100))
         gains = divider_ac(np.array([1.0e3, 1.0e4]), np.array([1.0e4, 1.0e3]), 1.0)[:, None]
         spb = config.samples_per_bit
         for index, codes, _ in simulate_session(config).secure_noise():
@@ -485,7 +487,7 @@ class TestColumnAlgebra:
     @pytest.mark.parametrize("notched", [False, True])
     def test_band_bins_match_wire_periodogram(self, notched):
         config = hf_config(t_eff=teff_of_ueff(1.0, PAIR, 1.0e5), n_secure_bits=150)
-        prep = hf_prepare(config, AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100))
+        prep = hf_prepare(config, SpectralAttack(ensemble_size=100))
         sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
         spb = config.samples_per_bit
         freqs = np.fft.rfftfreq(spb, d=1.0 / config.sample_rate)
@@ -508,12 +510,11 @@ class TestColumnAlgebra:
             coeffs.real**2 + coeffs.imag**2, expected, rtol=1e-12, atol=1e-12 * expected.max()
         )
 
-    @pytest.mark.parametrize("mode", list(AttackMode))
+    @pytest.mark.parametrize("attack", ATTACKS, ids=MODES)
     @pytest.mark.parametrize("notched", [False, True])
-    def test_column_equals_classifying_each_sampled_wire(self, mode, notched):
-        lowfreq = mode is AttackMode.LOW_FREQ
+    def test_column_equals_classifying_each_sampled_wire(self, attack, notched):
+        lowfreq = isinstance(attack, ThresholdAttack)
         config = make_config(n_secure_bits=150) if lowfreq else hf_config(n_secure_bits=150)
-        attack = AttackConfig(mode=mode, ensemble_size=100)
         # Each notch removes bins: DC and 1 kHz for lowfreq, 2 kHz for highfreq.
         notch = Notch(700.0 if lowfreq else 200.0) if notched else None
         t_effs = [teff_of_ueff(u, PAIR, config.f_b) for u in (0.01, 0.3, 3.0)]
@@ -526,26 +527,26 @@ class TestColumnAlgebra:
         config = hf_config(t_eff=0.0, n_secure_bits=60)
         for chunk in simulate_session(config).chunks():
             assert np.array_equal(chunk.wire_voltage, chunk.ac_part)
-        attack = AttackConfig(mode=AttackMode.HIGH_FREQ, ensemble_size=100)
+        attack = SpectralAttack(ensemble_size=100)
         cold, warm = run_column(config, attack, [0.0, teff_of_ueff(10.0, PAIR, config.f_b)])
         assert cold.n_guessed == cold.n_correct == 60
         assert cold == run_point(config, attack)
-        lowfreq = AttackConfig(mode=AttackMode.LOW_FREQ)
+        lowfreq = ThresholdAttack()
         assert run_column(make_config(n_secure_bits=60), lowfreq, [0.0])[0].n_secure == 60
 
     @pytest.mark.parametrize("t_effs", [[-1.0], [1.0, math.nan], [math.inf]])
     def test_bad_temperatures_rejected(self, t_effs):
         with pytest.raises(ConfigurationError, match="t_eff"):
-            run_column(make_config(), AttackConfig(mode=AttackMode.LOW_FREQ), t_effs)
+            run_column(make_config(), ThresholdAttack(), t_effs)
 
     def test_empty_column_has_no_cells(self):
-        assert run_column(make_config(), AttackConfig(mode=AttackMode.HIGH_FREQ), []) == []
+        assert run_column(make_config(), SpectralAttack(), []) == []
 
 
 class TestSweepCsv:
     def test_format(self):
         base = make_config(n_secure_bits=10)
-        attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+        attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.5], f_a_list=[318.30])
         buffer = io.StringIO()
         write_sweep_csv(points, base, buffer)

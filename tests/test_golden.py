@@ -40,40 +40,40 @@ GOLDEN = [
     (
         "attack --preset fig5 --u-eff 1 --bits 300 --seed 7",
         "63ad33b64c916b56cdf0cc35dfd7111c6a159f6127dee39593d3c38e56f9722c",
-        "766b640e8051a8f69456048b2594be0441d8a32952deb35e305866e8ca838ba3",
+        "71e0df5a7d83a250cfc8e26bdc92b0f43aa3f9b976c5c6a6b39580586ae7a5c1",
     ),
     (
         "attack --preset fig6 --u-eff 1 --bits 300 --seed 7 --ensemble-size 200",
         "59aa1dcd10fb2c9bc692d0c221af983b8f81e0b65fd45acd9f123f975e79e5d8",
-        "874027e0ff3fbb572245ddc49d144fe2a8392e2d16a74bbed99f1a880a168f77",
+        "3838fd5d373e19996f200ee0c72dd127d02ed055985fb14b1f7741655063e5bc",
     ),
     (
         # Mid-noise (p = 239/300), so the highfreq band stream shows; at 1 V
         # above, every bit is guessed right and the noise cannot move the row.
         "attack --preset fig6 --u-eff 3 --bits 300 --seed 7 --ensemble-size 200",
         "972c1b6f3d4977700d5c4afb2b83ae8002cd4d61ecf87ec6c2cd483023c6d01e",
-        "b4b8780ab12bb05cadfa116cd254eaae1d896dbe0148a82945040c3a8e102fe2",
+        "9c461f6f02b1066b9cd7f0947ad51b947c2380605fc95465b828ce4561671a09",
     ),
     (
         "sweep --preset fig5 --u-eff-points 3 --bits 200 --seed 7",
         "15c64ded9069190cb8ecb336bdbf9b71c00be481df7cf4c95293989c87f28afd",
-        "4a5a4daaeb8007b974059791fbb6e4f0e5e092252d00abfe84b3d123391da43a",
+        "165800e3735f45e373230c6dd25c7d668ba34ff872c403c4d45c74cfa2a349f8",
     ),
     (
         "sweep --preset fig6 --u-eff-points 3 --bits 200 --seed 7 --ensemble-size 200",
         "fbda3bbbeabbb58e3ea39e7464f1c2c1b458e663224f61527836d82e11ee21d3",
-        "e1e4c397a3f1788d9300110dd584637cedbed7d58da3a7d4ba672357b3ad2372",
+        "654dd0c619dacabae5bcc0befa3204d25f6a4e1fd60827c51981a7fa9e097973",
     ),
     (
         "defend --preset fig5 --u-eff-points 2 --bits 200 --seed 7",
         "198a2d7f39e7668b6d5ad0940c98c22a5fafb4d7f5b53a909a9a400f9e5f8a7f",
-        "025b0ac28a49fda0b6dc03a8f33f6f713cccbeb228583ac5ad965aa517c7534f",
+        "e2810bfe49a6414a6e51a19abe409617e8db8b0e3077a0a90ebfdea5f23d2792",
     ),
     (
         "defend --preset fig6 --u-eff-points 2 --bits 200 --seed 7 --ensemble-size 200 "
         "--defense raise_temperature --target-t-eff 1e17",
         "0096b56a565d1282bdf490eccc9894ac20ddab4a04fe481eab87d60a601a8c1d",
-        "0f58da397503bba19fe7747af40155921016cfe3ba696d39b59b57e2c3deebbe",
+        "a801a7e528afa775dcbb8fc16caa8c751accabb2c66b6e6ed0535e8bafe22ae3",
     ),
 ]
 

@@ -28,11 +28,12 @@ MODULES = ["kljnsim"] + [
     f"kljnsim.{name}" for name in ("attacks", "channel", "cli", "errors", "experiment", "noise")
 ]
 # The sampled-trace wrappers that plain arrays replaced, the defense kind
-# and spec that Notch and RaiseTemperature replaced, and the helpers only
-# the tests called (now in tests/reference.py); none may come back.
+# and spec that Notch and RaiseTemperature replaced, the attack mode and
+# config that ThresholdAttack and SpectralAttack replaced, and the helpers
+# only the tests called (now in tests/reference.py); none may come back.
 DELETED = {
     "NoiseSpec", "SampledTrace", "Spectrum", "johnson_scale", "power_spectrum",
-    "DefenseKind", "DefenseSpec", "wire_noise", "hf_band",
+    "DefenseKind", "DefenseSpec", "AttackMode", "AttackConfig", "wire_noise", "hf_band",
 }
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,7 +44,22 @@ def readme_imports():
     return {name for group in groups for name in re.findall(r"\w+", group)}
 
 
+def readme_library_blocks():
+    """The ```python blocks of the README's "Library use" section, in order."""
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+
+
 class TestPublicNames:
+    def test_readme_library_use_runs_as_written(self, capsys):
+        blocks = readme_library_blocks()
+        assert len(blocks) == 5
+        namespace = {}
+        for block in blocks:  # each block reads what the blocks before it defined
+            exec(compile(block, str(README), "exec"), namespace)
+        assert capsys.readouterr().out == f"{namespace['outcome'].p}\n"
+        assert len(namespace["points"]) == 2 * 25
+
     def test_package_exports_exactly_the_readme_api(self):
         exported = kljnsim.__all__
         assert len(set(exported)) == len(exported)

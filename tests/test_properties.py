@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 import kljnsim.channel as channel
 from kljnsim import (
-    AttackConfig,
-    AttackMode,
     KljnConfig,
     Notch,
     PeriodicSource,
     ResistorPair,
+    SpectralAttack,
+    ThresholdAttack,
     run_point,
     simulate_session,
     sweep,
@@ -46,10 +46,12 @@ from kljnsim.noise import Stream, johnson_rms, mix_seed, stream
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+LOWFREQ, HIGHFREQ = ThresholdAttack(), SpectralAttack(ensemble_size=100)
+ATTACKS = st.sampled_from([LOWFREQ, HIGHFREQ])
 
 
-def make_config(mode, seed, bits, u_eff=1.0):
-    lowfreq = mode is AttackMode.LOW_FREQ
+def make_config(attack, seed, bits, u_eff=1.0):
+    lowfreq = isinstance(attack, ThresholdAttack)
     return KljnConfig(
         resistors=PAIR,
         t_eff=teff_of_ueff(u_eff, PAIR, 1.0e5),
@@ -66,10 +68,9 @@ def wire_of(session):
 
 
 @settings(max_examples=6, deadline=None)
-@given(seed=SEEDS, mode=st.sampled_from(AttackMode), notch=st.booleans())
-def test_results_do_not_depend_on_chunk_size(seed, mode, notch):
-    config = make_config(mode, seed, bits=60)
-    attack = AttackConfig(mode=mode, ensemble_size=100)
+@given(seed=SEEDS, attack=ATTACKS, notch=st.booleans())
+def test_results_do_not_depend_on_chunk_size(seed, attack, notch):
+    config = make_config(attack, seed, bits=60)
     defense = Notch(500.0) if notch else None
     outcomes, wires = [], []
     default = channel.CHUNK_PERIODS
@@ -87,8 +88,8 @@ def test_results_do_not_depend_on_chunk_size(seed, mode, notch):
 @settings(max_examples=3, deadline=None)
 @given(seed=SEEDS)
 def test_sweep_csv_does_not_depend_on_threads(seed):
-    base = make_config(AttackMode.LOW_FREQ, seed, bits=30)
-    attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+    base = make_config(LOWFREQ, seed, bits=30)
+    attack = ThresholdAttack()
     texts = []
     for workers in (1, 3):
         points = sweep(
@@ -116,7 +117,7 @@ def period_by_period_situations(config):
 @settings(max_examples=20, deadline=None)
 @given(seed=SEEDS, bits=st.integers(min_value=1, max_value=700))
 def test_coin_stream_matches_period_by_period_draws(seed, bits):
-    config = make_config(AttackMode.LOW_FREQ, seed, bits)
+    config = make_config(LOWFREQ, seed, bits)
     session = simulate_session(config)
     assert np.array_equal(session.situations, period_by_period_situations(config))
     assert np.count_nonzero(secure_mask(session.situations)) == bits
@@ -125,7 +126,7 @@ def test_coin_stream_matches_period_by_period_draws(seed, bits):
 def test_coin_stream_pinned():
     # Situation letters of seed 42 at 200 secure bits from the SFC64 coin
     # stream: 379 periods, "HLLLLHLHHH..." hashed.
-    session = simulate_session(make_config(AttackMode.LOW_FREQ, 42, 200))
+    session = simulate_session(make_config(LOWFREQ, 42, 200))
     letters = "".join(Situation(code).name for code in session.situations)
     assert len(session) == 379
     assert letters.startswith("HLLLLHLHHHHLHHHLHLLL")
@@ -232,9 +233,9 @@ def secure_noise_rows(session):
 
 
 @settings(max_examples=6, deadline=None)
-@given(seed=SEEDS, mode=st.sampled_from(AttackMode), bits=st.integers(min_value=1, max_value=300))
-def test_secure_rows_do_not_depend_on_iteration(seed, mode, bits):
-    config = make_config(mode, seed, bits)
+@given(seed=SEEDS, attack=ATTACKS, bits=st.integers(min_value=1, max_value=300))
+def test_secure_rows_do_not_depend_on_iteration(seed, attack, bits):
+    config = make_config(attack, seed, bits)
     session = simulate_session(config)
     assert np.array_equal(session.situations, period_by_period_situations(config))
     reference = secure_noise_rows(session)
@@ -266,8 +267,8 @@ def all_period_outcome(config, attack):
 @settings(max_examples=3, deadline=None)
 @given(seed=SEEDS)
 def test_sweep_scores_the_secure_rows_of_every_period(seed):
-    base = make_config(AttackMode.LOW_FREQ, seed, bits=40)
-    attack = AttackConfig(mode=AttackMode.LOW_FREQ)
+    base = make_config(LOWFREQ, seed, bits=40)
+    attack = ThresholdAttack()
     grid, frequencies = [0.3, 3.0], [318.30, 101.32]
     expected = [
         all_period_outcome(
