@@ -23,13 +23,13 @@ she never replays the exact noise she is attacking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, floor, isfinite, pi
+from math import cos, floor, pi
 from typing import ClassVar
 
 import numpy as np
 
 from .channel import (
-    KljnConfig, PeriodicSource, Situation, _check_finite, period_batches, source_basis
+    SCALE_LIMIT, KljnConfig, PeriodicSource, Situation, period_batches, source_basis
 )
 from .errors import ConfigurationError
 from .noise import Stream, johnson_rms, stream, unit_band_noise
@@ -69,8 +69,8 @@ class ThresholdAttack:
     kappa: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.kappa > 0 and isfinite(self.kappa)):
-            raise ConfigurationError(f"kappa must be finite and positive, got {self.kappa}")
+        if not 0 < self.kappa <= SCALE_LIMIT:
+            raise ConfigurationError(f"kappa must lie in (0, {SCALE_LIMIT:g}], got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,6 @@ def resolve_band(config: KljnConfig, attack: SpectralAttack) -> np.ndarray:
     return mask
 
 
-@np.errstate(over="ignore")  # a source that overflows gives an infinite ac_threshold
 def hf_prepare(config: KljnConfig, attack: SpectralAttack) -> HfPreparation:
     """Rehearse the spectral attack offline.
 
@@ -256,9 +255,8 @@ def hf_prepare(config: KljnConfig, attack: SpectralAttack) -> HfPreparation:
     (see :func:`hf_ac_power`).
 
     Raises:
-        ConfigurationError: As :func:`resolve_band`, if no array of
-            ``attack.ensemble_size`` source powers can be allocated, or if
-            the midpoint overflows float64.
+        ConfigurationError: As :func:`resolve_band`, or if no array of
+            ``attack.ensemble_size`` source powers can be allocated.
     """
     spb = config.samples_per_bit
     mask = resolve_band(config, attack)
@@ -278,7 +276,6 @@ def hf_prepare(config: KljnConfig, attack: SpectralAttack) -> HfPreparation:
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
     ac_threshold = float(np.mean(config.resistors.secure_gains**2) * np.mean(source_power))
-    _check_finite(ac_threshold, "band power")
     return HfPreparation(background_sum / m_count, ac_threshold, m_count, mask)
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "KljnConfig",
     "PeriodicSource",
     "ResistorPair",
+    "SCALE_LIMIT",
     "SESSION_CSV_COLUMNS",
     "Session",
     "SessionChunk",
@@ -55,6 +56,11 @@ __all__ = [
 # result: coins and noise come from sequential streams, so any batching
 # draws the same numbers in the same order.
 CHUNK_PERIODS = 128
+
+# The largest source amplitude, lowfreq kappa and wire noise rms (in volts) a
+# point accepts.  Every sample, square, band power, notch sum and kappa times
+# amplitude of a run then stays far below float64's largest value, 1.8e308.
+SCALE_LIMIT = 1e100
 
 
 class Situation(IntEnum):
@@ -120,9 +126,9 @@ class PeriodicSource:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.amplitude < math.inf:
+        if not 0 <= self.amplitude <= SCALE_LIMIT:
             raise ConfigurationError(
-                f"amplitude must be finite and non-negative, got {self.amplitude}"
+                f"amplitude must lie in [0, {SCALE_LIMIT:g}] V, got {self.amplitude}"
             )
         if not 0 <= self.frequency < math.inf:
             raise ConfigurationError(
@@ -161,9 +167,13 @@ class KljnConfig:
                 "source frequency f_a must not exceed f_b, where the sampled source "
                 f"aliases; got f_a={self.source.frequency}, f_b={self.f_b}"
             )
-        if not 0 <= self.t_eff < math.inf:
+        # At 1 K or more, which also bounds the highfreq rehearsal's noise.
+        rms = johnson_rms(self.resistors.parallel, max(self.t_eff, 1.0), self.f_b)
+        if not (self.t_eff >= 0 and rms <= SCALE_LIMIT):
             raise ConfigurationError(
-                f"t_eff must be finite and non-negative, got {self.t_eff}"
+                f"t_eff must be non-negative, with a wire noise rms at max(t_eff, 1 K) of at "
+                f"most {SCALE_LIMIT:g} V; t_eff = {self.t_eff:g} K across "
+                f"{self.resistors.parallel:g} ohm in parallel gives {rms:g} V"
             )
         if self.n_secure_bits < 1:
             raise ConfigurationError(
@@ -218,11 +228,6 @@ def source_samples(config: KljnConfig, index: np.ndarray) -> np.ndarray:
 # The loop algebra below works on arrays of any shape that broadcast
 # together: scalars for one configuration, or a column of per-period
 # resistances against one row of samples per period.
-
-
-def _check_finite(values, what: str, remedy: str = "t_eff or the source amplitude") -> None:
-    if not np.all(np.isfinite(values)):
-        raise ConfigurationError(f"{what} overflows float64; lower {remedy}")
 
 
 def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
@@ -287,9 +292,7 @@ class Session:
             parallel = r_alice * r_bob / (r_alice + r_bob)
             noise = johnson_rms(parallel, config.t_eff, config.f_b) * unit
             ac = divider_ac(r_alice, r_bob, source_samples(config, index))
-            wire = ac + noise
-            _check_finite(wire, "wire voltage")
-            yield SessionChunk(index, codes, wire, ac, noise)
+            yield SessionChunk(index, codes, ac + noise, ac, noise)
 
     def secure_noise(self) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (period index, codes, unit wire noise) of the secure periods.

@@ -309,7 +309,8 @@ def resolve(
     ``overrides`` maps ``"section.name"`` keys to values that win over the
     preset and the config file.  Only the sections of
     ``_ECHO_SECTIONS[command]`` are checked and built.  Every column the run
-    executes is checked here, so bad input fails before the echo, naming its key.
+    executes, and its hottest cell, is checked here, so bad input fails
+    before the echo, naming its key.
     """
     if command not in _ECHO_SECTIONS:
         raise ConfigurationError(f"unknown command {command!r}")
@@ -349,12 +350,13 @@ def resolve(
         except (MemoryError, ValueError) as error:  # a size numpy cannot allocate
             raise ConfigurationError(f"grid.u_eff_points = {u_points}: {error}") from None
         # The edge cells are the coolest and hottest; a sweep's base is its first cell.
+        edges = []
         for name, u_eff in (("u_eff_min_v", u_eff_grid[0]), ("u_eff_max_v", u_eff_grid[-1])):
             try:
-                teff_of_ueff(u_eff, resistors, base.f_b)
+                edges.append(replace(base, t_eff=teff_of_ueff(u_eff, resistors, base.f_b)))
             except ConfigurationError as error:
                 raise ConfigurationError(f"grid.{name}: {error}") from None
-        base = replace(base, t_eff=teff_of_ueff(u_eff_grid[0], resistors, base.f_b))
+        base = edges[0]
         f_a_list = grid["f_a_list_hz"] = [float(f) for f in grid.get("f_a_list_hz", f_a_list)]
 
     # The attack and the defense: each section's selector picks a kind,
@@ -387,6 +389,11 @@ def resolve(
             if isinstance(made, Notch) and made.notch_center is not None:
                 made.bins(base)
     attack, defense = built.get("attack"), built.get("defense")
+    if isinstance(defense, RaiseTemperature):  # its target may be the hottest cell
+        try:
+            replace(base, t_eff=defense.target_t_eff)
+        except ConfigurationError as error:
+            raise ConfigurationError(f"defense.target_t_eff_k: {error}") from None
 
     # Check each column the run executes: the source frequency, and the
     # band and notch bins that default to it.

@@ -11,7 +11,6 @@ safe to run in parallel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -32,7 +31,7 @@ from .attacks import (
     lf_gamma,
     lf_threshold,
 )
-from .channel import KljnConfig, ResistorPair, _check_finite, simulate_session, source_samples
+from .channel import SCALE_LIMIT, KljnConfig, ResistorPair, simulate_session, source_samples
 from .errors import ConfigurationError
 from .noise import BOLTZMANN, johnson_rms, mix_seed
 
@@ -163,8 +162,8 @@ def u_eff_of_teff(t_eff: float, resistors: ResistorPair, f_b: float) -> float:
 
 def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
     """Exact algebraic inverse of :func:`u_eff_of_teff`."""
-    if not 0 <= u_eff < math.inf:
-        raise ConfigurationError(f"u_eff must be finite and non-negative, got {u_eff}")
+    if not 0 <= u_eff <= SCALE_LIMIT:
+        raise ConfigurationError(f"u_eff must lie in [0, {SCALE_LIMIT:g}] V, got {u_eff}")
     if not f_b > 0:
         raise ConfigurationError(f"f_b must be positive, got {f_b}")
     t_eff = u_eff * u_eff / (4.0 * BOLTZMANN * resistors.parallel * f_b)
@@ -201,7 +200,8 @@ def run_point(
     from numerator and denominator alike.  ``notch`` filters what the
     eavesdropper taps; its :meth:`Notch.bins` are checked before any of that
     work starts.  ``rehearsal`` is ``hf_prepare(config, attack)`` when the
-    caller has drawn it already.
+    caller has drawn it already.  ``config`` and ``attack`` bound every
+    voltage scale by ``SCALE_LIMIT``, so no step of the run overflows.
     """
     lowfreq = isinstance(attack, ThresholdAttack)
     cut = None if notch is None else notch.bins(config)
@@ -226,20 +226,14 @@ def run_point(
         observed = np.multiply(unit, sigma, out=unit)
         observed += source
         if lowfreq:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                if cut is not None:
-                    observed = notch_filter(observed, cut)
-                threshold = lf_threshold(config.source, index, config.period_duration, attack.kappa)
-            _check_finite(observed, "wire voltage")
-            _check_finite(threshold, "lowfreq threshold", "kappa or the source amplitude")
+            if cut is not None:
+                observed = notch_filter(observed, cut)
+            threshold = lf_threshold(config.source, index, config.period_duration, attack.kappa)
             guess = lf_decide(threshold, lf_gamma(observed, threshold)).guess
         else:
             if cut is not None:
                 observed[..., cut] = 0.0
-            with np.errstate(over="ignore"):  # an overflow is reported below
-                power = hf_ac_power(observed, prep, config.t_eff)
-            _check_finite(power, "band power")
-            guess = hf_decide(power, prep)
+            guess = hf_decide(hf_ac_power(observed, prep, config.t_eff), prep)
         n_guessed += int(np.count_nonzero(guess != UNDETERMINED))
         n_correct += int(np.count_nonzero(guess == codes))
 
@@ -332,22 +326,14 @@ def write_sweep_csv(points: Iterable[SweepPoint], config: KljnConfig, handle: Te
     """Write sweep results as CSV to a text handle, one row per point, header always.
 
     Floats carry 10 significant digits.  ``config`` supplies the clock and
-    bandwidth columns shared by every row.
+    bandwidth columns shared by every row.  Rows end in ``\r\n``, as
+    :mod:`csv` writes them.
     """
-    writer = csv.writer(handle)
-    writer.writerow(SWEEP_CSV_COLUMNS)
+    handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
     for point in points:
-        writer.writerow(
-            (
-                point.mode,
-                f"{point.f_a:.10g}",
-                f"{config.f_c:.10g}",
-                f"{config.f_b:.10g}",
-                f"{point.u_eff:.10g}",
-                f"{point.t_eff:.10g}",
-                point.outcome.n_secure,
-                point.outcome.n_guessed,
-                point.outcome.n_correct,
-                f"{point.outcome.p:.10g}",
-            )
-        )
+        outcome = point.outcome
+        handle.write(",".join((
+            point.mode, f"{point.f_a:.10g}", f"{config.f_c:.10g}", f"{config.f_b:.10g}",
+            f"{point.u_eff:.10g}", f"{point.t_eff:.10g}", str(outcome.n_secure),
+            str(outcome.n_guessed), str(outcome.n_correct), f"{outcome.p:.10g}",
+        )) + "\r\n")

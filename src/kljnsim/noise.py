@@ -93,10 +93,10 @@ def generate_unit_gbwn(n_samples: int, seed: int) -> np.ndarray:
 def johnson_rms(resistance, t_eff: float, bandwidth: float):
     """Integrated Johnson voltage noise ``sqrt(4 * k * t_eff * R * bandwidth)``.
 
-    ``resistance`` may be a scalar or an array of resistor values.  Every
-    argument comes from a checked :class:`~kljnsim.channel.KljnConfig`.
+    ``resistance`` may be a scalar or an array of resistor values.  Scalars
+    multiply as Python floats, so :class:`~kljnsim.channel.KljnConfig` can
+    bound the result without a warning when their product overflows.
     """
-    resistance = np.asarray(resistance, dtype=np.float64)
     return np.sqrt(4.0 * BOLTZMANN * t_eff * resistance * bandwidth)
 
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import ResistorPair, SpectralAttack, ThresholdAttack, teff_of_ueff
+import kljnsim.cli as cli
+from kljnsim import ConfigurationError, ResistorPair, SpectralAttack, ThresholdAttack, teff_of_ueff
 from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, resolve
 from kljnsim.experiment import u_eff_of_teff
 from kljnsim.noise import mix_seed
@@ -287,29 +288,37 @@ class TestSimulateCommand:
         assert target.read_text().startswith("period_index")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestFailedRunOutput:
-    # The band power overflows inside the run, after the output was chosen.
-    FAILING = ["attack", "--preset", "fig6", "--bits", "10", "--amplitude", "1e160", "--u-eff", "1"]
+    ARGV = ["attack", "--preset", "fig6", "--bits", "10"]
 
-    def test_leaves_no_file_behind(self, tmp_path, capsys):
+    @pytest.fixture
+    def failing_run(self, monkeypatch, tmp_path):
+        """Make the run fail inside ``run_point``, once its output file is open."""
+
+        def run_point(*args):
+            assert any(path.name.endswith(".partial") for path in tmp_path.iterdir())
+            raise ConfigurationError("the run failed")
+
+        monkeypatch.setattr(cli, "run_point", run_point)
+
+    def test_leaves_no_file_behind(self, failing_run, monkeypatch, tmp_path, capsys):
         target = tmp_path / "x.csv"
-        code, _, err = run_main(self.FAILING + ["--out", str(target)], capsys)
+        code, _, err = run_main(self.ARGV + ["--out", str(target)], capsys)
         assert code == 1
-        assert "overflows float64" in err
+        assert err.splitlines()[-1] == "error: the run failed"
         assert list(tmp_path.iterdir()) == []
-        code, _, _ = run_main(
-            ["attack", "--preset", "fig6", "--bits", "10", "--out", str(target)], capsys
-        )
+        monkeypatch.undo()
+        code, _, _ = run_main(self.ARGV + ["--out", str(target)], capsys)
         assert code == 0
         assert target.read_text().startswith("mode,")
         assert list(tmp_path.iterdir()) == [target]
 
-    def test_forced_failure_keeps_existing_file(self, tmp_path, capsys):
+    def test_forced_failure_keeps_existing_file(self, failing_run, tmp_path, capsys):
         target = tmp_path / "x.csv"
         target.write_text("precious\n")
-        code, _, _ = run_main(self.FAILING + ["--out", str(target), "--force"], capsys)
+        code, _, err = run_main(self.ARGV + ["--out", str(target), "--force"], capsys)
         assert code == 1
+        assert err.splitlines()[-1] == "error: the run failed"
         assert target.read_text() == "precious\n"
         assert list(tmp_path.iterdir()) == [target]
 
@@ -637,7 +646,7 @@ class TestBoundaryValidation:
             (["attack", "--preset", "fig5", "--kappa", "-1"], ["attack.kappa"]),
             (["defend", "--preset", "fig5", "--notch-halfwidth", "-1"],
              ["defense.notch_halfwidth_hz"]),
-            # A grid edge or a point whose temperature overflows float64.
+            # A grid edge or a point above the 1e100 V range.
             (["sweep", "--preset", "fig5", "--u-eff-min", "1", "--u-eff-max", "1e160",
               "--u-eff-points", "2", "--bits", "5"], ["grid.u_eff_max_v"]),
             (["sweep", "--preset", "fig5", "--u-eff-min", "1e160", "--u-eff-max", "1e161",
@@ -668,6 +677,23 @@ class TestBoundaryValidation:
             (["sweep", "--preset", "fig5", "--u-eff-points", points, "--bits", "5"],
              ["grid.u_eff_points"])
             for points in (str(10**18), str(10**20))
+        ] + [
+            # Every voltage scale is at most channel.SCALE_LIMIT, 1e100 V, or a
+            # run could overflow float64; the key that sets it is named.
+            (["attack", "--preset", "fig6", "--amplitude", "1e160", "--bits", "50",
+              "--u-eff", "1"], ["channel.amplitude_v"]),
+            (["defend", "--preset", "fig5", "--amplitude", "1.7e308", "--u-eff-points", "1",
+              "--bits", "10"], ["channel.amplitude_v"]),
+            (["attack", "--preset", "fig6", "--amplitude", "1e154", "--bits", "50",
+              "--u-eff", "1"], ["channel.amplitude_v"]),
+            (["attack", "--preset", "fig5", "--bits", "200", "--u-eff", "0.01",
+              "--amplitude", "1e308", "--kappa", "10"], ["channel.amplitude_v"]),
+            (["attack", "--preset", "fig5", "--t-eff", "1e300"], ["channel.t_eff_k"]),
+            (["attack", "--preset", "fig5", "--u-eff", "1e120"], ["channel.u_eff_v"]),
+            (["sweep", "--preset", "fig6", "--u-eff-max", "1e120"], ["grid.u_eff_max_v"]),
+            (["attack", "--preset", "fig5", "--kappa", "1e101"], ["attack.kappa"]),
+            (["defend", "--preset", "fig5", "--defense", "raise_temperature",
+              "--target-t-eff", "1e300"], ["defense.target_t_eff_k"]),
         ],
     )
     def test_out_of_range_value_names_key(self, argv, keys, capsys):
@@ -766,44 +792,10 @@ class TestBoundaryValidation:
         assert "channel.f_a_hz" in err
         assert "# " not in err
 
-    def test_band_power_overflow_prints_only_the_error(self):
-        # A subprocess, so numpy's warnings reach stderr as a user sees them.
-        argv = ["attack", "--preset", "fig6", "--amplitude", "1e160", "--bits", "50",
-                "--u-eff", "1"]
-        result = subprocess.run(
-            [sys.executable, "-m", "kljnsim", *argv], capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert "RuntimeWarning" not in result.stderr
-        assert result.stderr.splitlines()[-1].startswith("error: band power overflows float64")
-
-    def test_notch_overflow_prints_only_the_error(self):
-        # The wire is finite, but its spectrum overflows inside the lowfreq notch.
-        argv = ["defend", "--preset", "fig5", "--amplitude", "1.7e308", "--u-eff-points", "1",
-                "--bits", "10"]
-        result = subprocess.run(
-            [sys.executable, "-m", "kljnsim", *argv], capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert "RuntimeWarning" not in result.stderr
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: wire voltage overflows float64; lower t_eff or the source amplitude"]
-
-    def test_overflowing_rehearsal_threshold_fails(self, capsys):
-        # Each period's band power is finite here, but the rehearsed mean
-        # overflows; TestFailedRunOutput covers a period power that does.
-        argv = ["attack", "--preset", "fig6", "--amplitude", "1e154", "--bits", "50",
-                "--u-eff", "1"]
-        code, out, err = run_main(argv, capsys)
-        assert code == 1
-        assert out == ""
-        assert "band power overflows float64" in err
-
     def test_overflowing_lowfreq_threshold_prints_only_the_error(self):
-        # The wire stays finite, but kappa times the source's period mean
-        # overflows; an infinite threshold would call every period by its sign.
+        # A subprocess, so numpy's warnings would reach stderr as a user sees
+        # them.  kappa times this amplitude overflows float64, so the
+        # amplitude is refused before anything is computed from it.
         argv = ["attack", "--preset", "fig5", "--bits", "200", "--u-eff", "0.01",
                 "--amplitude", "1e308", "--kappa", "10"]
         result = subprocess.run(
@@ -813,9 +805,7 @@ class TestBoundaryValidation:
         assert result.stdout == ""
         assert "RuntimeWarning" not in result.stderr
         errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert errors == [
-            "error: lowfreq threshold overflows float64; lower kappa or the source amplitude"
-        ]
+        assert len(errors) == 1 and errors[0].startswith("error: channel.amplitude_v: ")
 
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -562,3 +562,78 @@ class TestSweepCsv:
         assert int(row[6]) == 10
         assert int(row[7]) >= int(row[8])
         assert 0.0 <= float(row[9]) <= 1.0
+
+
+SCALE_LIMIT = channel.SCALE_LIMIT
+
+
+class TestScaleLimit:
+    """Every voltage scale of an accepted point is at most ``SCALE_LIMIT``, so no run overflows."""
+
+    @staticmethod
+    def edge_config(attack):
+        """A config at the largest accepted source amplitude and wire noise rms."""
+        make = make_config if isinstance(attack, ThresholdAttack) else hf_config
+        config = make(t_eff=teff_of_ueff(SCALE_LIMIT, PAIR, 1.0e5), n_secure_bits=150)
+        source = dataclasses.replace(config.source, amplitude=SCALE_LIMIT)
+        return dataclasses.replace(config, source=source)
+
+    EDGE_ATTACKS = [ThresholdAttack(kappa=SCALE_LIMIT), SpectralAttack(ensemble_size=100)]
+
+    def test_each_scale_is_bounded_where_it_is_built(self):
+        above = np.nextafter(SCALE_LIMIT, math.inf)
+        assert PeriodicSource(SCALE_LIMIT, 318.30).amplitude == SCALE_LIMIT
+        assert ThresholdAttack(kappa=SCALE_LIMIT).kappa == SCALE_LIMIT
+        config = self.edge_config(ThresholdAttack())
+        assert johnson_rms(PAIR.parallel, config.t_eff, config.f_b) == SCALE_LIMIT
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            PeriodicSource(above, 318.30)
+        with pytest.raises(ConfigurationError, match="kappa"):
+            ThresholdAttack(kappa=above)
+        with pytest.raises(ConfigurationError, match="u_eff"):
+            teff_of_ueff(above, PAIR, 1.0e5)
+        with pytest.raises(ConfigurationError, match="t_eff"):
+            dataclasses.replace(config, t_eff=config.t_eff * 1.0000001)
+
+    def test_resistors_whose_product_overflows_are_refused(self):
+        # The product overflows to inf, and inf / inf is NaN; neither is an rms.
+        for r_low, r_high in [(1.0e200, 1.0e250), (1.0e308, 1.7e308)]:
+            with pytest.raises(ConfigurationError, match="t_eff"):
+                make_config(resistors=ResistorPair(r_low, r_high))
+
+    def test_rehearsal_noise_is_bounded_below_one_kelvin(self):
+        # hf_prepare rehearses at 1 K, where this noise rms is 7e113 V; at
+        # 0 K the session itself is noise-free.
+        pair = ResistorPair(1.0e100, 1.0e101)
+        with pytest.raises(ConfigurationError, match="t_eff"):
+            make_config(resistors=pair, f_b=1.0e150, t_eff=0.0)
+
+    @pytest.mark.parametrize("attack", EDGE_ATTACKS, ids=MODES)
+    @pytest.mark.parametrize("notched", [False, True], ids=["bare", "notch"])
+    def test_run_point_raises_no_floating_point_error(self, attack, notched):
+        config = self.edge_config(attack)
+        notch = Notch(config.f_c) if notched else None
+        with np.errstate(all="raise"):
+            outcome = run_point(config, attack, notch)
+        assert outcome.n_secure == 150
+
+    def test_lowfreq_threshold_stays_finite(self):
+        # kappa times the amplitude is a product of Python floats, which
+        # overflows to inf without a floating-point error.
+        config = self.edge_config(ThresholdAttack())
+        index = np.arange(1000)
+        threshold = lf_threshold(config.source, index, config.period_duration, SCALE_LIMIT)
+        assert np.all(np.isfinite(threshold)) and np.max(np.abs(threshold)) > 1e199
+
+    @pytest.mark.parametrize("attack", EDGE_ATTACKS, ids=MODES)
+    def test_sweep_raises_no_floating_point_error(self, attack):
+        config = self.edge_config(attack)
+        with np.errstate(all="raise"):
+            points = sweep(config, attack, [1.0, SCALE_LIMIT], [config.source.frequency])
+        assert [point.u_eff for point in points] == [1.0, SCALE_LIMIT]
+
+    def test_session_chunks_raise_no_floating_point_error(self):
+        session = simulate_session(self.edge_config(ThresholdAttack()))
+        with np.errstate(all="raise"):
+            for chunk in session.chunks():
+                assert np.all(np.isfinite(chunk.wire_voltage))
