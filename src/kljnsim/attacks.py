@@ -275,7 +275,8 @@ def hf_prepare(config: KljnConfig, attack: SpectralAttack) -> HfPreparation:
         background_sum = np.add.accumulate(stacked)[-1]
         source = hf_source_band(config, members, mask)
         source_power[members] = np.mean(source.real**2 + source.imag**2, axis=1)
-    ac_threshold = float(np.mean(config.resistors.secure_gains**2) * np.mean(source_power))
+    gains = config.resistors.table[1, [Situation.LH, Situation.HL]]
+    ac_threshold = float(np.mean(gains**2) * np.mean(source_power))
     return HfPreparation(background_sum / m_count, ac_threshold, m_count, mask)
 
 

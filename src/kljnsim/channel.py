@@ -9,15 +9,11 @@ in series with Alice's resistor breaks that symmetry: the wire picks up
 the source through a resistive divider whose ratio depends on who holds
 the high resistor.
 
-All wire quantities follow from two-resistor circuit algebra:
-
-* divider:  u_ac   = r_bob * source / (r_alice + r_bob)
-* noise:    u_wire = (r_alice * u_bob_n + r_bob * u_alice_n) / (r_alice + r_bob)
-
-The two ends' generators are independent, so the wire noise is itself one
-Johnson noise of the parallel resistance r_alice * r_bob / (r_alice + r_bob)
-(Kish, Phys. Lett. A 352, 2006).  Sessions draw that Gaussian directly
-instead of the ends' noises.
+All wire quantities follow from two-resistor circuit algebra, and
+:attr:`ResistorPair.table` is its one owner: per situation it holds the
+divider gain that carries the source onto the wire and the loop resistance
+whose Johnson noise the wire carries.  Sessions draw that one Gaussian
+directly instead of the two ends' noises.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ __all__ = [
     "Session",
     "SessionChunk",
     "Situation",
-    "divider_ac",
     "dump_session_csv",
     "period_batches",
     "secure_mask",
@@ -89,27 +84,34 @@ def secure_mask(situations: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResistorPair:
-    """The two switchable resistor values, in ohms, with r_low < r_high."""
+    """The two switchable resistor values, in ohms, with 0 < r_low < r_high <= SCALE_LIMIT."""
 
     r_low: float
     r_high: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_low < self.r_high < math.inf:
-            raise ConfigurationError(
-                f"need finite 0 < r_low < r_high, got {self.r_low}, {self.r_high}"
-            )
+        if not 0 < self.r_low < self.r_high:
+            raise ConfigurationError(f"need 0 < r_low < r_high, got {self.r_low}, {self.r_high}")
+        if not self.r_high <= SCALE_LIMIT:  # so no product of two resistances exceeds 1e200
+            raise ConfigurationError(f"need r_high <= {SCALE_LIMIT:g} ohm, got {self.r_high}")
+
+    @property
+    def table(self) -> np.ndarray:
+        """Loop resistance (row 0) and divider gain (row 1) of each situation, by its code.
+
+        Each end's generator reaches the wire through the far end's ratio:
+        Alice's source as r_bob / (r_alice + r_bob), and the two ends'
+        independent noises as one Johnson noise of the loop resistance
+        r_alice * r_bob / (r_alice + r_bob) (Kish, Phys. Lett. A 352, 2006).
+        """
+        r_alice = np.array([self.r_low, self.r_low, self.r_high, self.r_high])
+        r_bob = np.array([self.r_low, self.r_high, self.r_low, self.r_high])
+        return np.array([r_alice * r_bob / (r_alice + r_bob), r_bob / (r_alice + r_bob)])
 
     @property
     def parallel(self) -> float:
-        """Parallel combination r_low * r_high / (r_low + r_high)."""
-        return self.r_low * self.r_high / (self.r_low + self.r_high)
-
-    @property
-    def secure_gains(self) -> np.ndarray:
-        """Divider ratios of LH and HL, so entry ``code - 1`` is that situation's."""
-        low_high = np.array([self.r_low, self.r_high])
-        return divider_ac(low_high, low_high[::-1], 1.0)
+        """Loop resistance of both secure situations, r_low * r_high / (r_low + r_high)."""
+        return float(self.table[0, Situation.LH])
 
 
 @dataclass(frozen=True)
@@ -167,13 +169,15 @@ class KljnConfig:
                 "source frequency f_a must not exceed f_b, where the sampled source "
                 f"aliases; got f_a={self.source.frequency}, f_b={self.f_b}"
             )
-        # At 1 K or more, which also bounds the highfreq rehearsal's noise.
-        rms = johnson_rms(self.resistors.parallel, max(self.t_eff, 1.0), self.f_b)
+        # HH's wire noise is the loudest, and at 1 K or more also bounds the highfreq
+        # rehearsal's; as a Python float, an overflowing product warns of nothing.
+        loudest = float(self.resistors.table[0, Situation.HH])
+        rms = johnson_rms(loudest, max(self.t_eff, 1.0), self.f_b)
         if not (self.t_eff >= 0 and rms <= SCALE_LIMIT):
             raise ConfigurationError(
-                f"t_eff must be non-negative, with a wire noise rms at max(t_eff, 1 K) of at "
-                f"most {SCALE_LIMIT:g} V; t_eff = {self.t_eff:g} K across "
-                f"{self.resistors.parallel:g} ohm in parallel gives {rms:g} V"
+                f"t_eff must be non-negative, with an HH wire noise rms at max(t_eff, 1 K) of "
+                f"at most {SCALE_LIMIT:g} V; t_eff = {self.t_eff:g} K across {loudest:g} ohm "
+                f"gives {rms:g} V"
             )
         if self.n_secure_bits < 1:
             raise ConfigurationError(
@@ -225,22 +229,12 @@ def source_samples(config: KljnConfig, index: np.ndarray) -> np.ndarray:
     return a_cos * c - a_sin * s
 
 
-# The loop algebra below works on arrays of any shape that broadcast
-# together: scalars for one configuration, or a column of per-period
-# resistances against one row of samples per period.
-
-
-def divider_ac(r_alice, r_bob, source: np.ndarray) -> np.ndarray:
-    """Periodic source as seen on the wire, through the resistive divider."""
-    return r_bob / (r_alice + r_bob) * source
-
-
 @dataclass(frozen=True, eq=False)
 class SessionChunk:
     """Consecutive bit periods as arrays, one row per period.
 
     ``wire_voltage``, what an eavesdropper can tap, is ``ac_part`` plus ``noise_part``, the
-    Johnson noise of the period's parallel resistance.
+    Johnson noise of the period's loop resistance.
     """
 
     index: np.ndarray  # 0-based period numbers
@@ -271,14 +265,15 @@ class Session:
 
         Each period draws fresh wire noise (independent across periods,
         emulating generators re-seeded per clock cycle): one Johnson noise
-        segment of the period's parallel resistance.  Secure and LL/HH
+        segment of the period's loop resistance.  Secure and LL/HH
         periods draw from separate streams, each in its own period order,
         so the secure rows are those :meth:`secure_noise` builds.  The
         source's phase runs on from the session's start, so it never resets.
         """
         config = self.config
         spb = config.samples_per_bit
-        resistors = np.array([config.resistors.r_low, config.resistors.r_high])
+        resistance, gain = config.resistors.table[:, :, None]  # one row per situation
+        rms = johnson_rms(resistance, config.t_eff, config.f_b)
         secure_rng = stream(config.seed, Stream.SECURE_WIRE)
         public_rng = stream(config.seed, Stream.PUBLIC_WIRE)
         for index in period_batches(len(self)):
@@ -287,11 +282,8 @@ class Session:
             unit = np.empty((index.size, spb))
             for rows, rng in ((secure, secure_rng), (~secure, public_rng)):
                 unit[rows] = rng.standard_normal((np.count_nonzero(rows), spb))
-            r_alice = resistors[codes[:, None] >> 1]
-            r_bob = resistors[codes[:, None] & 1]
-            parallel = r_alice * r_bob / (r_alice + r_bob)
-            noise = johnson_rms(parallel, config.t_eff, config.f_b) * unit
-            ac = divider_ac(r_alice, r_bob, source_samples(config, index))
+            noise = rms[codes] * unit
+            ac = gain[codes] * source_samples(config, index)
             yield SessionChunk(index, codes, ac + noise, ac, noise)
 
     def secure_noise(self) -> Iterator[tuple[np.ndarray, ...]]:

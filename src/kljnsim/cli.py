@@ -277,25 +277,28 @@ def _check_keys(merged: dict[str, dict[str, Any]], keys: list[Key]) -> None:
 
 
 @contextmanager
-def _naming(keys: list[Key], *sections: str) -> Iterator[None]:
+def _naming(keys: list[Key], merged: dict[str, dict[str, Any]], *sections: str) -> Iterator[None]:
     """Prefix a library error with the keys of ``sections`` its message names.
 
     Library objects name their fields (``f_b``), which are the key names
     without their unit suffix (``f_b_hz``).  Only ``keys``, the keys the
-    command reads, are named.
+    command reads, are named.  A key whose stand-in among them is set in
+    ``merged`` took its value from the stand-in, which is named instead.
     """
     try:
         yield
     except ConfigurationError as error:
         words = set(re.findall(r"\w+", str(error)))
-        named = [
-            f"{key.section}.{key.name}"
-            for key in keys
-            if key.section in sections and {key.name, key.name.rsplit("_", 1)[0]} & words
-        ]
+        named = []
+        for key in keys:
+            if key.section in sections and {key.name, key.name.rsplit("_", 1)[0]} & words:
+                stand_in = _LOOKUP.get(_STAND_INS.get((key.section, key.name)))
+                if stand_in in keys and stand_in.name in merged[stand_in.section]:
+                    key = stand_in
+                named.append(f"{key.section}.{key.name}")
         if not named:
             raise
-        raise ConfigurationError(f"{', '.join(named)}: {error}") from None
+        raise ConfigurationError(f"{', '.join(dict.fromkeys(named))}: {error}") from None
 
 
 def resolve(
@@ -320,7 +323,7 @@ def resolve(
     sections = {section: merged[section] for section in _ECHO_SECTIONS[command]}
     channel, grid = sections["channel"], sections.get("grid")
 
-    with _naming(keys, "channel"):
+    with _naming(keys, merged, "channel"):
         resistors = ResistorPair(channel["r_low_ohm"], channel["r_high_ohm"])
         if grid is None and "u_eff_v" in channel:
             channel["t_eff_k"] = teff_of_ueff(channel["u_eff_v"], resistors, channel["f_b_hz"])
@@ -381,7 +384,7 @@ def resolve(
         # A field without a default is a key the kind requires.
         _check_keys(merged, [_LOOKUP[name, key]._replace(default=_REQUIRED)
                              for key, spec in zip(names, fields(kind)) if spec.default is MISSING])
-        with _naming(keys, name):
+        with _naming(keys, merged, name):
             built[name] = made = kind(*(section.get(key) for key in names))
             # An explicit band or notch center is the same in every column.
             if isinstance(made, SpectralAttack) and made.band_lo is not None:
@@ -402,13 +405,13 @@ def resolve(
     for f_a in f_a_list:
         context = f"grid.f_a_list_hz holds {f_a:g}"  # what names a sweep column
         try:
-            with _naming(keys, "attack", "channel"):
+            with _naming(keys, merged, "attack", "channel"):
                 column = replace(base, source=replace(base.source, frequency=f_a))
                 if isinstance(attack, SpectralAttack):
                     resolve_band(column, attack)
             if tracking:
                 context += " and the notch center defaults to the source frequency"
-                with _naming(keys, "defense"):
+                with _naming(keys, merged, "defense"):
                     defense.bins(column)
         except ConfigurationError as error:
             if grid is None:

@@ -207,9 +207,9 @@ def run_point(
     cut = None if notch is None else notch.bins(config)
 
     session = simulate_session(config)
-    # Both attacks observe gains[codes - 1] * source + sigma * unit, as samples or band bins.
+    # Both attacks observe gains[codes] * source + sigma * unit, as samples or band bins.
     sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
-    gains = config.resistors.secure_gains[:, None]  # codes 1 and 2 are LH and HL
+    gains = config.resistors.table[1, :, None]
     if lowfreq:
         draws, source_of = session.secure_noise(), partial(source_samples, config)
     else:
@@ -222,7 +222,7 @@ def run_point(
     n_guessed = n_correct = 0
     for index, codes, unit in draws:
         source = source_of(index)  # both fresh arrays, so the chunk is built in place
-        source *= gains[codes - 1]
+        source *= gains[codes]
         observed = np.multiply(unit, sigma, out=unit)
         observed += source
         if lowfreq:
@@ -326,14 +326,16 @@ def write_sweep_csv(points: Iterable[SweepPoint], config: KljnConfig, handle: Te
     """Write sweep results as CSV to a text handle, one row per point, header always.
 
     Floats carry 10 significant digits.  ``config`` supplies the clock and
-    bandwidth columns shared by every row.  Rows end in ``\r\n``, as
-    :mod:`csv` writes them.
+    bandwidth columns shared by every row; the clock is the one the run
+    keeps, f_s / N with N samples per bit, not the requested ``f_c``.
+    Rows end in ``\r\n``, as :mod:`csv` writes them.
     """
+    f_c = config.sample_rate / config.samples_per_bit
     handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
     for point in points:
         outcome = point.outcome
         handle.write(",".join((
-            point.mode, f"{point.f_a:.10g}", f"{config.f_c:.10g}", f"{config.f_b:.10g}",
+            point.mode, f"{point.f_a:.10g}", f"{f_c:.10g}", f"{config.f_b:.10g}",
             f"{point.u_eff:.10g}", f"{point.t_eff:.10g}", str(outcome.n_secure),
             str(outcome.n_guessed), str(outcome.n_correct), f"{outcome.p:.10g}",
         )) + "\r\n")

@@ -6,9 +6,13 @@ from pathlib import Path
 import pytest
 
 # Tests that run ``python -m kljnsim`` in a subprocess import the checkout's
-# package too, as the tests themselves do through ``pythonpath``.
+# package too, as the tests themselves do through ``pythonpath``, and turn
+# a RuntimeWarning into an error, as ``filterwarnings`` does in-process.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
+)
 
 
 @pytest.fixture

@@ -1,12 +1,18 @@
 """Plain-array references for the tests; the package itself never needs them.
 
-Runs draw the wire noise of a period as one Johnson noise of the parallel
-resistance, and highfreq periods draw their band bins directly.  These
-rebuild the same quantities the long way, from the two ends' noises and
-from sampled periods.
+Runs read each situation's divider gain and loop resistance from
+``ResistorPair.table``, draw the wire noise of a period as one Johnson
+noise of that resistance, and draw highfreq periods' band bins directly.
+These rebuild the same quantities the long way, from the two ends'
+resistors and noises and from sampled periods.
 """
 
 import numpy as np
+
+
+def divider_ac(r_alice, r_bob, source):
+    """Periodic source as seen on the wire, through the resistive divider."""
+    return r_bob / (r_alice + r_bob) * source
 
 
 def wire_noise(r_alice, r_bob, alice_noise, bob_noise):

@@ -36,12 +36,12 @@ from kljnsim.attacks import (
     lf_gamma,
     lf_threshold,
 )
-from kljnsim.channel import divider_ac, secure_mask, source_samples
+from kljnsim.channel import Situation, secure_mask, source_samples
 from kljnsim.cli import resolve
 from kljnsim.experiment import notch_filter, u_eff_of_teff
 from kljnsim.noise import johnson_rms, mix_seed, periodogram
 
-from reference import hf_band
+from reference import divider_ac, hf_band
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
 CHANCE_BAND = (0.45, 0.55)  # binomial 3 sigma around 0.5 at 1000 bits
@@ -181,8 +181,56 @@ def spectral_oracle(config, prep):
     # The sources sit on a bin, so lambda is the same in every period.
     assert np.ptp(power) <= 1e-9 * power.mean()
     x = (m * prep.ac_threshold + config.t_eff * np.sum(prep.noise_background)) / v
-    lam_lh, lam_hl = PAIR.secure_gains**2 * power.mean() / v
+    lam_lh, lam_hl = PAIR.table[1, [Situation.LH, Situation.HL]] ** 2 * power.mean() / v
     return 0.5 * (stats.ncx2.sf(x, 2 * m, lam_lh) + stats.ncx2.cdf(x, 2 * m, lam_hl))
+
+
+def test_dc_limit_matches_the_binomial_law(acceptance_log):
+    # At f_a = 0 the source is the constant A and the threshold the constant
+    # theta = kappa A (phase 0).  A sample of a secure period in situation s
+    # crosses theta with q_s = Phi((g_s A - theta) / sigma), so the period's
+    # crossing count is Binomial(N, q_s): LH above N/2, HL below it and
+    # undetermined at exactly N/2.  Given the session's LH and HL counts,
+    # n_guessed and n_correct are sums of independent Bernoullis.  Max |z| of
+    # both counts over 16 cells, each at its own seed, two-sided with
+    # Bonferroni at family-wise alpha = 1e-3.
+    alpha, grid = 1e-3, np.logspace(-1.0, 2.0, 16)
+    bound = float(stats.norm.isf(alpha / (2 * 2 * grid.size)))
+    attack = ThresholdAttack()
+    base = lf_base(source=PeriodicSource(amplitude=1.0, frequency=0.0), n_secure_bits=4000)
+    n = base.samples_per_bit
+    theta = attack.kappa * base.source.amplitude
+    worst, worst_at = 0.0, ""
+    for cell, u_eff in enumerate(grid):
+        config = dataclasses.replace(at_noise_level(base, u_eff), seed=mix_seed(42, cell))
+        sigma = johnson_rms(PAIR.parallel, config.t_eff, config.f_b)
+        situations = simulate_session(config).situations
+        moments = np.zeros((2, 2))  # mean and variance of n_guessed, then of n_correct
+        for code in (Situation.LH, Situation.HL):
+            q = stats.norm.cdf((PAIR.table[1, code] * base.source.amplitude - theta) / sigma)
+            tie = stats.binom.pmf(n // 2, n, q)
+            if code == Situation.LH:
+                right = stats.binom.sf(n // 2, n, q)  # more than N/2 crossings
+            else:
+                right = stats.binom.cdf(n // 2 - 1, n, q)  # fewer than N/2
+            count = np.count_nonzero(situations == code)
+            for row, p in enumerate((1.0 - tie, right)):
+                moments[row] += count * p, count * p * (1.0 - p)
+        outcome = run_point(config, attack)
+        for name, observed, (mean, variance) in zip(
+            ("n_guessed", "n_correct"), (outcome.n_guessed, outcome.n_correct), moments
+        ):
+            gap = abs(observed - mean)
+            z = gap / math.sqrt(variance) if variance > 0.0 else (0.0 if gap < 1e-9 else math.inf)
+            if z >= worst:
+                worst, worst_at = z, f"{name} {observed} vs {mean:.1f} at {u_eff:.3g} V"
+    verdict(
+        acceptance_log,
+        "threshold attack at f_a = 0 against the binomial law",
+        worst <= bound,
+        f"max |z| {worst:.2f} ({worst_at}) over 2 counts x {grid.size} cells; bound "
+        f"{bound:.2f} (alpha {alpha:g})",
+    )
 
 
 def test_spectral_crossover_ordering(acceptance_log):
@@ -335,7 +383,7 @@ def sweep_ceilings(base, f_a_list, points, notch=None):
     1998, ch. 4), where P is the notch's projection or the identity.  A
     cell's ceiling is the mean over its column's secure periods.
     """
-    g_lh, g_hl = base.resistors.secure_gains.tolist()
+    g_lh, g_hl = base.resistors.table[1, [Situation.LH, Situation.HL]].tolist()
     gap = abs(g_lh - g_hl)
     half_gaps = {}
     for i, f_a in enumerate(f_a_list):

@@ -27,10 +27,10 @@ from kljnsim.attacks import (
     lf_threshold,
     resolve_band,
 )
-from kljnsim.channel import Situation, divider_ac, secure_mask
+from kljnsim.channel import Situation, secure_mask
 from kljnsim.noise import Stream, mix_seed, periodogram
 
-from reference import hf_band
+from reference import divider_ac, hf_band
 
 # Period-average of a unit cosine at 318.30 Hz over the first 1 ms clock
 # period, frozen from adaptive quadrature (absolute error ~6e-18).

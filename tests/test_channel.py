@@ -16,15 +16,10 @@ from kljnsim import (
     ShapeMismatchError,
     simulate_session,
 )
-from kljnsim.channel import (
-    SESSION_CSV_COLUMNS,
-    Situation,
-    divider_ac,
-    dump_session_csv,
-)
+from kljnsim.channel import SESSION_CSV_COLUMNS, Situation, dump_session_csv
 from kljnsim.noise import BOLTZMANN, generate_unit_gbwn, johnson_rms
 
-from reference import wire_noise
+from reference import divider_ac, wire_noise
 
 PAIR = ResistorPair(r_low=1.0e3, r_high=1.0e4)
 
@@ -54,6 +49,19 @@ class TestResistorPair:
     def test_lookup_and_parallel(self):
         assert (PAIR.r_low, PAIR.r_high) == (1.0e3, 1.0e4)
         assert PAIR.parallel == pytest.approx(1.0e3 * 1.0e4 / 1.1e4, rel=1e-15)
+
+    def test_table_is_the_long_way_algebra(self):
+        resistance, gain = PAIR.table
+        for code in Situation:
+            r_alice = (PAIR.r_low, PAIR.r_high)[code >> 1]
+            r_bob = (PAIR.r_low, PAIR.r_high)[code & 1]
+            assert gain[code] == divider_ac(r_alice, r_bob, 1.0)
+            # Each end's Johnson noise, with variance proportional to its
+            # resistance, reaches the wire weighted by the far end's ratio.
+            alice = wire_noise(r_alice, r_bob, math.sqrt(r_alice), 0.0)
+            bob = wire_noise(r_alice, r_bob, 0.0, math.sqrt(r_bob))
+            assert resistance[code] == pytest.approx(alice**2 + bob**2, rel=1e-15)
+        assert PAIR.parallel == resistance[Situation.LH] == resistance[Situation.HL]
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(ConfigurationError):

@@ -694,9 +694,33 @@ class TestBoundaryValidation:
             (["attack", "--preset", "fig5", "--kappa", "1e101"], ["attack.kappa"]),
             (["defend", "--preset", "fig5", "--defense", "raise_temperature",
               "--target-t-eff", "1e300"], ["defense.target_t_eff_k"]),
+            # A resistance above 1e100 ohm could overflow the loop algebra.
+            # The text after --config is the config file's.
+            (["simulate", "--preset", "fig5", "--u-eff", "1e100", "--bits", "3", "--seed", "1",
+              "--config", "[channel]\nr_low_ohm = 1e-10\nr_high_ohm = 1e300\n"],
+             ["channel.r_high_ohm"]),
+            (["attack", "--preset", "fig5",
+              "--config", "[channel]\nr_low_ohm = 1e200\nr_high_ohm = 1e300\n"],
+             ["channel.r_high_ohm"]),
+            (["attack", "--preset", "fig5", "--u-eff", "1",
+              "--config", "[channel]\nr_low_ohm = 1e200\nr_high_ohm = 1e300\n"],
+             ["channel.r_high_ohm"]),
+            # The HH wire noise rms is 2.35 times the secure u_eff on the presets,
+            # and above 1e100 V here; the key that set the temperature is named.
+            (["attack", "--preset", "fig5", "--u-eff", "5e99"], ["channel.u_eff_v"]),
+            (["sweep", "--preset", "fig5", "--u-eff-max", "5e99"], ["grid.u_eff_max_v"]),
+            # Its HH rms overflows to inf, which pytest fails on if numpy warns of it.
+            (["attack", "--preset", "fig5", "--t-eff", "1e300",
+              "--config", "[channel]\nr_low_ohm = 1\nr_high_ohm = 1e100\n"],
+             ["channel.t_eff_k"]),
         ],
     )
-    def test_out_of_range_value_names_key(self, argv, keys, capsys):
+    def test_out_of_range_value_names_key(self, argv, keys, tmp_path, capsys):
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            path = tmp_path / "run.ini"
+            path.write_text(argv[at])
+            argv = argv[:at] + [str(path)] + argv[at + 1:]
         code, out, err = run_main(argv, capsys)
         assert code == 1
         assert out == ""

@@ -32,7 +32,7 @@ from kljnsim.attacks import (
     lf_gamma,
     lf_threshold,
 )
-from kljnsim.channel import divider_ac, secure_mask
+from kljnsim.channel import secure_mask
 from kljnsim.experiment import (
     AttackOutcome,
     SWEEP_CSV_COLUMNS,
@@ -53,7 +53,7 @@ from kljnsim.noise import (
     unit_band_noise,
 )
 
-from reference import hf_band
+from reference import divider_ac, hf_band
 
 # rms of the wire noise at T_eff = 9e15 K over a 100 kHz band with the
 # 1 kOhm / 10 kOhm pair (909.09 ohm in parallel), frozen from
@@ -563,18 +563,39 @@ class TestSweepCsv:
         assert int(row[7]) >= int(row[8])
         assert 0.0 <= float(row[9]) <= 1.0
 
+    def test_clock_column_states_the_clock_the_run_keeps(self):
+        # 2e5 / 3000 = 66.67 samples per bit rounds to 67, so the run
+        # clocks at 2e5 / 67 = 2985.07 Hz, not at the requested 3 kHz.
+        base = make_config(f_c=3000.0, n_secure_bits=10)
+        assert base.samples_per_bit == 67
+        points = sweep(base, ThresholdAttack(), u_eff_grid=[0.5], f_a_list=[318.30])
+        buffer = io.StringIO()
+        write_sweep_csv(points, base, buffer)
+        assert buffer.getvalue().splitlines()[1].split(",")[2] == "2985.074627"
+
 
 SCALE_LIMIT = channel.SCALE_LIMIT
 
 
 class TestScaleLimit:
-    """Every voltage scale of an accepted point is at most ``SCALE_LIMIT``, so no run overflows."""
+    """Every voltage scale of an accepted point is at most ``SCALE_LIMIT``, so no run overflows.
+
+    The loudest wire noise is HH's, so the hottest accepted point is where
+    the HH wire noise rms equals ``SCALE_LIMIT``; the secure rms is then
+    sqrt(2 r_low / (r_low + r_high)) of that, 1 / 2.35 for ``PAIR``.
+    """
 
     @staticmethod
-    def edge_config(attack):
+    def edge_t_eff(pair, f_b=1.0e5):
+        """The temperature at which ``pair``'s HH wire noise rms is ``SCALE_LIMIT``."""
+        loudest = float(pair.table[0, channel.Situation.HH])
+        return SCALE_LIMIT**2 / (4.0 * BOLTZMANN * loudest * f_b)
+
+    @classmethod
+    def edge_config(cls, attack, pair=PAIR):
         """A config at the largest accepted source amplitude and wire noise rms."""
         make = make_config if isinstance(attack, ThresholdAttack) else hf_config
-        config = make(t_eff=teff_of_ueff(SCALE_LIMIT, PAIR, 1.0e5), n_secure_bits=150)
+        config = make(resistors=pair, t_eff=cls.edge_t_eff(pair), n_secure_bits=150)
         source = dataclasses.replace(config.source, amplitude=SCALE_LIMIT)
         return dataclasses.replace(config, source=source)
 
@@ -584,27 +605,37 @@ class TestScaleLimit:
         above = np.nextafter(SCALE_LIMIT, math.inf)
         assert PeriodicSource(SCALE_LIMIT, 318.30).amplitude == SCALE_LIMIT
         assert ThresholdAttack(kappa=SCALE_LIMIT).kappa == SCALE_LIMIT
+        assert ResistorPair(1.0e3, SCALE_LIMIT).r_high == SCALE_LIMIT
         config = self.edge_config(ThresholdAttack())
-        assert johnson_rms(PAIR.parallel, config.t_eff, config.f_b) == SCALE_LIMIT
+        assert johnson_rms(PAIR.r_high / 2.0, config.t_eff, config.f_b) == SCALE_LIMIT
         with pytest.raises(ConfigurationError, match="amplitude"):
             PeriodicSource(above, 318.30)
         with pytest.raises(ConfigurationError, match="kappa"):
             ThresholdAttack(kappa=above)
+        with pytest.raises(ConfigurationError, match="r_high"):
+            ResistorPair(1.0e3, above)
         with pytest.raises(ConfigurationError, match="u_eff"):
             teff_of_ueff(above, PAIR, 1.0e5)
         with pytest.raises(ConfigurationError, match="t_eff"):
             dataclasses.replace(config, t_eff=config.t_eff * 1.0000001)
+        # The secure rms at the edge is SCALE_LIMIT / 2.35, so a secure u_eff
+        # below SCALE_LIMIT can already be refused.
+        edge_u_eff = u_eff_of_teff(config.t_eff, PAIR, config.f_b)
+        assert edge_u_eff == pytest.approx(SCALE_LIMIT / math.sqrt(5.5), rel=1e-12)
+        with pytest.raises(ConfigurationError, match="t_eff"):
+            dataclasses.replace(config, t_eff=teff_of_ueff(1.01 * edge_u_eff, PAIR, 1.0e5))
 
     def test_resistors_whose_product_overflows_are_refused(self):
-        # The product overflows to inf, and inf / inf is NaN; neither is an rms.
-        for r_low, r_high in [(1.0e200, 1.0e250), (1.0e308, 1.7e308)]:
-            with pytest.raises(ConfigurationError, match="t_eff"):
-                make_config(resistors=ResistorPair(r_low, r_high))
+        # Above SCALE_LIMIT ohm the product of two resistances can overflow to
+        # inf, and inf / inf is NaN; neither is a loop resistance.
+        for r_low, r_high in [(1.0e-10, 1.0e300), (1.0e200, 1.0e250), (1.0e308, 1.7e308)]:
+            with pytest.raises(ConfigurationError, match="r_high"):
+                ResistorPair(r_low, r_high)
 
     def test_rehearsal_noise_is_bounded_below_one_kelvin(self):
-        # hf_prepare rehearses at 1 K, where this noise rms is 7e113 V; at
-        # 0 K the session itself is noise-free.
-        pair = ResistorPair(1.0e100, 1.0e101)
+        # hf_prepare rehearses at 1 K, where this pair's HH noise rms is
+        # 5e113 V; at 0 K the session itself is noise-free.
+        pair = ResistorPair(1.0e99, 1.0e100)
         with pytest.raises(ConfigurationError, match="t_eff"):
             make_config(resistors=pair, f_b=1.0e150, t_eff=0.0)
 
@@ -628,12 +659,16 @@ class TestScaleLimit:
     @pytest.mark.parametrize("attack", EDGE_ATTACKS, ids=MODES)
     def test_sweep_raises_no_floating_point_error(self, attack):
         config = self.edge_config(attack)
+        # One ulp below the edge u_eff, whose temperature rounds to one ulp above the edge.
+        top = float(np.nextafter(u_eff_of_teff(config.t_eff, PAIR, config.f_b), 0.0))
         with np.errstate(all="raise"):
-            points = sweep(config, attack, [1.0, SCALE_LIMIT], [config.source.frequency])
-        assert [point.u_eff for point in points] == [1.0, SCALE_LIMIT]
+            points = sweep(config, attack, [1.0, top], [config.source.frequency])
+        assert [point.u_eff for point in points] == [1.0, top]
 
     def test_session_chunks_raise_no_floating_point_error(self):
-        session = simulate_session(self.edge_config(ThresholdAttack()))
+        # At r_high = SCALE_LIMIT ohm, HH's product of resistances is 1e200.
+        config = self.edge_config(ThresholdAttack(), ResistorPair(1.0e3, SCALE_LIMIT))
         with np.errstate(all="raise"):
+            session = simulate_session(config)
             for chunk in session.chunks():
                 assert np.all(np.isfinite(chunk.wire_voltage))
