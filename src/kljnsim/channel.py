@@ -84,7 +84,7 @@ def secure_mask(situations: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResistorPair:
-    """The two switchable resistor values, in ohms, with 0 < r_low < r_high <= SCALE_LIMIT."""
+    """Switchable resistor values in ohms, 1 / SCALE_LIMIT <= r_low < r_high <= SCALE_LIMIT."""
 
     r_low: float
     r_high: float
@@ -92,7 +92,10 @@ class ResistorPair:
     def __post_init__(self) -> None:
         if not 0 < self.r_low < self.r_high:
             raise ConfigurationError(f"need 0 < r_low < r_high, got {self.r_low}, {self.r_high}")
-        if not self.r_high <= SCALE_LIMIT:  # so no product of two resistances exceeds 1e200
+        # So every product of two resistances lies in [1e-200, 1e200].
+        if self.r_low < 1 / SCALE_LIMIT:
+            raise ConfigurationError(f"need r_low >= {1 / SCALE_LIMIT:g} ohm, got {self.r_low}")
+        if not self.r_high <= SCALE_LIMIT:
             raise ConfigurationError(f"need r_high <= {SCALE_LIMIT:g} ohm, got {self.r_high}")
 
     @property
@@ -289,14 +292,16 @@ class Session:
     def secure_noise(self) -> Iterator[tuple[np.ndarray, ...]]:
         """Yield (period index, codes, unit wire noise) of the secure periods.
 
-        Times the Johnson rms of r_low and r_high in parallel, the unit
-        noise is what :meth:`chunks` adds to those periods.
+        One run per ``2 * CHUNK_PERIODS`` periods holds their secure ones:
+        about ``CHUNK_PERIODS``, as a period is secure with probability one
+        half.  Times the Johnson rms of r_low and r_high in parallel, the
+        unit noise is what :meth:`chunks` adds to those periods.
         """
         spb = self.config.samples_per_bit
         return self._secure_draws(Stream.SECURE_WIRE, lambda rng, n: rng.standard_normal((n, spb)))
 
     def secure_bands(self, mask: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-        """Yield (period index, codes, unit band noise) like :meth:`secure_noise`.
+        """Yield (period index, codes, unit band noise) in the runs of :meth:`secure_noise`.
 
         Each period draws its ``mask`` bins by :func:`unit_band_noise`, from
         a stream of its own in period order: alike in law to the band of
@@ -315,17 +320,12 @@ class Session:
         )
 
     def _secure_draws(self, label: Stream, draw) -> Iterator[tuple[np.ndarray, ...]]:
-        """Runs of up to ``CHUNK_PERIODS`` secure periods, each drawn by ``draw(rng, count)``."""
+        """Each ``2 * CHUNK_PERIODS`` periods' secure ones, drawn by ``draw(rng, count)``."""
         rng = stream(self.config.seed, label)
-        pending = np.empty(0, dtype=np.intp)
-        for start in range(0, len(self), CHUNK_PERIODS):
-            block = secure_mask(self.situations[start : start + CHUNK_PERIODS])
-            pending = np.concatenate([pending, start + np.flatnonzero(block)])
-            if pending.size >= CHUNK_PERIODS:  # a block adds at most one run
-                index, pending = pending[:CHUNK_PERIODS], pending[CHUNK_PERIODS:]
-                yield index, self.situations[index], draw(rng, index.size)
-        if pending.size:
-            yield pending, self.situations[pending], draw(rng, pending.size)
+        for start in range(0, len(self), 2 * CHUNK_PERIODS):
+            block = secure_mask(self.situations[start : start + 2 * CHUNK_PERIODS])
+            index = start + np.flatnonzero(block)
+            yield index, self.situations[index], draw(rng, index.size)
 
 
 def simulate_session(config: KljnConfig) -> Session:

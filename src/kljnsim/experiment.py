@@ -164,9 +164,13 @@ def teff_of_ueff(u_eff: float, resistors: ResistorPair, f_b: float) -> float:
     """Exact algebraic inverse of :func:`u_eff_of_teff`."""
     if not 0 <= u_eff <= SCALE_LIMIT:
         raise ConfigurationError(f"u_eff must lie in [0, {SCALE_LIMIT:g}] V, got {u_eff}")
-    if not f_b > 0:
-        raise ConfigurationError(f"f_b must be positive, got {f_b}")
-    t_eff = u_eff * u_eff / (4.0 * BOLTZMANN * resistors.parallel * f_b)
+    denominator = 4.0 * BOLTZMANN * resistors.parallel * f_b
+    if not denominator > 0:  # f_b is not positive, or the product underflows float64
+        raise ConfigurationError(
+            f"4 k_B f_b r_low r_high / (r_low + r_high) must be a positive float64, "
+            f"got {denominator:g} at f_b = {f_b:g} Hz"
+        )
+    t_eff = u_eff * u_eff / denominator
     if not t_eff < math.inf:
         raise ConfigurationError(f"u_eff = {u_eff} implies a temperature that overflows float64")
     return t_eff
@@ -253,8 +257,9 @@ def run_column(
     own temperature (common random numbers): cells are correlated, but
     each has the distribution of a session of its own.
     """
+    cells = [replace(config, t_eff=t) for t in t_effs]  # so a bad cell fails before any runs
     rehearsal = hf_prepare(config, attack) if isinstance(attack, SpectralAttack) else None
-    return [run_point(replace(config, t_eff=t), attack, notch, rehearsal) for t in t_effs]
+    return [run_point(cell, attack, notch, rehearsal) for cell in cells]
 
 
 def sweep(

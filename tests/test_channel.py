@@ -309,6 +309,15 @@ class TestSecureBands:
             draws.append(bands)
         assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
 
+    def test_each_run_holds_one_block_of_periods(self):
+        session = simulate_session(make_config(f_c=500.0, n_secure_bits=300))
+        block = 2 * channel.CHUNK_PERIODS
+        runs = [index for index, _, _ in session.secure_bands(band_mask(400, 190, 200))]
+        blocks = range(-(-len(session) // block))  # one run per block, the last one partial
+        assert [(run[0] // block, run[-1] // block) for run in runs] == [(k, k) for k in blocks]
+        secure = np.flatnonzero(channel.secure_mask(session.situations))
+        assert np.array_equal(np.concatenate(runs), secure)
+
     @pytest.mark.parametrize("mask", [band_mask(402, 1, 3), band_mask(400, 0, 3)], ids=["shape", "dc"])
     def test_mask_outside_the_non_dc_bins_rejected(self, mask):
         session = simulate_session(make_config(f_c=500.0, n_secure_bits=3))

@@ -713,6 +713,22 @@ class TestBoundaryValidation:
             (["attack", "--preset", "fig5", "--t-eff", "1e300",
               "--config", "[channel]\nr_low_ohm = 1\nr_high_ohm = 1e100\n"],
              ["channel.t_eff_k"]),
+            # Below 1e-100 ohm the secure loop resistance can underflow to 0,
+            # which teff_of_ueff divided by and simulate's noise was scaled by.
+            (["attack", "--preset", "fig5", "--u-eff", "1", "--bits", "5",
+              "--config", "[channel]\nr_low_ohm = 1e-170\nr_high_ohm = 1e-160\n"],
+             ["channel.r_low_ohm"]),
+            (["simulate", "--preset", "fig5", "--u-eff", "1", "--bits", "5",
+              "--config", "[channel]\nr_low_ohm = 1e-170\nr_high_ohm = 1e-160\n"],
+             ["channel.r_low_ohm"]),
+            # Resistances in range, but 4 k_B R f_b underflows to 0 ...
+            (["attack", "--preset", "fig5", "--f-a", "1e-300", "--u-eff", "1",
+              "--config", "[channel]\nr_low_ohm = 1e-100\nr_high_ohm = 1e-99\n"
+              "f_c_hz = 1e-300\nf_b_hz = 1e-299\n"], ["channel.f_b_hz"]),
+            # ... or is so small that the temperature overflows.
+            (["attack", "--preset", "fig5", "--f-a", "1e-300", "--u-eff", "1",
+              "--config", "[channel]\nf_c_hz = 1e-300\nf_b_hz = 1e-299\n"],
+             ["channel.u_eff_v"]),
         ],
     )
     def test_out_of_range_value_names_key(self, argv, keys, tmp_path, capsys):
@@ -726,6 +742,7 @@ class TestBoundaryValidation:
         assert out == ""
         assert all(key in err for key in keys)
         assert "# " not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "flags,keys",
@@ -830,6 +847,16 @@ class TestBoundaryValidation:
         assert "RuntimeWarning" not in result.stderr
         errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: channel.amplitude_v: ")
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown command 'bogus'"):
+            resolve("bogus")
+
+    def test_library_error_that_names_no_key_passes_unchanged(self):
+        keys = cli._command_keys("attack")
+        with pytest.raises(ConfigurationError, match=r"^no key is named here$"):
+            with cli._naming(keys, {"channel": {}}, "channel"):
+                raise ConfigurationError("no key is named here")
 
     def test_non_finite_config_file_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

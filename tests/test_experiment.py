@@ -99,6 +99,12 @@ class TestNoiseLevelConversion:
         with pytest.raises(ConfigurationError):
             teff_of_ueff(-1.0, PAIR, 1.0e5)
 
+    @pytest.mark.parametrize("f_b", [0.0, -1.0e5, math.nan, 1.0e-299])
+    def test_rejects_a_denominator_that_is_not_positive(self, f_b):
+        # At 1e-299 Hz, 4 k_B f_b r_low r_high / (r_low + r_high) underflows to 0.
+        with pytest.raises(ConfigurationError, match="must be a positive float64"):
+            teff_of_ueff(1.0, ResistorPair(1.0e-100, 1.0e-99), f_b)
+
 
 def rms(samples):
     return math.sqrt(np.mean(np.square(samples)))
@@ -211,6 +217,7 @@ class TestDefenseSpec:
             (lambda: Notch(500.0, notch_center=value), "notch_center"),
             (lambda: Notch(value), "notch_halfwidth"),
             (lambda: RaiseTemperature(value), "target_t_eff"),
+            (lambda: PeriodicSource(1.0, 318.30, value), "phase"),
         ]:
             with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
                 build()
@@ -323,6 +330,11 @@ class TestSweep:
         assert points[0].u_eff == 0.5
         assert points[0].t_eff == pytest.approx(teff_of_ueff(0.5, PAIR, base.f_b), rel=1e-12)
         assert points[0].mode == "lowfreq"
+
+    @pytest.mark.parametrize("grid,frequencies", [([], [318.30]), ([0.5], [])])
+    def test_empty_grid_rejected(self, grid, frequencies):
+        with pytest.raises(ConfigurationError, match="at least one u_eff and one f_a"):
+            sweep(make_config(), ThresholdAttack(), grid, frequencies)
 
     def test_parallel_equals_serial(self):
         base = make_config(n_secure_bits=40)
@@ -542,6 +554,18 @@ class TestColumnAlgebra:
     def test_empty_column_has_no_cells(self):
         assert run_column(make_config(), SpectralAttack(), []) == []
 
+    @pytest.mark.parametrize("attack", ATTACKS, ids=MODES)
+    def test_too_hot_cell_refused_before_any_cell_runs(self, attack, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "run_point", lambda *args: calls.append(args))
+        base = make_config(n_secure_bits=50)
+        # 9e99 V is in range, but its HH wire noise rms is above SCALE_LIMIT.
+        with pytest.raises(ConfigurationError, match="t_eff"):
+            sweep(base, attack, [0.01, 9.0e99], [318.30, 101.32])
+        with pytest.raises(ConfigurationError, match="t_eff"):
+            run_column(base, attack, [0.0, teff_of_ueff(9.0e99, PAIR, base.f_b)])
+        assert calls == []
+
 
 class TestSweepCsv:
     def test_format(self):
@@ -606,6 +630,7 @@ class TestScaleLimit:
         assert PeriodicSource(SCALE_LIMIT, 318.30).amplitude == SCALE_LIMIT
         assert ThresholdAttack(kappa=SCALE_LIMIT).kappa == SCALE_LIMIT
         assert ResistorPair(1.0e3, SCALE_LIMIT).r_high == SCALE_LIMIT
+        assert ResistorPair(1.0 / SCALE_LIMIT, 1.0).r_low == 1.0 / SCALE_LIMIT
         config = self.edge_config(ThresholdAttack())
         assert johnson_rms(PAIR.r_high / 2.0, config.t_eff, config.f_b) == SCALE_LIMIT
         with pytest.raises(ConfigurationError, match="amplitude"):
@@ -614,6 +639,8 @@ class TestScaleLimit:
             ThresholdAttack(kappa=above)
         with pytest.raises(ConfigurationError, match="r_high"):
             ResistorPair(1.0e3, above)
+        with pytest.raises(ConfigurationError, match="r_low"):
+            ResistorPair(np.nextafter(1.0 / SCALE_LIMIT, 0.0), 1.0)
         with pytest.raises(ConfigurationError, match="u_eff"):
             teff_of_ueff(above, PAIR, 1.0e5)
         with pytest.raises(ConfigurationError, match="t_eff"):
