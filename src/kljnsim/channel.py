@@ -26,7 +26,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .noise import Stream, johnson_rms, stream, unit_band_noise
+from .noise import BOLTZMANN, Stream, johnson_rms, stream, unit_band_noise
 from .noise import generate_unit_gbwn  # noqa: F401  (bench/child.py traces it here)
 
 __all__ = [
@@ -166,6 +166,13 @@ class KljnConfig:
         if not self.f_c < self.f_b < math.inf:
             raise ConfigurationError(
                 f"f_b must be finite and exceed f_c, got f_b={self.f_b}, f_c={self.f_c}"
+            )
+        # LL's loop, r_low / 2, is the quietest; were its noise power 0, every wire's would be.
+        if not 4.0 * BOLTZMANN * (self.resistors.r_low / 2) * self.f_b > 0:
+            raise ConfigurationError(
+                f"the quietest loop's noise power per kelvin, 4 k_B f_b (r_low / 2), must be "
+                f"a positive float64, not 0 at r_low = {self.resistors.r_low:g} ohm, "
+                f"f_b = {self.f_b:g} Hz"
             )
         if self.source.frequency > self.f_b:
             raise ConfigurationError(

@@ -40,7 +40,6 @@ from .errors import ConfigurationError, ShapeMismatchError
 from .experiment import (
     Notch,
     RaiseTemperature,
-    SweepPoint,
     run_point,
     sweep,
     teff_of_ueff,
@@ -277,13 +276,16 @@ def _check_keys(merged: dict[str, dict[str, Any]], keys: list[Key]) -> None:
 
 
 @contextmanager
-def _naming(keys: list[Key], merged: dict[str, dict[str, Any]], *sections: str) -> Iterator[None]:
-    """Prefix a library error with the keys of ``sections`` its message names.
+def _naming(
+    keys: list[Key], merged: dict[str, dict[str, Any]], *sections: str, context: str | None = None
+) -> Iterator[None]:
+    """Prefix a library error with the keys of ``sections`` its message names, then ``context``.
 
     Library objects name their fields (``f_b``), which are the key names
     without their unit suffix (``f_b_hz``).  Only ``keys``, the keys the
     command reads, are named.  A key whose stand-in among them is set in
     ``merged`` took its value from the stand-in, which is named instead.
+    ``context`` says what the keys cannot, such as which grid value failed.
     """
     try:
         yield
@@ -296,9 +298,12 @@ def _naming(keys: list[Key], merged: dict[str, dict[str, Any]], *sections: str) 
                 if stand_in in keys and stand_in.name in merged[stand_in.section]:
                     key = stand_in
                 named.append(f"{key.section}.{key.name}")
-        if not named:
+        message = f"{', '.join(dict.fromkeys(named))}: {error}" if named else str(error)
+        if context is not None:
+            message = f"{context}: {message}"
+        elif not named:
             raise
-        raise ConfigurationError(f"{', '.join(dict.fromkeys(named))}: {error}") from None
+        raise ConfigurationError(message) from None
 
 
 def resolve(
@@ -355,10 +360,8 @@ def resolve(
         # The edge cells are the coolest and hottest; a sweep's base is its first cell.
         edges = []
         for name, u_eff in (("u_eff_min_v", u_eff_grid[0]), ("u_eff_max_v", u_eff_grid[-1])):
-            try:
+            with _naming(keys, merged, context=f"grid.{name}"):
                 edges.append(replace(base, t_eff=teff_of_ueff(u_eff, resistors, base.f_b)))
-            except ConfigurationError as error:
-                raise ConfigurationError(f"grid.{name}: {error}") from None
         base = edges[0]
         f_a_list = grid["f_a_list_hz"] = [float(f) for f in grid.get("f_a_list_hz", f_a_list)]
 
@@ -393,30 +396,23 @@ def resolve(
                 made.bins(base)
     attack, defense = built.get("attack"), built.get("defense")
     if isinstance(defense, RaiseTemperature):  # its target may be the hottest cell
-        try:
+        with _naming(keys, merged, context="defense.target_t_eff_k"):
             replace(base, t_eff=defense.target_t_eff)
-        except ConfigurationError as error:
-            raise ConfigurationError(f"defense.target_t_eff_k: {error}") from None
 
     # Check each column the run executes: the source frequency, and the
     # band and notch bins that default to it.
     tracking = isinstance(defense, Notch) and defense.notch_center is None
     first = None
     for f_a in f_a_list:
-        context = f"grid.f_a_list_hz holds {f_a:g}"  # what names a sweep column
-        try:
-            with _naming(keys, merged, "attack", "channel"):
-                column = replace(base, source=replace(base.source, frequency=f_a))
-                if isinstance(attack, SpectralAttack):
-                    resolve_band(column, attack)
-            if tracking:
-                context += " and the notch center defaults to the source frequency"
-                with _naming(keys, merged, "defense"):
-                    defense.bins(column)
-        except ConfigurationError as error:
-            if grid is None:
-                raise
-            raise ConfigurationError(f"{context}: {error}") from None
+        context = None if grid is None else f"grid.f_a_list_hz holds {f_a:g}"
+        with _naming(keys, merged, "attack", "channel", context=context):
+            column = replace(base, source=replace(base.source, frequency=f_a))
+            if isinstance(attack, SpectralAttack):
+                resolve_band(column, attack)
+        if tracking:  # only defend tracks, and it always sweeps
+            tracked = f"{context} and the notch center defaults to the source frequency"
+            with _naming(keys, merged, "defense", context=tracked):
+                defense.bins(column)
         first = first or column
     return ResolvedSetup(first, attack, defense, u_eff_grid, f_a_list, sections)
 
@@ -473,6 +469,8 @@ def dispatch(args: argparse.Namespace) -> int:
 
     A key flag's value is the namespace attribute named by its key,
     ``"section.name"``.  Only the sweeping commands take ``--threads``.
+    An error of the run itself names the keys its message names, as
+    :func:`resolve` does.
     """
     if "grid" in _ECHO_SECTIONS[args.command] and args.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
@@ -483,21 +481,14 @@ def dispatch(args: argparse.Namespace) -> int:
     setup = resolve(args.command, args.config, args.preset, overrides)
     _echo_setup(setup, args.command, sys.stderr)
 
-    with _output(args.out, args.force) as handle:
+    naming = _naming(_command_keys(args.command), setup.sections, *_ECHO_SECTIONS[args.command])
+    with _output(args.out, args.force) as handle, naming:
         if args.command == "simulate":
             dump_session_csv(simulate_session(setup.config), handle)
         elif args.command == "attack":
-            outcome = run_point(setup.config, setup.attack)
-            point = SweepPoint(
-                t_eff=setup.config.t_eff,
-                u_eff=u_eff_of_teff(setup.config.t_eff, setup.config.resistors, setup.config.f_b),
-                f_a=setup.config.source.frequency,
-                mode=setup.attack.mode,
-                outcome=outcome,
-            )
-            write_sweep_csv([point], setup.config, handle)
+            write_sweep_csv([run_point(setup.config, setup.attack)], handle)
         else:
-            points = sweep(
+            outcomes = sweep(
                 setup.config,
                 setup.attack,
                 setup.u_eff_grid,
@@ -505,7 +496,7 @@ def dispatch(args: argparse.Namespace) -> int:
                 defense=setup.defense,
                 max_workers=args.threads,
             )
-            write_sweep_csv(points, setup.config, handle)
+            write_sweep_csv(outcomes, handle)
 
     elapsed = time.perf_counter() - start
     secure_bits = setup.config.n_secure_bits * (len(setup.u_eff_grid) * len(setup.f_a_list) or 1)

@@ -2,11 +2,13 @@
 
 The independent variable throughout is the wire noise level expressed as
 the rms voltage ``u_eff`` the loop would show across the parallel resistor
-combination; it maps bijectively to the effective temperature.  A sweep
-replays one session per source frequency, a column, at every u_eff, so
-the cells of a column share their random numbers.  Column seeds derive
-from the base seed and the column index, so columns are independent and
-safe to run in parallel.
+combination; it maps bijectively to the effective temperature.  Every
+evaluated cell is one :class:`AttackOutcome`, which holds the config it
+ran at, so a CSV row is read from the record alone.  A sweep replays one
+session per source frequency, a column, at every u_eff, so the cells of
+a column share their random numbers.  Column seeds derive from the base
+seed and the column index, so columns are independent and safe to run
+in parallel.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "Notch",
     "RaiseTemperature",
     "SWEEP_CSV_COLUMNS",
-    "SweepPoint",
     "notch_filter",
     "run_column",
     "run_point",
@@ -118,12 +119,13 @@ class RaiseTemperature:
 
 @dataclass(frozen=True)
 class AttackOutcome:
-    """Bit-level bookkeeping for one evaluated point.
+    """One evaluated cell: the config it ran at, the attack's mode and its bit counts.
 
     ``n_guessed`` stays visible beside ``p`` so the discard rate is never hidden.
     """
 
-    n_secure: int
+    config: KljnConfig
+    mode: str  # the attack's mode, as the cell's CSV row states it
     n_guessed: int
     n_correct: int
 
@@ -135,20 +137,19 @@ class AttackOutcome:
             )
 
     @property
+    def n_secure(self) -> int:
+        """The secure bits the session ran to, ``config.n_secure_bits``."""
+        return self.config.n_secure_bits
+
+    @property
+    def u_eff(self) -> float:
+        """The wire noise rms the cell ran at: :func:`u_eff_of_teff` of its temperature."""
+        return u_eff_of_teff(self.config.t_eff, self.config.resistors, self.config.f_b)
+
+    @property
     def p(self) -> float:
         """Correct guesses over made guesses, or the chance level 0.5 when none was made."""
         return self.n_correct / self.n_guessed if self.n_guessed > 0 else 0.5
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep cell: operating point plus its outcome."""
-
-    t_eff: float
-    u_eff: float
-    f_a: float
-    mode: str  # the attack's mode, as its CSV rows state it
-    outcome: AttackOutcome
 
 
 def u_eff_of_teff(t_eff: float, resistors: ResistorPair, f_b: float) -> float:
@@ -212,7 +213,7 @@ def run_point(
 
     session = simulate_session(config)
     # Both attacks observe gains[codes] * source + sigma * unit, as samples or band bins.
-    sigma = johnson_rms(config.resistors.parallel, config.t_eff, config.f_b)
+    sigma = u_eff_of_teff(config.t_eff, config.resistors, config.f_b)
     gains = config.resistors.table[1, :, None]
     if lowfreq:
         draws, source_of = session.secure_noise(), partial(source_samples, config)
@@ -242,7 +243,7 @@ def run_point(
         n_correct += int(np.count_nonzero(guess == codes))
 
     # The session ends at the period that completes its secure bits.
-    return AttackOutcome(config.n_secure_bits, n_guessed, n_correct)
+    return AttackOutcome(config, attack.mode, n_guessed, n_correct)
 
 
 def run_column(
@@ -269,48 +270,41 @@ def sweep(
     f_a_list: Sequence[float],
     defense: Notch | RaiseTemperature | None = None,
     max_workers: int = 1,
-) -> list[SweepPoint]:
+) -> list[AttackOutcome]:
     """Evaluate the attack over a (source frequency, noise level) grid.
 
     Each source frequency is one column, seeded from the base seed and the
     column's index in ``f_a_list`` and scored at every u_eff by
-    :func:`run_column`.  Each row equals :func:`run_point` at the column
-    seed and the row's temperature, so appending to either list never
-    changes an existing row.  :class:`RaiseTemperature` moves each grid
-    point cooler than its target to the target, and the row reports the
-    temperature and u_eff it ran at; a :class:`Notch` is passed on to
-    every cell.  The pool runs whole columns, and results are ordered by
-    (f_a, u_eff) and identical whatever ``max_workers``.
+    :func:`run_column`.  Each record equals :func:`run_point` at the column
+    seed and the cell's temperature, so appending to either list never
+    changes an existing record.  :class:`RaiseTemperature` runs each cell
+    at least as hot as its target; a :class:`Notch` is passed on to every
+    cell.  A record's ``config`` is the cell as it ran, so its ``u_eff`` is
+    the rms it ran at, which matches the grid value to within rounding.
+    The pool runs whole columns, and results are ordered by (f_a, u_eff)
+    and identical whatever ``max_workers``.
     """
     grid = [float(u) for u in u_eff_grid]
     frequencies = [float(f) for f in f_a_list]
     if not grid or not frequencies:
         raise ConfigurationError("sweep needs at least one u_eff and one f_a")
 
-    cells = [(teff_of_ueff(u_eff, base.resistors, base.f_b), u_eff) for u_eff in grid]
+    t_effs = [teff_of_ueff(u_eff, base.resistors, base.f_b) for u_eff in grid]
     if isinstance(defense, RaiseTemperature):
-        target = defense.target_t_eff
-        raised = (target, u_eff_of_teff(target, base.resistors, base.f_b))
-        cells = [cell if cell[0] >= target else raised for cell in cells]
-    t_effs = [t_eff for t_eff, _ in cells]
+        t_effs = [max(t_eff, defense.target_t_eff) for t_eff in t_effs]
     notch = defense if isinstance(defense, Notch) else None
     columns = [
         replace(base, seed=mix_seed(base.seed, i), source=replace(base.source, frequency=f_a))
         for i, f_a in enumerate(frequencies)
     ]
-
-    def evaluate(config: KljnConfig) -> list[SweepPoint]:
-        outcomes = run_column(config, attack, t_effs, notch)
-        f_a = config.source.frequency
-        return [SweepPoint(t, u, f_a, attack.mode, o) for (t, u), o in zip(cells, outcomes)]
-
+    run = partial(run_column, attack=attack, t_effs=t_effs, notch=notch)
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # so one thread never pays its import
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate, columns))
+            results = list(pool.map(run, columns))
     else:
-        results = [evaluate(config) for config in columns]
-    return [point for column in results for point in column]
+        results = [run(config) for config in columns]
+    return [outcome for column in results for outcome in column]
 
 
 SWEEP_CSV_COLUMNS = (
@@ -327,20 +321,20 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def write_sweep_csv(points: Iterable[SweepPoint], config: KljnConfig, handle: TextIO) -> None:
-    """Write sweep results as CSV to a text handle, one row per point, header always.
+def write_sweep_csv(outcomes: Iterable[AttackOutcome], handle: TextIO) -> None:
+    """Write evaluated cells as CSV to a text handle, one row per record, header always.
 
-    Floats carry 10 significant digits.  ``config`` supplies the clock and
-    bandwidth columns shared by every row; the clock is the one the run
-    keeps, f_s / N with N samples per bit, not the requested ``f_c``.
-    Rows end in ``\r\n``, as :mod:`csv` writes them.
+    Every column is read from the record.  Floats carry 10 significant
+    digits; the clock is the one the run keeps, f_s / N with N samples per
+    bit, not the requested ``f_c``.  Rows end in ``\r\n``, as :mod:`csv`
+    writes them.
     """
-    f_c = config.sample_rate / config.samples_per_bit
     handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
-    for point in points:
-        outcome = point.outcome
+    for outcome in outcomes:
+        config = outcome.config
         handle.write(",".join((
-            point.mode, f"{point.f_a:.10g}", f"{f_c:.10g}", f"{config.f_b:.10g}",
-            f"{point.u_eff:.10g}", f"{point.t_eff:.10g}", str(outcome.n_secure),
+            outcome.mode, f"{config.source.frequency:.10g}",
+            f"{config.sample_rate / config.samples_per_bit:.10g}", f"{config.f_b:.10g}",
+            f"{outcome.u_eff:.10g}", f"{config.t_eff:.10g}", str(outcome.n_secure),
             str(outcome.n_guessed), str(outcome.n_correct), f"{outcome.p:.10g}",
         )) + "\r\n")

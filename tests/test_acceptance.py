@@ -147,19 +147,19 @@ def test_threshold_attack_high_noise_endpoint(acceptance_log):
 
 
 def test_spectral_attack_endpoints(acceptance_log, spectral_sweep):
-    curve = [pt for pt in spectral_sweep if pt.f_a == 2000.0]
+    curve = [pt for pt in spectral_sweep if pt.config.source.frequency == 2000.0]
     low, high = curve[0], curve[-1]
     ok = (
         low.u_eff == pytest.approx(0.01)
         and high.u_eff == pytest.approx(100.0)
-        and low.outcome.p >= 0.99
-        and CHANCE_BAND[0] <= high.outcome.p <= CHANCE_BAND[1]
+        and low.p >= 0.99
+        and CHANCE_BAND[0] <= high.p <= CHANCE_BAND[1]
     )
     verdict(
         acceptance_log,
         "spectral attack endpoints at 2 kHz",
         ok,
-        f"p={low.outcome.p:.4f} at 0.01 V, p={high.outcome.p:.4f} at 100 V",
+        f"p={low.p:.4f} at 0.01 V, p={high.p:.4f} at 100 V",
     )
 
 
@@ -396,8 +396,8 @@ def sweep_ceilings(base, f_a_list, points, notch=None):
         half_gaps[f_a] = (gap / 2.0 * np.linalg.norm(samples, axis=1)).tolist()
     ceilings = []
     for point in points:
-        sigma = float(johnson_rms(base.resistors.parallel, point.t_eff, base.f_b))
-        ceilings.append(float(np.mean([phi(x / sigma) for x in half_gaps[point.f_a]])))
+        f_a = point.config.source.frequency
+        ceilings.append(float(np.mean([phi(x / point.u_eff) for x in half_gaps[f_a]])))
     return ceilings
 
 
@@ -417,8 +417,7 @@ def test_no_cell_beats_the_matched_filter(acceptance_log):
                            defense=setup.defense)
             ceilings = sweep_ceilings(setup.config, setup.f_a_list, points, notch)
             z_max = -math.inf
-            for point, ceiling in zip(points, ceilings):
-                out = point.outcome
+            for out, ceiling in zip(points, ceilings):
                 p_flip = (out.n_correct + 0.5 * (out.n_secure - out.n_guessed)) / out.n_secure
                 variance = ceiling * (1.0 - ceiling)
                 if variance == 0.0:
@@ -457,8 +456,8 @@ def test_notch_defense_stops_threshold_and_spectral_attacks(acceptance_log):
         defense=Notch(500.0),
         max_workers=4,
     )
-    lf_p = [pt.outcome.p for pt in lf_points]
-    hf_p = [pt.outcome.p for pt in hf_points]
+    lf_p = [pt.p for pt in lf_points]
+    hf_p = [pt.p for pt in hf_points]
     # The notch stops the threshold attack, not the leak: the fig5 source
     # sits off the bin grid, so part of it survives the notch.
     lf_ceiling = sweep_ceilings(lf_base(), [318.30], lf_points, Notch(1.0e3))

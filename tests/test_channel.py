@@ -92,6 +92,13 @@ class TestKljnConfig:
             make_config(f_c=0.0)
         with pytest.raises(ConfigurationError, match="frequency"):
             make_config(source=PeriodicSource(amplitude=1.0, frequency=2.0e5))  # above f_b
+        # The quietest loop's noise power per kelvin, 4 k_B f_b (r_low / 2), is ~3e-422
+        # W/K here, below float64's least subnormal; at 1 kOhm it is subnormal, and runs.
+        tiny = dict(f_c=1e-300, f_b=1e-299, source=PeriodicSource(1.0, 1e-300), t_eff=1e10)
+        with pytest.raises(ConfigurationError, match=r"r_low = 1e-100 ohm, f_b = 1e-299 Hz"):
+            make_config(resistors=ResistorPair(1e-100, 1e-99), **tiny)
+        config = make_config(**tiny)
+        assert johnson_rms(config.resistors.parallel, config.t_eff, config.f_b) > 0
 
 
 def session_arrays(session):

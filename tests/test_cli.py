@@ -12,7 +12,7 @@ import kljnsim.cli as cli
 from kljnsim import ConfigurationError, ResistorPair, SpectralAttack, ThresholdAttack, teff_of_ueff
 from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, resolve
 from kljnsim.experiment import u_eff_of_teff
-from kljnsim.noise import mix_seed
+from kljnsim.noise import johnson_rms, mix_seed
 
 
 def run_main(argv, capsys):
@@ -364,6 +364,41 @@ class TestAttackCommand:
         assert "#" not in out.splitlines()[0]
 
 
+class TestRecords:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--preset", "fig5"],
+            ["attack", "--preset", "fig6", "--u-eff", "0.3", "--ensemble-size", "100"],
+            ["sweep", "--preset", "fig5", "--u-eff-points", "3"],
+            ["defend", "--preset", "fig5", "--u-eff-points", "3"],
+            ["defend", "--preset", "fig5", "--u-eff-points", "3",
+             "--defense", "raise_temperature", "--target-t-eff", "1e14"],
+        ],
+        ids=["attack-lowfreq", "attack-highfreq", "sweep", "defend-notch",
+             "defend-raise-temperature"],
+    )
+    def test_every_record_states_the_rms_it_ran_at(self, argv, monkeypatch, capsys):
+        records = []
+        write = cli.write_sweep_csv
+
+        def capture(outcomes, handle):
+            records.extend(outcomes)
+            write(records, handle)
+
+        monkeypatch.setattr(cli, "write_sweep_csv", capture)
+        code, out, _ = run_main(argv + ["--bits", "20"], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == len(records) > 0
+        for outcome, row in zip(records, rows):
+            config = outcome.config
+            r_low, r_high = config.resistors.r_low, config.resistors.r_high
+            parallel = r_low * r_high / (r_low + r_high)
+            assert outcome.u_eff == johnson_rms(parallel, config.t_eff, config.f_b)
+            assert row.split(",")[4:6] == [f"{outcome.u_eff:.10g}", f"{config.t_eff:.10g}"]
+
+
 class TestSweepCommand:
     def test_tiny_grid_row_count(self, capsys):
         code, out, _ = run_main(
@@ -575,16 +610,6 @@ class TestBoundaryValidation:
         assert out == ""
         assert "frequency" in err and "f_b" in err
 
-    def test_sweep_frequency_above_f_b_fails_before_any_row(self, capsys):
-        code, out, err = run_main(
-            ["sweep", "--preset", "fig5", "--f-a-list", "318.3,2e5", "--u-eff-points", "1",
-             "--bits", "10"],
-            capsys,
-        )
-        assert code == 1
-        assert out == ""
-        assert "frequency" in err
-
     def test_grid_frequency_above_f_b_names_the_grid_key(self, capsys):
         code, out, err = run_main(
             ["sweep", "--preset", "fig5", "--f-a-list", "318.3,2e5", "--u-eff-points", "1",
@@ -593,7 +618,7 @@ class TestBoundaryValidation:
         )
         assert code == 1
         assert out == ""
-        assert "grid.f_a_list_hz" in err and "200000" in err
+        assert "grid.f_a_list_hz" in err and "200000" in err and "frequency" in err
         assert "# " not in err  # rejected before the echo
 
     def test_default_notch_at_nyquist_rejected_before_echo(self, capsys):
@@ -729,6 +754,18 @@ class TestBoundaryValidation:
             (["attack", "--preset", "fig5", "--f-a", "1e-300", "--u-eff", "1",
               "--config", "[channel]\nf_c_hz = 1e-300\nf_b_hz = 1e-299\n"],
              ["channel.u_eff_v"]),
+        ] + [
+            # The quietest loop's noise power per kelvin, 4 k_B f_b r_low / 2, underflows
+            # to 0, so any temperature would run noise-free; the channel keys are named,
+            # not the temperature nor the grid.
+            ([command, "--preset", "fig5", "--bits", "5", "--config",
+              "[channel]\nr_low_ohm = 1e-100\nr_high_ohm = 1e-99\n"
+              "f_c_hz = 1e-300\nf_b_hz = 1e-299\n"] + flags,
+             ["channel.r_low_ohm", "channel.f_b_hz"])
+            for command, flags in [
+                ("attack", ["--t-eff", "1e10", "--f-a", "1e-300"]),
+                ("sweep", ["--f-a-list", "1e-300"]),
+            ]
         ],
     )
     def test_out_of_range_value_names_key(self, argv, keys, tmp_path, capsys):
@@ -770,7 +807,7 @@ class TestBoundaryValidation:
         assert code == 1
         assert out == ""
         [line] = [line for line in err.splitlines() if not line.startswith("# ")]
-        assert line.startswith("error: ") and "ensemble_size" in line
+        assert line.startswith("error: attack.ensemble_size: ")
 
     @pytest.mark.parametrize(
         "flags,ini,key",

@@ -177,18 +177,19 @@ class TestNotchFilter:
 
 class TestAttackOutcome:
     def test_p_is_correct_over_guessed(self):
-        outcome = AttackOutcome(n_secure=10, n_guessed=8, n_correct=6)
+        outcome = AttackOutcome(make_config(n_secure_bits=10), "lowfreq", n_guessed=8, n_correct=6)
         assert outcome.p == pytest.approx(0.75)
 
     def test_empty_guess_set_scores_chance(self):
-        outcome = AttackOutcome(n_secure=10, n_guessed=0, n_correct=0)
+        outcome = AttackOutcome(make_config(n_secure_bits=10), "lowfreq", n_guessed=0, n_correct=0)
         assert outcome.p == 0.5
 
     def test_count_consistency_enforced(self):
+        config = make_config(n_secure_bits=5)
         with pytest.raises(ConfigurationError):
-            AttackOutcome(n_secure=5, n_guessed=6, n_correct=0)
+            AttackOutcome(config, "lowfreq", n_guessed=6, n_correct=0)
         with pytest.raises(ConfigurationError):
-            AttackOutcome(n_secure=5, n_guessed=3, n_correct=4)
+            AttackOutcome(config, "lowfreq", n_guessed=3, n_correct=4)
 
 
 class TestDefenseSpec:
@@ -267,7 +268,7 @@ class TestRunPoint:
         defense = RaiseTemperature(teff_of_ueff(100.0, PAIR, 1.0e5))
         (defended,) = sweep(make_config(), attack, [0.01], [318.30], defense=defense)
         assert defended.u_eff == pytest.approx(100.0, rel=1e-12)
-        assert 0.35 <= defended.outcome.p <= 0.65
+        assert 0.35 <= defended.p <= 0.65
 
     def test_notch_defense_blinds_lf_attack(self):
         config = make_config(t_eff=teff_of_ueff(0.1, PAIR, 1.0e5))
@@ -314,21 +315,24 @@ class TestSweep:
             source=dataclasses.replace(base.source, frequency=318.30),
         )
         direct = run_point(cell_config, attack)
-        assert points[0].outcome == direct
+        assert points[0] == direct
 
     def test_row_ordering(self):
         base = make_config(n_secure_bits=10)
         attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.1, 1.0], f_a_list=[318.30, 101.32])
-        keys = [(p.f_a, p.u_eff) for p in points]
-        assert keys == [(318.30, 0.1), (318.30, 1.0), (101.32, 0.1), (101.32, 1.0)]
+        assert [p.config.source.frequency for p in points] == [318.30, 318.30, 101.32, 101.32]
+        assert [p.u_eff for p in points] == pytest.approx([0.1, 1.0, 0.1, 1.0], rel=1e-15)
 
     def test_reports_requested_levels(self):
         base = make_config(n_secure_bits=10)
         attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.5], f_a_list=[318.30])
-        assert points[0].u_eff == 0.5
-        assert points[0].t_eff == pytest.approx(teff_of_ueff(0.5, PAIR, base.f_b), rel=1e-12)
+        # A record states the rms it ran at, the requested level to within rounding.
+        t_eff = points[0].config.t_eff
+        assert points[0].u_eff == u_eff_of_teff(t_eff, PAIR, base.f_b)
+        assert points[0].u_eff == pytest.approx(0.5, rel=1e-15)
+        assert t_eff == pytest.approx(teff_of_ueff(0.5, PAIR, base.f_b), rel=1e-12)
         assert points[0].mode == "lowfreq"
 
     @pytest.mark.parametrize("grid,frequencies", [([], [318.30]), ([0.5], [])])
@@ -380,9 +384,9 @@ class TestSweep:
                 t_eff = teff_of_ueff(u_eff, PAIR, base.f_b)
                 if notch is None:
                     t_eff = max(t_eff, defense.target_t_eff)
-                assert point.t_eff == t_eff
                 cell = dataclasses.replace(column, t_eff=t_eff)
-                assert point.outcome == run_point(cell, attack, notch)
+                assert point.config == cell
+                assert point == run_point(cell, attack, notch)
         if notch is None:
             assert [pt.u_eff for pt in points[:3]] == pytest.approx([1.0, 1.0, 5.0], rel=1e-12)
 
@@ -444,7 +448,7 @@ def sampled_cell(config, attack, notch):
         guess = hf_decide(hf_ac_power(hf_band(wire, prep), prep, config.t_eff), prep)
     guessed = int(np.count_nonzero(guess != UNDETERMINED))
     correct = int(np.count_nonzero(guess == codes))
-    return AttackOutcome(config.n_secure_bits, guessed, correct)
+    return AttackOutcome(config, attack.mode, guessed, correct)
 
 
 class TestColumnAlgebra:
@@ -573,7 +577,7 @@ class TestSweepCsv:
         attack = ThresholdAttack()
         points = sweep(base, attack, u_eff_grid=[0.5], f_a_list=[318.30])
         buffer = io.StringIO()
-        write_sweep_csv(points, base, buffer)
+        write_sweep_csv(points, buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
         assert len(lines) == 2
@@ -594,7 +598,7 @@ class TestSweepCsv:
         assert base.samples_per_bit == 67
         points = sweep(base, ThresholdAttack(), u_eff_grid=[0.5], f_a_list=[318.30])
         buffer = io.StringIO()
-        write_sweep_csv(points, base, buffer)
+        write_sweep_csv(points, buffer)
         assert buffer.getvalue().splitlines()[1].split(",")[2] == "2985.074627"
 
 
@@ -690,7 +694,9 @@ class TestScaleLimit:
         top = float(np.nextafter(u_eff_of_teff(config.t_eff, PAIR, config.f_b), 0.0))
         with np.errstate(all="raise"):
             points = sweep(config, attack, [1.0, top], [config.source.frequency])
-        assert [point.u_eff for point in points] == [1.0, top]
+        u_effs = [point.u_eff for point in points]
+        assert u_effs == [u_eff_of_teff(point.config.t_eff, PAIR, config.f_b) for point in points]
+        assert u_effs == pytest.approx([1.0, top], rel=1e-15)
 
     def test_session_chunks_raise_no_floating_point_error(self):
         # At r_high = SCALE_LIMIT ohm, HH's product of resistances is 1e200.

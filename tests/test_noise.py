@@ -29,11 +29,13 @@ MODULES = ["kljnsim"] + [
 ]
 # The sampled-trace wrappers that plain arrays replaced, the defense kind
 # and spec that Notch and RaiseTemperature replaced, the attack mode and
-# config that ThresholdAttack and SpectralAttack replaced, and the helpers
-# only the tests called (now in tests/reference.py); none may come back.
+# config that ThresholdAttack and SpectralAttack replaced, the sweep cell
+# that AttackOutcome replaced, and the helpers only the tests called (now
+# in tests/reference.py); none may come back.
 DELETED = {
     "NoiseSpec", "SampledTrace", "Spectrum", "johnson_scale", "power_spectrum",
-    "DefenseKind", "DefenseSpec", "AttackMode", "AttackConfig", "wire_noise", "hf_band",
+    "DefenseKind", "DefenseSpec", "AttackMode", "AttackConfig", "SweepPoint", "wire_noise",
+    "hf_band",
 }
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,7 +60,7 @@ class TestPublicNames:
         for block in blocks:  # each block reads what the blocks before it defined
             exec(compile(block, str(README), "exec"), namespace)
         assert capsys.readouterr().out == f"{namespace['outcome'].p}\n"
-        assert len(namespace["points"]) == 2 * 25
+        assert len(namespace["cells"]) == 2 * 25
 
     def test_package_exports_exactly_the_readme_api(self):
         exported = kljnsim.__all__

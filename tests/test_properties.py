@@ -97,7 +97,7 @@ def test_sweep_csv_does_not_depend_on_threads(seed):
             max_workers=workers,
         )
         buffer = io.StringIO()
-        write_sweep_csv(points, base, buffer)
+        write_sweep_csv(points, buffer)
         texts.append(buffer.getvalue())
     assert texts[0] == texts[1]
 
@@ -261,7 +261,7 @@ def all_period_outcome(config, attack):
         guess = lf_decide(threshold, lf_gamma(chunk.wire_voltage[secure], threshold)).guess
         guessed += int(np.count_nonzero(guess != UNDETERMINED))
         correct += int(np.count_nonzero(guess == chunk.situations[secure]))
-    return AttackOutcome(config.n_secure_bits, guessed, correct)
+    return AttackOutcome(config, attack.mode, guessed, correct)
 
 
 @settings(max_examples=3, deadline=None)
@@ -285,4 +285,4 @@ def test_sweep_scores_the_secure_rows_of_every_period(seed):
     ]
     for workers in (1, 3):
         points = sweep(base, attack, u_eff_grid=grid, f_a_list=frequencies, max_workers=workers)
-        assert [point.outcome for point in points] == expected
+        assert points == expected
