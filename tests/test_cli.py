@@ -610,6 +610,16 @@ class TestBoundaryValidation:
         assert out == ""
         assert "frequency" in err and "f_b" in err
 
+    def test_sweep_frequency_above_f_b_fails_before_any_row(self, capsys):
+        code, out, err = run_main(
+            ["sweep", "--preset", "fig5", "--f-a-list", "318.3,2e5", "--u-eff-points", "1",
+             "--bits", "10"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "frequency" in err
+
     def test_grid_frequency_above_f_b_names_the_grid_key(self, capsys):
         code, out, err = run_main(
             ["sweep", "--preset", "fig5", "--f-a-list", "318.3,2e5", "--u-eff-points", "1",
