@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -98,7 +99,7 @@ class ResistorPair:
         if not self.r_high <= SCALE_LIMIT:
             raise ConfigurationError(f"need r_high <= {SCALE_LIMIT:g} ohm, got {self.r_high}")
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
         """Loop resistance (row 0) and divider gain (row 1) of each situation, by its code.
 
@@ -106,10 +107,13 @@ class ResistorPair:
         Alice's source as r_bob / (r_alice + r_bob), and the two ends'
         independent noises as one Johnson noise of the loop resistance
         r_alice * r_bob / (r_alice + r_bob) (Kish, Phys. Lett. A 352, 2006).
+        Built once per pair, and read-only, so every reader shares it.
         """
         r_alice = np.array([self.r_low, self.r_low, self.r_high, self.r_high])
         r_bob = np.array([self.r_low, self.r_high, self.r_low, self.r_high])
-        return np.array([r_alice * r_bob / (r_alice + r_bob), r_bob / (r_alice + r_bob)])
+        table = np.array([r_alice * r_bob / (r_alice + r_bob), r_bob / (r_alice + r_bob)])
+        table.flags.writeable = False
+        return table
 
     @property
     def parallel(self) -> float:

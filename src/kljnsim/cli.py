@@ -8,14 +8,15 @@ Four subcommands share one configuration model:
 * ``defend``: the same sweep with a countermeasure enabled.
 
 Every configuration key is declared once, as a row of ``_KEYS``: its type,
-flag, help text and default (or that it is required).  A key that only one
-kind of attack or defense reads takes its default from that kind's type,
-and ``_KINDS`` says which keys each kind reads.  Each command reads
-the sections ``_ECHO_SECTIONS`` lists, and checks, builds, echoes and
-takes flags for only their keys.  Values resolve in four layers, later
-wins: those defaults, compiled-in preset, config file, command-line flags.  Unknown config keys are hard errors.  Output files
-are never overwritten without ``--force``.  The effective configuration is
-echoed to stderr before the run; results go to ``--out`` or stdout.
+flag, help text and default (or that it is required).  Each kind of attack
+or defense is a type in ``_KINDS``; it reads the keys that name its
+fields, which default to those fields' defaults.  ``_COMMANDS`` gives each
+command's help and the sections it checks, builds, echoes and takes flags
+for.  Values resolve in four layers, later wins: key defaults, compiled-in
+preset, config file, command-line flags.  Unknown config keys are hard
+errors.  Output files are never overwritten without ``--force``.  The
+effective configuration is echoed to stderr before the run; results go to
+``--out`` or stdout.
 """
 
 from __future__ import annotations
@@ -59,17 +60,10 @@ def _parse_float_list(raw: str) -> list[float]:
 
 _REQUIRED: Any = object()  # the default of a key every command reading it must set
 # The kinds a selector key chooses between, by (section, selector): the type
-# each kind builds and the keys of the section it reads, in the order of that
-# type's fields, each key its field plus any unit.
-_KINDS: dict[tuple[str, str], dict[str, tuple[type, tuple[str, ...]]]] = {
-    ("attack", "mode"): {
-        ThresholdAttack.mode: (ThresholdAttack, ("kappa",)),
-        SpectralAttack.mode: (SpectralAttack, ("ensemble_size", "band_lo_hz", "band_hi_hz")),
-    },
-    ("defense", "kind"): {
-        "notch": (Notch, ("notch_halfwidth_hz", "notch_center_hz")),
-        "raise_temperature": (RaiseTemperature, ("target_t_eff_k",)),
-    },
+# each kind builds, which reads the keys of the section that name its fields.
+_KINDS: dict[tuple[str, str], dict[str, type]] = {
+    ("attack", "mode"): {kind.mode: kind for kind in (ThresholdAttack, SpectralAttack)},
+    ("defense", "kind"): {"notch": Notch, "raise_temperature": RaiseTemperature},
 }
 
 
@@ -122,27 +116,28 @@ _STAND_INS = {
     ("channel", "t_eff_k"): ("channel", "u_eff_v"),
     ("grid", "f_a_list_hz"): ("channel", "f_a_hz"),
 }
-# Sections each command reads: only these are checked, built and echoed,
-# and only their keys take flags.
-_ECHO_SECTIONS = {
-    "simulate": ("channel",),
-    "attack": ("attack", "channel"),
-    "sweep": ("attack", "channel", "grid"),
-    "defend": ("attack", "channel", "defense", "grid"),
+# Each command's help and the sections it reads: only these are checked,
+# built and echoed, and only their keys take flags.
+_COMMANDS = {
+    "simulate": ("run one session and dump all samples", ("channel",)),
+    "attack": ("attack one operating point", ("attack", "channel")),
+    "sweep": ("attack across a noise-level grid", ("attack", "channel", "grid")),
+    "defend": ("sweep with a countermeasure enabled", ("attack", "channel", "defense", "grid")),
 }
 # Channel keys a sweep grid overrides cell by cell.
 _GRID_KEYS = ("t_eff_k", "u_eff_v", "f_a_hz")
 
 
+def _fields_named(name: str) -> set[str]:
+    """The library field names a key stands for: its name, with or without its unit suffix."""
+    return {name, name.rsplit("_", 1)[0]}
+
+
 def _command_keys(command: str) -> list[Key]:
     """The keys ``command`` reads: it checks and echoes them and takes their flags."""
-    sections = _ECHO_SECTIONS[command]
-    return [
-        key
-        for key in _KEYS
-        if key.section in sections
-        and not ("grid" in sections and key.section == "channel" and key.name in _GRID_KEYS)
-    ]
+    sections = _COMMANDS[command][1]
+    return [key for key in _KEYS if key.section in sections
+            and not ("grid" in sections and key.section == "channel" and key.name in _GRID_KEYS)]
 
 
 def _preset(f_c_hz: float, f_a_list_hz: list[float], mode: str) -> dict[str, dict[str, Any]]:
@@ -293,7 +288,7 @@ def _naming(
         words = set(re.findall(r"\w+", str(error)))
         named = []
         for key in keys:
-            if key.section in sections and {key.name, key.name.rsplit("_", 1)[0]} & words:
+            if key.section in sections and _fields_named(key.name) & words:
                 stand_in = _LOOKUP.get(_STAND_INS.get((key.section, key.name)))
                 if stand_in in keys and stand_in.name in merged[stand_in.section]:
                     key = stand_in
@@ -315,17 +310,17 @@ def resolve(
     """Resolve the configuration layers into the objects ``command`` reads.
 
     ``overrides`` maps ``"section.name"`` keys to values that win over the
-    preset and the config file.  Only the sections of
-    ``_ECHO_SECTIONS[command]`` are checked and built.  Every column the run
-    executes, and its hottest cell, is checked here, so bad input fails
-    before the echo, naming its key.
+    preset and the config file.  Only the sections ``_COMMANDS[command]``
+    lists are checked and built.  Every column the run executes, and its
+    hottest cell, is checked here, so bad input fails before the echo,
+    naming its key.
     """
-    if command not in _ECHO_SECTIONS:
+    if command not in _COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
     keys = _command_keys(command)
     merged = _merge_layers(config_path, preset, overrides or {})
     _check_keys(merged, keys)
-    sections = {section: merged[section] for section in _ECHO_SECTIONS[command]}
+    sections = {section: merged[section] for section in _COMMANDS[command][1]}
     channel, grid = sections["channel"], sections.get("grid")
 
     with _naming(keys, merged, "channel"):
@@ -372,8 +367,12 @@ def resolve(
         if name not in sections:
             continue
         section = sections[name]
-        kind, names = kinds[section[selector]]
-        stray = sorted(section.keys() - {selector, *names})
+        kind = kinds[section[selector]]
+        # The key each of its fields reads; a field that no key names raises KeyError.
+        by_field = {field: key.name for key in keys if key.section == name
+                    for field in _fields_named(key.name)}
+        names = {spec.name: by_field[spec.name] for spec in fields(kind)}
+        stray = sorted(section.keys() - {selector, *names.values()})
         if stray:
             raise ConfigurationError(
                 f"{', '.join(f'{name}.{key}' for key in stray)}: not read by the "
@@ -381,14 +380,13 @@ def resolve(
             )
         if kind is Notch:
             section.setdefault("notch_halfwidth_hz", base.f_c)  # one clock-width each side
-        for key, spec in zip(names, fields(kind)):
-            if spec.default is not MISSING and spec.default is not None:
-                section.setdefault(key, spec.default)  # so the echo shows it
-        # A field without a default is a key the kind requires.
-        _check_keys(merged, [_LOOKUP[name, key]._replace(default=_REQUIRED)
-                             for key, spec in zip(names, fields(kind)) if spec.default is MISSING])
+        for spec in fields(kind):  # a field without a default is a key the kind requires
+            if spec.default is MISSING:
+                _check_keys(merged, [_LOOKUP[name, names[spec.name]]._replace(default=_REQUIRED)])
+            elif spec.default is not None:
+                section.setdefault(names[spec.name], spec.default)  # so the echo shows it
         with _naming(keys, merged, name):
-            built[name] = made = kind(*(section.get(key) for key in names))
+            built[name] = made = kind(**{field: section.get(key) for field, key in names.items()})
             # An explicit band or notch center is the same in every column.
             if isinstance(made, SpectralAttack) and made.band_lo is not None:
                 resolve_band(base, made)
@@ -444,12 +442,15 @@ def _output(out: str | None, force: bool) -> Iterator[TextIO]:
 
     A file target is written under a temporary sibling name and moved into
     place once the run succeeds, so a failed run leaves no partial file and
-    never destroys the one ``--force`` would have replaced.
+    never destroys the one ``--force`` would have replaced.  A target that
+    is a directory, or lies in none, is refused before the run starts.
     """
     if out is None:
         yield sys.stdout
         return
     path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():
+        raise ConfigurationError(f"--out must name a file in an existing directory, got {out}")
     if path.exists() and not force:
         raise ConfigurationError(
             f"refusing to overwrite existing {path}; pass --force to allow it"
@@ -472,7 +473,8 @@ def dispatch(args: argparse.Namespace) -> int:
     An error of the run itself names the keys its message names, as
     :func:`resolve` does.
     """
-    if "grid" in _ECHO_SECTIONS[args.command] and args.threads < 1:
+    sections = _COMMANDS[args.command][1]
+    if "grid" in sections and args.threads < 1:
         raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
     start = time.perf_counter()
     overrides = {
@@ -481,7 +483,7 @@ def dispatch(args: argparse.Namespace) -> int:
     setup = resolve(args.command, args.config, args.preset, overrides)
     _echo_setup(setup, args.command, sys.stderr)
 
-    naming = _naming(_command_keys(args.command), setup.sections, *_ECHO_SECTIONS[args.command])
+    naming = _naming(_command_keys(args.command), setup.sections, *sections)
     with _output(args.out, args.force) as handle, naming:
         if args.command == "simulate":
             dump_session_csv(simulate_session(setup.config), handle)
@@ -500,19 +502,8 @@ def dispatch(args: argparse.Namespace) -> int:
 
     elapsed = time.perf_counter() - start
     secure_bits = setup.config.n_secure_bits * (len(setup.u_eff_grid) * len(setup.f_a_list) or 1)
-    print(
-        f"finished in {elapsed:.2f} s; {secure_bits} secure bits simulated",
-        file=sys.stderr,
-    )
+    print(f"finished in {elapsed:.2f} s; {secure_bits} secure bits simulated", file=sys.stderr)
     return 0
-
-
-_COMMAND_HELP = {
-    "simulate": "run one session and dump all samples",
-    "attack": "attack one operating point",
-    "sweep": "attack across a noise-level grid",
-    "defend": "sweep with a countermeasure enabled",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -521,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resistor-switching key exchange simulator and attack toolkit",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMAND_HELP.items():
+    for command, (help_text, sections) in _COMMANDS.items():
         sub = commands.add_parser(command, help=help_text)
         sub.add_argument("--config", metavar="PATH", help="INI config file")
         sub.add_argument(
@@ -529,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         sub.add_argument("--force", action="store_true", help="allow overwriting --out")
-        if "grid" in _ECHO_SECTIONS[command]:
+        if "grid" in sections:
             sub.add_argument(
                 "--threads", type=int, default=1, metavar="N", help="parallel sweep columns"
             )

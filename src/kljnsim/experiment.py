@@ -32,6 +32,7 @@ from .attacks import (
     lf_decide,
     lf_gamma,
     lf_threshold,
+    resolve_band,
 )
 from .channel import SCALE_LIMIT, KljnConfig, ResistorPair, simulate_session, source_samples
 from .errors import ConfigurationError
@@ -297,6 +298,11 @@ def sweep(
         replace(base, seed=mix_seed(base.seed, i), source=replace(base.source, frequency=f_a))
         for i, f_a in enumerate(frequencies)
     ]
+    for column in columns:  # so a bad band or notch fails before any cell runs
+        if isinstance(attack, SpectralAttack):
+            resolve_band(column, attack)
+        if notch is not None:
+            notch.bins(column)
     run = partial(run_column, attack=attack, t_effs=t_effs, notch=notch)
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # so one thread never pays its import

@@ -63,6 +63,13 @@ class TestResistorPair:
             assert resistance[code] == pytest.approx(alice**2 + bob**2, rel=1e-15)
         assert PAIR.parallel == resistance[Situation.LH] == resistance[Situation.HL]
 
+    def test_table_is_built_once_and_read_only(self):
+        pair = ResistorPair(r_low=1.0e3, r_high=1.0e4)
+        assert pair.table is pair.table
+        assert not pair.table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pair.table[1, Situation.LH] = 0.0
+
     def test_rejects_bad_ordering(self):
         with pytest.raises(ConfigurationError):
             ResistorPair(r_low=1.0e4, r_high=1.0e3)

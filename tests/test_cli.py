@@ -1,6 +1,7 @@
 """Tests for config resolution and the command-line entry point."""
 
 import argparse
+import dataclasses
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import kljnsim.cli as cli
 from kljnsim import ConfigurationError, ResistorPair, SpectralAttack, ThresholdAttack, teff_of_ueff
 from kljnsim.cli import _KEYS, PRESETS, _build_parser, main, resolve
-from kljnsim.experiment import u_eff_of_teff
+from kljnsim.experiment import Notch, RaiseTemperature, u_eff_of_teff
 from kljnsim.noise import johnson_rms, mix_seed
 
 
@@ -235,6 +236,29 @@ class TestCommandSections:
         assert "attack.kappa" not in highfreq
         assert "# attack.ensemble_size = 1000\n" in highfreq
 
+    def test_each_kind_field_is_one_key_and_each_key_one_kind_field(self):
+        kinds = [kind for table in cli._KINDS.values() for kind in table.values()]
+        assert set(kinds) == {ThresholdAttack, SpectralAttack, Notch, RaiseTemperature}
+        for (section, selector), table in cli._KINDS.items():
+            names = [key.name for key in _KEYS if key.section == section and key.name != selector]
+            readers = dict.fromkeys(names, 0)
+            for kind in table.values():
+                for spec in dataclasses.fields(kind):
+                    named = [name for name in names if spec.name in cli._fields_named(name)]
+                    assert len(named) == 1, (kind.__name__, spec.name, named)
+                    readers[named[0]] += 1
+            assert readers == dict.fromkeys(names, 1), section
+
+    def test_kind_field_that_no_key_names_fails_loudly(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Unkeyed:
+            kappa: float = 0.5
+            unkeyed: float = 1.0
+
+        monkeypatch.setitem(cli._KINDS["attack", "mode"], ThresholdAttack.mode, Unkeyed)
+        with pytest.raises(KeyError, match="unkeyed"):
+            resolved("attack", preset="fig5")
+
     def test_unread_sections_build_nothing(self):
         setup = resolved("simulate", preset="fig6")
         assert setup.attack is None and setup.defense is None and setup.u_eff_grid == []
@@ -321,6 +345,26 @@ class TestFailedRunOutput:
         assert err.splitlines()[-1] == "error: the run failed"
         assert target.read_text() == "precious\n"
         assert list(tmp_path.iterdir()) == [target]
+
+
+    @pytest.mark.parametrize("directory", [True, False], ids=["is-a-directory", "in-no-directory"])
+    def test_unwritable_target_refused_before_the_run(self, directory, monkeypatch, tmp_path,
+                                                      capsys):
+        def run_point(*args):
+            pytest.fail("the run started before its output target was checked")
+
+        monkeypatch.setattr(cli, "run_point", run_point)
+        target = tmp_path / "DIR" if directory else tmp_path / "missing" / "x.csv"
+        if directory:
+            target.mkdir()
+        code, out, err = run_main(
+            ["attack", "--preset", "fig5", "--bits", "3", "--out", str(target), "--force"], capsys
+        )
+        assert code == 1 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: --out must name a file in an existing directory, got {target}"]
+        assert list(tmp_path.iterdir()) == ([target] if directory else [])
+        assert not directory or list(target.iterdir()) == []
 
 
 class TestAttackCommand:

@@ -570,6 +570,26 @@ class TestColumnAlgebra:
             run_column(base, attack, [0.0, teff_of_ueff(9.0e99, PAIR, base.f_b)])
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "attack,frequencies,defense,match",
+        [
+            (ThresholdAttack(), [1000.0, 318.30], Notch(5.0), "notch_halfwidth"),
+            (SpectralAttack(), [2000.0, 0.0], None, "source frequency"),
+        ],
+        ids=["notch-holds-no-bin", "band-at-zero-hz"],
+    )
+    def test_bad_column_refused_before_any_cell_runs(
+        self, attack, frequencies, defense, match, monkeypatch
+    ):
+        # The first column is good, so only a check of every column up front
+        # keeps its cells from running.
+        calls = []
+        monkeypatch.setattr(experiment, "run_point", lambda *args: calls.append(args))
+        base = make_config(t_eff=1.0, n_secure_bits=50)
+        with pytest.raises(ConfigurationError, match=match):
+            sweep(base, attack, [0.01], frequencies, defense=defense)
+        assert calls == []
+
 
 class TestSweepCsv:
     def test_format(self):
